@@ -2,7 +2,7 @@
 parallel-band families, and Morton-inequality audits over PD codes."""
 
 from .diagram import Diagram, parse_pd
-from .homfly import HomflyEngine, homfly, naive_homfly
+from .homfly import HomflyEngine, naive_homfly
 from .poly import LaurentPoly1, LaurentPoly2, alexander_specialize, mirror_substitute
 from .seifert import diagram_genus, seifert_circles
 
@@ -12,7 +12,6 @@ __all__ = [
     "Diagram",
     "parse_pd",
     "HomflyEngine",
-    "homfly",
     "naive_homfly",
     "LaurentPoly1",
     "LaurentPoly2",

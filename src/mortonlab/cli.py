@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import Diagram, parse_pd
 from .errors import (
@@ -29,7 +29,6 @@ from .homfly import (
     DEFAULT_TRACE_LIMIT,
     HomflyEngine,
     SkeinTrace,
-    detect_cancellations,
     trace_to_dot,
 )
 from .morton import (
@@ -42,7 +41,7 @@ from .morton import (
 from .poly import LaurentPoly2
 from .seifert import CrossingClass, classify_crossing, seifert_circles, seifert_csv_row
 
-__all__ = ["KnotTableEntry", "RunConfig", "load_knot_table", "run_command", "export_report", "main"]
+__all__ = ["KnotTableEntry", "load_knot_table", "run_command", "export_report", "main"]
 
 CACHE_ENV = "MORTONLAB_CACHE"
 
@@ -53,22 +52,6 @@ class KnotTableEntry:
     pd: str
     source: str
     diagram: Diagram
-
-
-@dataclass
-class RunConfig:
-    cache_path: str | None = None
-    jobs: int = 1
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
-    trace_limit: int = DEFAULT_TRACE_LIMIT
-    budget_seconds: float | None = None
-    output_format: str = "table"
-    mirror: str = "auto"
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
 
 
 def load_knot_table(path, warn=None):
@@ -129,7 +112,7 @@ def export_report(payload, fmt) -> bytes:
         if fmt == "json":
             obj = {
                 "stats": payload.stats,
-                "cancellations": detect_cancellations(payload),
+                "cancellations": [n.id for n in payload.nodes if n.cancellation],
                 "nodes": [
                     {
                         "id": n.id,
@@ -168,7 +151,6 @@ def _build_parser():
         p.add_argument("--table", help="name,pd CSV file")
         p.add_argument("--name", help="entry name inside --table")
         p.add_argument("--cache", help=f"polynomial cache file (or ${CACHE_ENV})")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--format", dest="fmt", default=fmt_default,
                        choices=["json", "csv", "table", "dot"])
         p.add_argument("--mirror", default="auto", choices=["auto", "off", "on"])
@@ -229,8 +211,8 @@ def _diagram_from_args(args):
     raise UsageError("need --pd or --table/--name")
 
 
-def _engine_from_args(args, config):
-    engine = HomflyEngine(oracle_limit=config.oracle_limit, trace_limit=config.trace_limit)
+def _engine_from_args(args):
+    engine = HomflyEngine()
     path = args.cache or os.environ.get(CACHE_ENV)
     if path:
         engine.load_cache(path)
@@ -259,7 +241,7 @@ def _poly_with_mirror(p, args):
     return p
 
 
-def run_command(argv, config: RunConfig | None = None) -> int:
+def run_command(argv) -> int:
     """Dispatch a CLI invocation; returns the process exit code."""
     parser = _build_parser()
     try:
@@ -267,7 +249,7 @@ def run_command(argv, config: RunConfig | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _dispatch(args, config)
+        return _dispatch(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -279,9 +261,7 @@ def run_command(argv, config: RunConfig | None = None) -> int:
         return 2
 
 
-def _dispatch(args, config):
-    config = config or RunConfig(jobs=getattr(args, "jobs", 1),
-                                 output_format=getattr(args, "fmt", "table"))
+def _dispatch(args):
     cmd = args.command
 
     if cmd == "parse":
@@ -298,7 +278,7 @@ def _dispatch(args, config):
 
     if cmd == "homfly":
         d, name = _diagram_from_args(args)
-        engine, cache_path = _engine_from_args(args, config)
+        engine, cache_path = _engine_from_args(args)
         p = _poly_with_mirror(engine.homfly(d), args)
         if cache_path:
             engine.flush_cache(cache_path)
@@ -362,12 +342,12 @@ def _dispatch(args, config):
 
     if cmd == "verify":
         d, name = _diagram_from_args(args)
-        engine, cache_path = _engine_from_args(args, config)
+        engine, cache_path = _engine_from_args(args)
         crossing = _auto_crossing(d) if args.crossing == "auto" else int(args.crossing)
         spec = FamilySpec(d, crossing, list(range(args.nmax + 1)))
         report = verify_theorem_family(
             spec, gc_claimed=args.gc, n_max=args.nmax, engine=engine,
-            budget_seconds=args.budget, jobs=args.jobs, base_name=name,
+            budget_seconds=args.budget, base_name=name,
         )
         if args.expect:
             expected = LaurentPoly2.from_json(args.expect)
@@ -388,7 +368,7 @@ def _dispatch(args, config):
 
     if cmd == "skein-tree":
         d, _ = _diagram_from_args(args)
-        engine, _ = _engine_from_args(args, config)
+        engine, _ = _engine_from_args(args)
         engine.trace_limit = args.trace_limit
         trace = engine.skein_trace(d)
         _emit(export_report(trace, args.fmt if args.fmt in ("dot", "json") else "dot"), args)
@@ -411,7 +391,7 @@ def _dispatch(args, config):
     if cmd == "oracle-check":
         if not args.table:
             raise UsageError("oracle-check needs --table")
-        engine, _ = _engine_from_args(args, config)
+        engine, _ = _engine_from_args(args)
         engine.oracle_limit = args.limit
         checked = skipped = 0
         for e in load_knot_table(args.table):

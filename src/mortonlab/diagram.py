@@ -20,17 +20,7 @@ from typing import NamedTuple
 
 from .errors import InvalidPDError, ParseError
 
-__all__ = [
-    "Crossing",
-    "Diagram",
-    "parse_pd",
-    "components",
-    "writhe",
-    "switch_crossing",
-    "smooth_crossing",
-    "canonical_code",
-    "simplify",
-]
+__all__ = ["Crossing", "Diagram", "parse_pd"]
 
 _SMOOTH = "smooth"
 _DELETE = "delete"
@@ -147,9 +137,6 @@ class Diagram:
 
     def num_components(self):
         return len(self.component_cycles())
-
-    def crossing_count(self):
-        return len(self.crossings)
 
     def writhe(self):
         return sum(x.sign for x in self.crossings)
@@ -633,29 +620,3 @@ def _ascending_positive(tuples, i):
         return True
     return False
 
-
-# -- module-level operation surface -------------------------------------------
-
-
-def components(d: Diagram):
-    return list(d.component_cycles())
-
-
-def writhe(d: Diagram) -> int:
-    return d.writhe()
-
-
-def switch_crossing(d: Diagram, i: int) -> Diagram:
-    return d.switch_crossing(i)
-
-
-def smooth_crossing(d: Diagram, i: int) -> Diagram:
-    return d.smooth_crossing(i)
-
-
-def canonical_code(d: Diagram) -> bytes:
-    return d.canonical_code()
-
-
-def simplify(d: Diagram) -> Diagram:
-    return d.simplify()

@@ -84,24 +84,28 @@ def insert_parallel_bands(d: Diagram, i: int, n: int) -> Diagram:
                 t = Crossing(ys[j - 1], xs[j - 1], ys[j], xs[j], s)
         new.append(t)
     out = _renumber(new, d.free_loops)
-    assert len(out.crossings) == len(d.crossings) + n - 1
+    if len(out.crossings) != len(d.crossings) + n - 1:
+        raise RuntimeError(f"band insertion lost crossings: {len(out.crossings)} for n={n}")
     return out
 
 
 def family_sequence(spec: FamilySpec):
-    """Diagrams L_n for each requested n, with bookkeeping asserted on
-    generation: c grows by n - 1, the circle count is preserved, and the
-    component count depends only on the parity of n."""
+    """Diagrams L_n for each requested n, with bookkeeping checked on
+    generation (RuntimeError on a violation): c grows by n - 1, the circle
+    count is preserved, and the component count depends only on the parity
+    of n."""
     base = spec.base
     dec0 = seifert_circles(base)
     mu_even = base.smooth_crossing(spec.crossing).num_components()
     out = []
     for n in spec.ns:
         d = insert_parallel_bands(base, spec.crossing, n)
-        assert len(d.crossings) == len(base.crossings) + n - 1
-        if n >= 1:
-            assert seifert_circles(d).num_circles == dec0.num_circles
-        assert d.num_components() == (base.num_components() if n % 2 else mu_even)
+        if len(d.crossings) != len(base.crossings) + n - 1:
+            raise RuntimeError(f"L_{n} has {len(d.crossings)} crossings")
+        if n >= 1 and seifert_circles(d).num_circles != dec0.num_circles:
+            raise RuntimeError(f"L_{n} changed the Seifert circle count")
+        if d.num_components() != (base.num_components() if n % 2 else mu_even):
+            raise RuntimeError(f"L_{n} has {d.num_components()} components")
         out.append((n, d))
     return out
 

@@ -25,23 +25,18 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-import threading
 from dataclasses import dataclass, field
 
 from .diagram import Diagram
-from .errors import TooLargeError
+from .errors import ParseError, TooLargeError
 from .poly import LaurentPoly2, delta_factor
 
 __all__ = [
     "HomflyEngine",
     "SkeinNode",
     "SkeinTrace",
-    "homfly",
     "naive_homfly",
     "choose_skein_crossing",
-    "skein_trace",
-    "detect_cancellations",
     "trace_to_dot",
     "load_cache_file",
     "append_cache_file",
@@ -74,13 +69,25 @@ def _descending_value(d: Diagram) -> LaurentPoly2:
     return delta_factor() ** (k - 1)
 
 
-class HomflyEngine:
-    """Memoized skein evaluator with shared, thread-safe cache.
+def _skein_terms(sign, p_sw, p_sm):
+    """The two weighted children of a skein step at a crossing of this
+    sign: (v^(2s) P(switched), s v^s z P(smoothed)); their sum is P."""
+    return p_sw.mono_mul(1, ev=2 * sign), p_sm.mono_mul(sign, ev=sign, ez=1)
 
-    The cache maps canonical codes of simplified diagrams to polynomials.
-    Values are deterministic, so concurrent get-or-insert races are
-    harmless; lookups are exact-key only (never up to mirror) to keep
-    chirality honest.
+
+def _too_deep(d: Diagram) -> TooLargeError:
+    return TooLargeError(
+        f"{len(d.crossings)} crossings: skein recursion exceeds the interpreter's recursion limit"
+    )
+
+
+class HomflyEngine:
+    """Memoized skein evaluator.
+
+    The cache maps canonical codes of simplified diagrams to polynomials;
+    lookups are exact-key only (never up to mirror) to keep chirality
+    honest.  Recursion depth grows with the crossing count; a diagram too
+    deep for the interpreter's recursion limit raises TooLargeError.
     """
 
     def __init__(self, cache=None, oracle_limit=DEFAULT_ORACLE_LIMIT,
@@ -90,16 +97,14 @@ class HomflyEngine:
         self.trace_limit = trace_limit
         self.expansions = 0
         self._loaded_keys = set()
-        self._lock = threading.Lock()
 
     # -- cached engine --------------------------------------------------
 
     def homfly(self, d: Diagram) -> LaurentPoly2:
-        limit = sys.getrecursionlimit()
-        need = 4 * (len(d.crossings) + 4) ** 2
-        if limit < need:
-            sys.setrecursionlimit(need)
-        return self._eval(d)
+        try:
+            return self._eval(d)
+        except RecursionError:
+            raise _too_deep(d) from None
 
     def _eval(self, d: Diagram) -> LaurentPoly2:
         d = d.simplify()
@@ -125,9 +130,8 @@ class HomflyEngine:
         self.expansions += 1
         switched = self._eval(d.switch_crossing(i))
         smoothed = self._eval(d.smooth_crossing(i))
-        if d.crossings[i].sign > 0:
-            return switched.mono_mul(1, ev=2) + smoothed.mono_mul(1, ev=1, ez=1)
-        return switched.mono_mul(1, ev=-2) + smoothed.mono_mul(-1, ev=-1, ez=1)
+        contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
+        return contrib_sw + contrib_sm
 
     # -- independent oracle ----------------------------------------------
 
@@ -138,11 +142,10 @@ class HomflyEngine:
             raise TooLargeError(
                 f"{len(d.crossings)} crossings exceeds oracle limit {self.oracle_limit}"
             )
-        limit = sys.getrecursionlimit()
-        need = 4 * (len(d.crossings) + 4) ** 2
-        if limit < need:
-            sys.setrecursionlimit(need)
-        return self._naive(d)
+        try:
+            return self._naive(d)
+        except RecursionError:
+            raise _too_deep(d) from None
 
     def _naive(self, d: Diagram) -> LaurentPoly2:
         i = choose_skein_crossing(d)
@@ -150,9 +153,8 @@ class HomflyEngine:
             return _descending_value(d)
         switched = self._naive(d.switch_crossing(i))
         smoothed = self._naive(d.smooth_crossing(i))
-        if d.crossings[i].sign > 0:
-            return switched.mono_mul(1, ev=2) + smoothed.mono_mul(1, ev=1, ez=1)
-        return switched.mono_mul(1, ev=-2) + smoothed.mono_mul(-1, ev=-1, ez=1)
+        contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
+        return contrib_sw + contrib_sm
 
     # -- full resolution trace ---------------------------------------------
 
@@ -189,16 +191,9 @@ class HomflyEngine:
         sm = self._trace(d.smooth_crossing(i), "SMOOTHED_CHILD", depth + 1, trace)
         node.switched_child = sw
         node.smoothed_child = sm
-        sign = d.crossings[i].sign
-        node.sign = sign
-        p_sw = trace.nodes[sw].poly
-        p_sm = trace.nodes[sm].poly
-        if sign > 0:
-            contrib_sw = p_sw.mono_mul(1, ev=2)
-            contrib_sm = p_sm.mono_mul(1, ev=1, ez=1)
-        else:
-            contrib_sw = p_sw.mono_mul(1, ev=-2)
-            contrib_sm = p_sm.mono_mul(-1, ev=-1, ez=1)
+        node.sign = d.crossings[i].sign
+        contrib_sw, contrib_sm = _skein_terms(node.sign, trace.nodes[sw].poly,
+                                              trace.nodes[sm].poly)
         node.poly = contrib_sw + contrib_sm
         node.cancellation = _leading_terms_cancelled(node.poly, contrib_sw, contrib_sm)
         return node_id
@@ -213,11 +208,10 @@ class HomflyEngine:
 
     def flush_cache(self, path):
         """Append entries not previously loaded from disk."""
-        with self._lock:
-            new = {k: v for k, v in self.cache.items() if k not in self._loaded_keys}
-            if new:
-                append_cache_file(path, new)
-                self._loaded_keys.update(new)
+        new = {k: v for k, v in self.cache.items() if k not in self._loaded_keys}
+        if new:
+            append_cache_file(path, new)
+            self._loaded_keys.update(new)
         return len(new)
 
 
@@ -255,26 +249,6 @@ class SkeinTrace:
     stats: dict = field(default_factory=dict)
 
 
-def detect_cancellations(trace: SkeinTrace):
-    """Ids of internal nodes whose combined children lose their top
-    z-degree in the sum (the leading terms cancelled)."""
-    out = []
-    for node in trace.nodes:
-        if node.chosen_crossing is None:
-            continue
-        p_sw = trace.nodes[node.switched_child].poly
-        p_sm = trace.nodes[node.smoothed_child].poly
-        if node.sign > 0:
-            contrib_sw = p_sw.mono_mul(1, ev=2)
-            contrib_sm = p_sm.mono_mul(1, ev=1, ez=1)
-        else:
-            contrib_sw = p_sw.mono_mul(1, ev=-2)
-            contrib_sm = p_sm.mono_mul(-1, ev=-1, ez=1)
-        if _leading_terms_cancelled(node.poly, contrib_sw, contrib_sm):
-            out.append(node.id)
-    return out
-
-
 def trace_to_dot(trace: SkeinTrace) -> str:
     """DOT digraph of a resolution tree; cancellation nodes filled red."""
     lines = ["digraph skein {", '  node [shape=box];']
@@ -296,16 +270,21 @@ def trace_to_dot(trace: SkeinTrace) -> str:
 
 
 def load_cache_file(path):
+    """Cache records keyed by code; a record that does not decode raises
+    ParseError naming path:line."""
     out = {}
     if not os.path.exists(path):
         return out
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            out[bytes.fromhex(rec["code"])] = LaurentPoly2.from_json_obj(rec["poly"])
+            try:
+                rec = json.loads(line)
+                out[bytes.fromhex(rec["code"])] = LaurentPoly2.from_json_obj(rec["poly"])
+            except (ValueError, KeyError, TypeError, ParseError) as exc:
+                raise ParseError(f"{path}:{lineno}: bad cache record: {exc}") from exc
     return out
 
 
@@ -316,18 +295,5 @@ def append_cache_file(path, entries):
                                 separators=(",", ":")) + "\n")
 
 
-# -- module-level convenience over a private default engine -----------------
-
-_default_engine = HomflyEngine()
-
-
-def homfly(d: Diagram) -> LaurentPoly2:
-    return _default_engine.homfly(d)
-
-
 def naive_homfly(d: Diagram, limit=DEFAULT_ORACLE_LIMIT) -> LaurentPoly2:
     return HomflyEngine(oracle_limit=limit).naive_homfly(d)
-
-
-def skein_trace(d: Diagram, limit=DEFAULT_TRACE_LIMIT) -> SkeinTrace:
-    return HomflyEngine(trace_limit=limit).skein_trace(d)

@@ -17,7 +17,6 @@ the knots K_m, whose bound reads M < 2(gc + m) + 1.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .diagram import Diagram
@@ -53,9 +52,11 @@ def morton_defect(d: Diagram, engine: HomflyEngine | None = None) -> int:
     engine = engine or HomflyEngine()
     bound = morton_bound_diagram(d)
     m = engine.homfly(d).maxdeg_z()
-    assert m is not None, "zero polynomial from a valid diagram"
+    if m is None:
+        raise RuntimeError("zero polynomial from a valid diagram")
     defect = bound - m
-    assert defect >= 0, f"degree bound violated: M={m} > bound={bound}"
+    if defect < 0:
+        raise RuntimeError(f"degree bound violated: M={m} > bound={bound}")
     return defect
 
 
@@ -189,12 +190,9 @@ def _hypothesis_certificates(base: Diagram, engine: HomflyEngine):
 def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
                           engine: HomflyEngine | None = None,
                           budget_seconds: float | None = None,
-                          jobs: int = 1,
                           base_name: str = "base") -> FamilyReport:
-    """Row-by-row audit M(L_n) < 2*gc - 1 + n for n = 0..n_max.
-
-    Rows for distinct n may be computed concurrently (shared engine cache);
-    assembly is ordered by n.  A budget overrun marks the report incomplete
+    """Row-by-row audit M(L_n) < 2*gc - 1 + n for n = 0..n_max, in order of
+    n over one engine cache.  A budget overrun marks the report incomplete
     and keeps the rows finished so far.
     """
     engine = engine or HomflyEngine()
@@ -203,39 +201,20 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
                           gc_claimed=gc_claimed)
     report.hypothesis_certificates = _hypothesis_certificates(spec.base, engine)
 
-    ns = list(range(n_max + 1))
-    diagrams = {n: insert_parallel_bands(spec.base, spec.crossing, n) for n in ns}
-
-    def row_for(n):
-        d = diagrams[n]
-        p = engine.homfly(d)
-        m = p.maxdeg_z()
-        assert m is not None
+    diagrams = [insert_parallel_bands(spec.base, spec.crossing, n) for n in range(n_max + 1)]
+    for n, d in enumerate(diagrams):
+        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
+            report.incomplete = True
+            break
+        m = engine.homfly(d).maxdeg_z()
+        if m is None:
+            raise RuntimeError(f"zero polynomial for family row n={n}")
         s = seifert_circles(d).num_circles if d.is_connected() else None
         genus = diagram_genus(d) if d.is_connected() else None
         bound = 2 * gc_claimed - 1 + n
-        return FamilyRow(n=n, c=len(d.crossings), s=s, genus=genus,
-                         m=m, bound=bound, strict=m < bound)
+        report.rows.append(FamilyRow(n=n, c=len(d.crossings), s=s, genus=genus,
+                                     m=m, bound=bound, strict=m < bound))
 
-    done = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {n: pool.submit(row_for, n) for n in ns}
-            for n in ns:
-                if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
-                    report.incomplete = True
-                    break
-                done[n] = futures[n].result()
-            for f in futures.values():
-                f.cancel()
-    else:
-        for n in ns:
-            if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
-                report.incomplete = True
-                break
-            done[n] = row_for(n)
-
-    report.rows = [done[n] for n in sorted(done)]
     for r in report.rows:
         if r.n == 1:
             report.base_defect = knot_level_defect(gc_claimed, r.m)

@@ -20,9 +20,6 @@ from .errors import NegativeZDegreeError, ParseError
 __all__ = [
     "LaurentPoly2",
     "LaurentPoly1",
-    "poly_add",
-    "poly_mul",
-    "maxdeg_z",
     "mirror_substitute",
     "alexander_specialize",
     "delta_factor",
@@ -57,10 +54,6 @@ class LaurentPoly2:
     @classmethod
     def one(cls):
         return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, coeff, ev=0, ez=0):
-        return cls({(ev, ez): coeff})
 
     # -- basic protocol ----------------------------------------------
 
@@ -159,20 +152,14 @@ class LaurentPoly2:
             return None
         return max(ez for (_, ez) in self._terms)
 
-    def mindeg_z(self):
-        if not self._terms:
-            return None
-        return min(ez for (_, ez) in self._terms)
-
     def mirror(self):
-        """Substitute v -> v^-1 (an involution; z-degrees untouched)."""
+        """Substitute v -> v^-1, z -> -z: P(D*)(v, z) = P(D)(v^-1, -z) for the
+        mirror image D* under this skein convention (an involution; z-degrees
+        untouched).  On knots every z-exponent is even and only v flips."""
         p = LaurentPoly2.__new__(LaurentPoly2)
-        p._terms = {(-ev, ez): c for (ev, ez), c in self._terms.items()}
+        p._terms = {(-ev, ez): -c if ez % 2 else c for (ev, ez), c in self._terms.items()}
         p._hash = None
         return p
-
-    def z_exponents(self):
-        return sorted({ez for (_, ez) in self._terms})
 
     # -- serialization -------------------------------------------------
 
@@ -344,18 +331,6 @@ class LaurentPoly1:
 
 
 # -- module-level operation surface -----------------------------------
-
-
-def poly_add(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
-    return p + q
-
-
-def poly_mul(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
-    return p * q
-
-
-def maxdeg_z(p: LaurentPoly2):
-    return p.maxdeg_z()
 
 
 def mirror_substitute(p: LaurentPoly2) -> LaurentPoly2:

@@ -80,7 +80,8 @@ def seifert_circles(d: Diagram) -> SeifertDecomposition:
 
 def _genus_from_counts(c, s, mu):
     chi_defect = 2 - mu - s + c
-    assert chi_defect % 2 == 0, f"parity violation: c={c} s={s} mu={mu}"
+    if chi_defect % 2:
+        raise RuntimeError(f"parity violation: c={c} s={s} mu={mu}")
     return chi_defect // 2
 
 

@@ -343,9 +343,10 @@ def test_pipeline_rehearsal_for_criterion_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_criterion_9_determinism_jobs(census, tmp_path):
+def test_criterion_9_determinism_cache_replay(census, tmp_path, monkeypatch):
     """Criterion-1-style and criterion-3-style CLI outputs are byte-identical
-    for --jobs 1 vs --jobs 8."""
+    for a cold run that fills a --cache file and a warm run replaying it."""
+    monkeypatch.delenv("MORTONLAB_CACHE", raising=False)
     if census is not None:
         name = next(iter(PAPER_POLYS))
         homfly_args = ["homfly", "--table", CENSUS_PATH, "--name", name]
@@ -358,14 +359,15 @@ def test_criterion_9_determinism_jobs(census, tmp_path):
                        "--crossing", "auto", "--nmax", "5"]
         desc = "demo base (census data unavailable)"
 
+    h_cache, v_cache = tmp_path / "h-cache.jsonl", tmp_path / "v-cache.jsonl"
     outputs = {}
-    for jobs in (1, 8):
-        h_out = tmp_path / f"h{jobs}.json"
-        v_out = tmp_path / f"v{jobs}.json"
-        assert run_command(homfly_args + ["--jobs", str(jobs), "--format", "json",
+    for run in ("cold", "warm"):
+        h_out = tmp_path / f"h-{run}.json"
+        v_out = tmp_path / f"v-{run}.json"
+        assert run_command(homfly_args + ["--cache", str(h_cache), "--format", "json",
                                           "--out", str(h_out)]) == 0
-        run_command(verify_args + ["--jobs", str(jobs), "--format", "json",
+        run_command(verify_args + ["--cache", str(v_cache), "--format", "json",
                                    "--out", str(v_out)])
-        outputs[jobs] = (h_out.read_bytes(), v_out.read_bytes())
-    assert outputs[1] == outputs[8]
-    _report(9, True, f"byte-identical outputs for --jobs 1 vs --jobs 8 ({desc})")
+        outputs[run] = (h_out.read_bytes(), v_out.read_bytes())
+    assert outputs["cold"] == outputs["warm"]
+    _report(9, True, f"byte-identical outputs for a cold run vs a warm --cache replay ({desc})")

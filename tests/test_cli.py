@@ -16,7 +16,7 @@ from mortonlab.errors import (
     UnsupportedFormatError,
 )
 from mortonlab.family import FamilySpec
-from mortonlab.homfly import HomflyEngine, skein_trace
+from mortonlab.homfly import HomflyEngine
 from mortonlab.morton import verify_theorem_family
 
 SMALL = os.path.join(DATA_DIR, "small_knots.csv")
@@ -78,7 +78,7 @@ class TestExport:
             export_report(rep, "dot")
 
     def test_trace_formats(self):
-        t = skein_trace(parse_pd(TREFOIL_PD))
+        t = HomflyEngine().skein_trace(parse_pd(TREFOIL_PD))
         dot = export_report(t, "dot").decode()
         assert dot.startswith("digraph skein {")
         obj = json.loads(export_report(t, "json"))
@@ -205,3 +205,29 @@ class TestCacheFlag:
         engine.load_cache(cache)
         assert engine.homfly(parse_pd(TREFOIL_PD))
         assert engine.expansions == 0
+
+    def _corrupt_cache(self, tmp_path, capsys, mangle):
+        cache = tmp_path / "cache.jsonl"
+        assert run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        lines = cache.read_text().splitlines(keepends=True)
+        assert len(lines) >= 3
+        cache.write_text("".join(mangle(lines)))
+        code = run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(cache)])
+        return code, capsys.readouterr(), cache
+
+    def test_torn_final_line_exit2(self, tmp_path, capsys):
+        code, cap, cache = self._corrupt_cache(
+            tmp_path, capsys, lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]])
+        assert code == 2
+        assert cap.out == ""
+        n = len(cache.read_text().splitlines())
+        assert cap.err.startswith(f"PARSE_ERROR: {cache}:{n}: bad cache record")
+
+    def test_corrupt_middle_line_exit2(self, tmp_path, capsys):
+        def mangle(lines):
+            return [lines[0], '{"code":"zz","poly":[]}\n'] + lines[2:]
+
+        code, cap, cache = self._corrupt_cache(tmp_path, capsys, mangle)
+        assert code == 2
+        assert cap.err.startswith(f"PARSE_ERROR: {cache}:2: bad cache record")

@@ -7,7 +7,7 @@ import pytest
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
-from mortonlab.diagram import Diagram, canonical_code, components, parse_pd, simplify
+from mortonlab.diagram import Diagram, parse_pd
 from mortonlab.errors import InvalidPDError, ParseError
 
 
@@ -71,19 +71,19 @@ class TestParsing:
 
 class TestComponents:
     def test_trefoil_single_cycle(self):
-        cycles = components(parse_pd(TREFOIL_PD))
+        cycles = list(parse_pd(TREFOIL_PD).component_cycles())
         assert len(cycles) == 1
         assert sorted(cycles[0]) == [1, 2, 3, 4, 5, 6]
 
     def test_free_loops_appended_as_empty(self):
         d = parse_pd("O O")
-        assert components(d) == [(), ()]
+        assert list(d.component_cycles()) == [(), ()]
         assert d.num_components() == 2
 
     def test_label_partition(self, small_knots):
         for entry in small_knots:
             d = entry.diagram
-            seen = [e for cyc in components(d) for e in cyc]
+            seen = [e for cyc in d.component_cycles() for e in cyc]
             assert sorted(seen) == list(range(1, 2 * len(d.crossings) + 1))
 
     def test_smoothing_changes_count_by_one(self):
@@ -136,31 +136,31 @@ class TestCanonicalCode:
     def test_relabel_invariance(self, small_knots):
         rng = random.Random(11)
         for entry in small_knots:
-            base = canonical_code(entry.diagram)
+            base = entry.diagram.canonical_code()
             for _ in range(20):
                 moved = random_relabeling(shuffled_crossings(entry.diagram, rng), rng)
-                assert canonical_code(moved) == base
+                assert moved.canonical_code() == base
 
     def test_relabel_invariance_links(self):
         rng = random.Random(13)
         for d in random_braid_diagrams(25, seed=5):
-            base = canonical_code(d)
+            base = d.canonical_code()
             for _ in range(10):
-                assert canonical_code(random_relabeling(shuffled_crossings(d, rng), rng)) == base
+                assert random_relabeling(shuffled_crossings(d, rng), rng).canonical_code() == base
 
     def test_shifted_labels_equal(self):
         shifted = "X[3,6,4,1] X[5,2,6,3] X[1,4,2,5]"
-        assert canonical_code(parse_pd(shifted)) == canonical_code(parse_pd(TREFOIL_PD))
+        assert parse_pd(shifted).canonical_code() == parse_pd(TREFOIL_PD).canonical_code()
 
     def test_switch_changes_code(self):
         d = parse_pd(TREFOIL_PD)
-        assert canonical_code(d.switch_crossing(0)) != canonical_code(d)
+        assert d.switch_crossing(0).canonical_code() != d.canonical_code()
 
     def test_unknot_constant(self):
-        assert canonical_code(parse_pd("O")) == canonical_code(parse_pd("free_loops=1"))
+        assert parse_pd("O").canonical_code() == parse_pd("free_loops=1").canonical_code()
 
     def test_distinguishes_knots(self, small_knots):
-        codes = {canonical_code(e.diagram) for e in small_knots}
+        codes = {e.diagram.canonical_code() for e in small_knots}
         assert len(codes) == len(small_knots)
 
     def test_split_diagram_code(self):
@@ -171,7 +171,7 @@ class TestCanonicalCode:
         two = Diagram(xs, 0)
         assert not two.is_connected()
         rng = random.Random(3)
-        assert canonical_code(random_relabeling(two, rng)) == canonical_code(two)
+        assert random_relabeling(two, rng).canonical_code() == two.canonical_code()
 
 
 class TestSimplify:
@@ -181,7 +181,7 @@ class TestSimplify:
 
     def test_trefoil_is_fixpoint(self):
         d = parse_pd(TREFOIL_PD)
-        assert simplify(d) == d
+        assert d.simplify() == d
 
     def test_r2_pair_removed(self):
         # unknot drawn with a reducible two-crossing curl
@@ -192,7 +192,7 @@ class TestSimplify:
 
     def test_figure8_fixpoint(self):
         d = parse_pd(FIGURE8_PD)
-        assert simplify(d) == d
+        assert d.simplify() == d
 
     def test_stacked_kinks(self):
         # braid closure of sigma1 sigma1^-1: R2 pair on two strands

@@ -1,10 +1,14 @@
-"""HOMFLY engine: known values, oracle equivalence, skein audit,
-invariance, parity, caching, traces, thread determinism."""
+"""HOMFLY engine: known values, mirror law, oracle equivalence, skein
+audit, invariance, parity, caching, traces, thread determinism, recursion
+depth."""
 
 import random
+import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
@@ -15,10 +19,8 @@ from mortonlab.homfly import (
     HomflyEngine,
     append_cache_file,
     choose_skein_crossing,
-    detect_cancellations,
     load_cache_file,
     naive_homfly,
-    skein_trace,
     trace_to_dot,
 )
 from mortonlab.poly import LaurentPoly2, delta_factor
@@ -100,6 +102,30 @@ class TestChooseCrossing:
         assert picks.pop() in (0, 1, 2)
 
 
+_braids = st.integers(min_value=2, max_value=4).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.integers(min_value=1, max_value=k - 1).flatmap(lambda i: st.sampled_from([i, -i])),
+                 min_size=1, max_size=7),
+    )
+)
+
+
+class TestMirrorLaw:
+    @given(_braids)
+    @example((2, [1, 1]))
+    @example((2, [1, 1, 1, 1]))
+    @example((2, [1] * 6))
+    @example((2, [1, 1, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_negated_braid_is_mirror(self, braid):
+        # closing the braid with every letter negated draws the mirror image
+        strands, word = braid
+        engine = HomflyEngine()
+        mirrored = engine.homfly(braid_closure([-w for w in word], strands))
+        assert mirrored == engine.homfly(braid_closure(word, strands)).mirror()
+
+
 class TestOracle:
     def test_oracle_limit(self, engine):
         big = braid_closure([1, 2, 3] * 4, 4)
@@ -175,13 +201,13 @@ class TestSkeinAudit:
 
 class TestTrace:
     def test_unknot_single_node(self):
-        t = skein_trace(parse_pd("O"))
+        t = HomflyEngine().skein_trace(parse_pd("O"))
         assert len(t.nodes) == 1
         assert t.nodes[0].role == "BASE_UNLINK"
         assert t.nodes[0].poly == LaurentPoly2.one()
 
     def test_trefoil_trace(self):
-        t = skein_trace(parse_pd(TREFOIL_PD))
+        t = HomflyEngine().skein_trace(parse_pd(TREFOIL_PD))
         root = t.nodes[t.root]
         assert root.role == "ROOT"
         assert root.m == 2
@@ -198,31 +224,38 @@ class TestTrace:
 
     def test_simplified_trace_no_larger(self):
         d = braid_closure([1, 1, 1, -2, 2], 3)
-        assert len(skein_trace(d.simplify()).nodes) <= len(skein_trace(d).nodes)
+        e = HomflyEngine()
+        assert len(e.skein_trace(d.simplify()).nodes) <= len(e.skein_trace(d).nodes)
 
     def test_trace_limit(self):
         with pytest.raises(TooLargeError):
             HomflyEngine(trace_limit=2).skein_trace(parse_pd(TREFOIL_PD))
 
     def test_cancellation_flags_consistent(self):
+        # a node is flagged exactly when its polynomial falls below the top
+        # z-degree of its two contributions: the switched child's, and the
+        # smoothed child's plus one for the factor z
         for d in random_braid_diagrams(10, seed=59, max_crossings=6):
             t = HomflyEngine(trace_limit=8).skein_trace(d)
-            flagged = detect_cancellations(t)
-            assert flagged == [n.id for n in t.nodes if n.cancellation]
-            for nid in flagged:
-                node = t.nodes[nid]
-                p_sw = t.nodes[node.switched_child].poly
-                p_sm = t.nodes[node.smoothed_child].poly
-                m_sw, m_sm = p_sw.maxdeg_z(), p_sm.maxdeg_z()
-                # leading terms can only vanish if the two contributions tie
-                assert m_sw is not None and m_sm is not None
-                assert m_sw == m_sm + 1
+            for node in t.nodes:
+                if node.chosen_crossing is None:
+                    assert not node.cancellation
+                    continue
+                m_sw = t.nodes[node.switched_child].m
+                m_sm = t.nodes[node.smoothed_child].m
+                tops = [m for m in (m_sw, None if m_sm is None else m_sm + 1) if m is not None]
+                expected = bool(tops) and (node.m is None or node.m < max(tops))
+                assert node.cancellation == expected
+                if node.cancellation:
+                    # leading terms can only vanish if the two contributions tie
+                    assert m_sw is not None and m_sm is not None
+                    assert m_sw == m_sm + 1
 
     def test_unknot_no_cancellations(self):
-        assert detect_cancellations(skein_trace(parse_pd("O"))) == []
+        assert not any(n.cancellation for n in HomflyEngine().skein_trace(parse_pd("O")).nodes)
 
     def test_dot_export(self):
-        t = skein_trace(parse_pd(TREFOIL_PD))
+        t = HomflyEngine().skein_trace(parse_pd(TREFOIL_PD))
         dot = trace_to_dot(t)
         assert dot.startswith("digraph skein {")
         assert dot.rstrip().endswith("}")
@@ -303,3 +336,35 @@ class TestThreads:
                 t.join()
             assert not errors
             assert [results[i] for i in range(len(diagrams))] == expected
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+class TestRecursionLimit:
+    T45 = [1, 2, 3] * 5  # torus knot T(4,5), 15 crossings
+
+    def test_limit_left_unchanged(self):
+        saved = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)
+            HomflyEngine().homfly(braid_closure(self.T45, 4))
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
+
+    def test_low_limit_is_too_large(self):
+        d = braid_closure(self.T45, 4)
+        saved = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(_stack_depth() + 20)
+            with pytest.raises(TooLargeError):
+                HomflyEngine().homfly(d)
+            with pytest.raises(TooLargeError):
+                HomflyEngine(oracle_limit=15).naive_homfly(d)
+        finally:
+            sys.setrecursionlimit(saved)

@@ -57,6 +57,21 @@ class TestDefect:
             if d.is_connected():
                 assert morton_defect(d, session_engine) >= 0
 
+    def test_violations_raise(self):
+        # the checks stay active under python -O, unlike assert statements
+        class FixedEngine:
+            def __init__(self, p):
+                self.p = p
+
+            def homfly(self, d):
+                return self.p
+
+        d = parse_pd(TREFOIL_PD)
+        with pytest.raises(RuntimeError, match="zero polynomial"):
+            morton_defect(d, FixedEngine(LaurentPoly2.zero()))
+        with pytest.raises(RuntimeError, match="degree bound violated"):
+            morton_defect(d, FixedEngine(LaurentPoly2({(0, 4): 1})))
+
     def test_knot_level_defect(self):
         assert knot_level_defect(4, 6) == 2
 
@@ -116,17 +131,6 @@ class TestTheoremFamily:
                                        budget_seconds=0.0)
         assert report.incomplete
         assert not report.all_strict()
-
-    def test_jobs_give_identical_reports(self, small_knots):
-        from mortonlab.homfly import HomflyEngine
-
-        spec = FamilySpec(parse_pd(TREFOIL_PD), 0, [])
-        rep1 = verify_theorem_family(spec, gc_claimed=1, n_max=5,
-                                     engine=HomflyEngine(), jobs=1)
-        rep8 = verify_theorem_family(spec, gc_claimed=1, n_max=5,
-                                     engine=HomflyEngine(), jobs=8)
-        assert rep1.to_json_obj() == rep8.to_json_obj()
-        assert rep1.to_csv() == rep8.to_csv()
 
     def test_report_serialization(self, engine):
         spec = FamilySpec(parse_pd(TREFOIL_PD), 0, [])
