@@ -16,6 +16,8 @@ negative ones) must partition the labels into closed oriented cycles.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import InvalidPDError, ParseError
@@ -48,89 +50,72 @@ class Crossing(NamedTuple):
 class Diagram:
     """Immutable oriented link diagram."""
 
-    __slots__ = ("crossings", "free_loops", "_cycles", "_code", "_in_slot", "_out_slot")
+    __slots__ = ("crossings", "free_loops", "_cycles", "_pieces", "_split", "_code", "_ins")
 
     def __init__(self, crossings, free_loops=0, _validated=False):
         self.crossings = tuple(crossings)
         self.free_loops = int(free_loops)
         self._cycles = None
+        self._pieces = None
+        self._split = None
         self._code = None
-        self._in_slot = None
-        self._out_slot = None
+        self._ins = None
         if not _validated:
             self._validate()
 
     # -- construction hidden helpers ----------------------------------
 
     def _validate(self):
-        n = len(self.crossings)
         if self.free_loops < 0:
             raise InvalidPDError("free_loops must be nonnegative")
-        if n == 0:
+        if not self.crossings:
             if self.free_loops == 0:
                 raise InvalidPDError("empty link: no crossings and no free loops")
             return
-        counts = {}
         for x in self.crossings:
             if x.sign not in (1, -1):
                 raise InvalidPDError(f"crossing {x} has sign {x.sign}")
-            for e in x.edges():
-                counts[e] = counts.get(e, 0) + 1
-        expected = set(range(1, 2 * n + 1))
-        if set(counts) != expected or any(v != 2 for v in counts.values()):
-            bad = sorted(set(counts) ^ expected) or sorted(e for e, v in counts.items() if v != 2)
-            raise InvalidPDError(f"edge labels must be 1..{2 * n} each twice; offending labels {bad}")
-        # one incoming and one outgoing occurrence per edge
-        ins, outs = {}, {}
-        for i, x in enumerate(self.crossings):
-            for e, table in ((x.a, ins), (x.over_in, ins), (x.c, outs), (x.over_out, outs)):
-                if e in table:
+        _check_labels([x[:4] for x in self.crossings])
+        # no edge has two heads or two tails (tails stored negated); as each
+        # label 1..2c occurs twice, every edge then has one of each
+        ends = set()
+        for a, b, c, d, s in self.crossings:
+            o_in, o_out = (d, b) if s > 0 else (b, d)
+            for e in (a, o_in, -c, -o_out):
+                if e in ends:
                     raise InvalidPDError(
-                        f"edge {e} oriented inconsistently (two {'heads' if table is ins else 'tails'})"
+                        f"edge {abs(e)} oriented inconsistently (two {'heads' if e > 0 else 'tails'})"
                     )
-                table[e] = i
-        if set(ins) != expected or set(outs) != expected:
-            raise InvalidPDError("orientation conflict: some edge lacks a head or a tail")
+                ends.add(e)
 
     # -- derived structure ---------------------------------------------
 
-    def _slots(self):
-        if self._in_slot is None:
-            ins, outs = {}, {}
+    def _in_slots(self):
+        """Edge -> (index of the crossing it enters, "under" or "over")."""
+        if self._ins is None:
+            ins = {}
             for i, x in enumerate(self.crossings):
                 ins[x.a] = (i, "under")
                 ins[x.over_in] = (i, "over")
-                outs[x.c] = (i, "under")
-                outs[x.over_out] = (i, "over")
-            self._in_slot, self._out_slot = ins, outs
-        return self._in_slot, self._out_slot
-
-    def successor(self, edge):
-        """Next edge along the oriented strand."""
-        ins, _ = self._slots()
-        i, kind = ins[edge]
-        x = self.crossings[i]
-        return x.c if kind == "under" else x.over_out
+            self._ins = ins
+        return self._ins
 
     def component_cycles(self):
         """Oriented edge cycles, each rotated to start at its least label,
         ordered by least label; free loops appended as empty tuples."""
         if self._cycles is None:
-            seen = set()
+            succ = _successors(self.crossings)
             cycles = []
+            # labels are scanned upward, so each cycle is entered at its least label
             for start in range(1, 2 * len(self.crossings) + 1):
-                if start in seen:
+                if start not in succ:
                     continue
                 cyc = [start]
-                seen.add(start)
-                e = self.successor(start)
+                e = succ.pop(start)
                 while e != start:
                     cyc.append(e)
-                    seen.add(e)
-                    e = self.successor(e)
-                m = cyc.index(min(cyc))
-                cycles.append(tuple(cyc[m:] + cyc[:m]))
-            cycles.sort(key=lambda cyc: cyc[0])
+                    e = succ.pop(e)
+                cycles.append(tuple(cyc))
             cycles.extend(() for _ in range(self.free_loops))
             self._cycles = tuple(cycles)
         return self._cycles
@@ -144,49 +129,50 @@ class Diagram:
     def is_connected(self):
         """Connected projection: a lone free loop, or a connected crossing
         graph with no extra free loops."""
-        n = len(self.crossings)
-        if n == 0:
+        if not self.crossings:
             return self.free_loops == 1
         if self.free_loops:
             return False
         return len(self._crossing_graph_pieces()) == 1
 
     def _crossing_graph_pieces(self):
-        n = len(self.crossings)
-        parent = list(range(n))
+        """Crossing indices of each connected piece of the projection, in
+        order of first crossing.  A piece is a class of link components
+        joined by shared crossings."""
+        if self._pieces is None:
+            cycles = [cyc for cyc in self.component_cycles() if cyc]
+            comp = {e: ci for ci, cyc in enumerate(cycles) for e in cyc}
+            root = list(range(len(cycles)))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+            def find(k):
+                while root[k] != k:
+                    k = root[k]
+                return k
 
-        owner = {}
-        for i, x in enumerate(self.crossings):
-            for e in x.edges():
-                if e in owner:
-                    ri, rj = find(i), find(owner[e])
-                    if ri != rj:
-                        parent[ri] = rj
-                else:
-                    owner[e] = i
-        pieces = {}
-        for i in range(n):
-            pieces.setdefault(find(i), []).append(i)
-        return list(pieces.values())
+            for x in self.crossings:
+                ra, rb = find(comp[x.a]), find(comp[x.b])
+                if ra != rb:
+                    root[ra] = rb
+            pieces = {}
+            for i, x in enumerate(self.crossings):
+                pieces.setdefault(find(comp[x.a]), []).append(i)
+            self._pieces = list(pieces.values())
+        return self._pieces
 
     def split_pieces(self):
         """Connected sub-diagrams of the projection, plus one 0-crossing
         unknot per free loop; pieces ordered by least original edge label."""
-        pieces = []
-        for idx in self._crossing_graph_pieces():
-            sub = [self.crossings[i] for i in sorted(idx)]
-            key = min(min(x.edges()) for x in sub)
-            pieces.append((key, _renumber(sub, 0)))
-        pieces.sort(key=lambda kv: kv[0])
-        out = [p for _, p in pieces]
-        out.extend(Diagram((), 1, _validated=True) for _ in range(self.free_loops))
-        return out
+        if self._split is None:
+            pieces = []
+            for idx in self._crossing_graph_pieces():
+                sub = [self.crossings[i] for i in idx]
+                key = min(min(x[:4]) for x in sub)
+                pieces.append((key, _renumber(sub, 0)))
+            pieces.sort(key=lambda kv: kv[0])
+            out = [p for _, p in pieces]
+            out.extend(Diagram((), 1, _validated=True) for _ in range(self.free_loops))
+            self._split = tuple(out)
+        return self._split
 
     # -- crossing-level moves --------------------------------------------
 
@@ -204,7 +190,7 @@ class Diagram:
     def smooth_crossing(self, i):
         """Remove crossing i by the oriented smoothing."""
         self._crossing(i)
-        return self._remove({i: _SMOOTH})
+        return _renumber(*self._remove({i: _SMOOTH}))
 
     def _crossing(self, i):
         if not isinstance(i, int) or not 0 <= i < len(self.crossings):
@@ -212,7 +198,9 @@ class Diagram:
         return self.crossings[i]
 
     def _remove(self, removals):
-        """Delete crossings, stitching their edges together.
+        """Delete crossings, stitching their edges together; returns the
+        surviving crossings, in order and not renumbered, and the new
+        free-loop count.
 
         removals maps crossing index to a mode: the oriented smoothing glues
         under-in to over-out and over-in to under-out; plain deletion (used
@@ -255,31 +243,22 @@ class Diagram:
                     f = glue[f]
                 rep[e] = e
                 new_loops += 1
-        if not survivors:
-            # any chain with surviving endpoints is impossible here
-            return Diagram((), self.free_loops + new_loops, _validated=True)
-
-        def m(e):
-            return rep.get(e, e)
-
-        mapped = [Crossing(m(x.a), m(x.b), m(x.c), m(x.d), x.sign) for x in survivors]
-        return _renumber(mapped, self.free_loops + new_loops)
+        m = rep.get
+        mapped = [Crossing(m(a, a), m(b, b), m(c, c), m(d, d), s) for a, b, c, d, s in survivors]
+        return mapped, self.free_loops + new_loops
 
     # -- Reidemeister I/II reduction ---------------------------------------
 
     def _find_r1(self):
-        for i, x in enumerate(self.crossings):
-            t = x.edges()
-            for j in range(4):
-                if t[j] == t[(j + 1) % 4]:
-                    return i
+        for i, (a, b, c, d, _) in enumerate(self.crossings):
+            if a == b or b == c or c == d or d == a:
+                return i
         return None
 
     def _find_r2(self):
-        ins, outs = self._slots()
+        ins = self._in_slots()
         for i, x in enumerate(self.crossings):
-            xo = x.over_out
-            j, kind = ins[xo]
+            j, kind = ins[x.over_out]
             if j == i or kind != "over" or self.crossings[j].sign == x.sign:
                 continue
             y = self.crossings[j]
@@ -290,18 +269,19 @@ class Diagram:
         return None
 
     def simplify(self):
-        """Greedy crossing-reducing Reidemeister I and II moves to a fixpoint."""
+        """Greedy crossing-reducing Reidemeister I and II moves to a fixpoint.
+
+        Moves are found and applied by crossing order and edge incidence
+        alone, so the intermediate diagrams keep their old edge labels and
+        the result is renumbered once."""
         d = self
         while True:
             i = d._find_r1()
-            if i is not None:
-                d = d._remove({i: _DELETE})
-                continue
-            pair = d._find_r2()
-            if pair is not None:
-                d = d._remove({pair[0]: _DELETE, pair[1]: _DELETE})
-                continue
-            return d
+            found = (i,) if i is not None else d._find_r2()
+            if found is None:
+                break
+            d = Diagram(*d._remove(dict.fromkeys(found, _DELETE)), _validated=True)
+        return self if d is self else _renumber(d.crossings, d.free_loops)
 
     # -- relabeling and canonical form ------------------------------------
 
@@ -327,6 +307,12 @@ class Diagram:
         first visit, over/under, sign), later link components are attached
         at their first-contact crossing in passage order, and the free-loop
         count is appended.
+
+        The walk reads flat per-edge lists indexed by label 1..2c: the next
+        edge on its cycle, its component, the crossing it enters, the
+        token's low bits (2 * under + negative) and the other strand's
+        outgoing edge there.  A start's first token is its low bits, so
+        only starts whose low bits are least can give the least code.
         """
         if self._code is None:
             self._code = self._compute_code()
@@ -339,74 +325,9 @@ class Diagram:
         if not self.is_connected():
             parts = sorted(p.canonical_code() for p in self.split_pieces() if p.crossings)
             return b"S" + b";".join(parts) + b"|%d" % self.free_loops
-
-        cycles = self.component_cycles()
-        where = {}
-        for ci, cyc in enumerate(cycles):
-            for pos, e in enumerate(cyc):
-                where[e] = (ci, pos)
-        ins, _ = self._slots()
-        signs = [x.sign for x in self.crossings]
-        partner_out = {}
-        for e in where:
-            i, kind = ins[e]
-            x = self.crossings[i]
-            partner_out[e] = (i, kind == "under", x.c if kind == "over" else x.over_out)
-
-        def tokens_from(start, best):
-            """Token list starting at edge `start`, or None once > best."""
-            num = {}
-            toks = []
-            pos = 0
-            blen = len(best) if best is not None else -1
-            seen_comps = set()
-            candidates = []
-            ci_next = 0
-            queue = [start]
-            while queue:
-                e0 = queue.pop()
-                ci, rot = where[e0]
-                seen_comps.add(ci)
-                cyc = cycles[ci]
-                k = len(cyc)
-                for t in range(k):
-                    e = cyc[(rot + t) % k]
-                    i, under, pout = partner_out[e]
-                    cnum = num.setdefault(i, len(num))
-                    tok = cnum * 4 + (2 if under else 0) + (1 if signs[i] < 0 else 0)
-                    if best is not None:
-                        if pos >= blen or tok > best[pos]:
-                            return None
-                        if tok < best[pos]:
-                            best = None
-                    toks.append(tok)
-                    pos += 1
-                    if where[pout][0] not in seen_comps:
-                        candidates.append(pout)
-                toks.append(-1)
-                if best is not None:
-                    if pos >= blen:
-                        return None
-                    if -1 < best[pos]:
-                        best = None
-                pos += 1
-                while ci_next < len(candidates):
-                    cand = candidates[ci_next]
-                    ci_next += 1
-                    if where[cand][0] not in seen_comps:
-                        queue.append(cand)
-                        break
-            return toks
-
-        best = None
-        for start in range(1, 2 * n + 1):
-            toks = tokens_from(start, best)
-            if toks is not None and (best is None or toks < best):
-                best = toks
+        best = _least_tokens(self.crossings, self.component_cycles())
         if n > 62:
-            body = b"".join(
-                b"\xfe\xfe" if t == -1 else t.to_bytes(2, "big") for t in best
-            )
+            body = b"".join(b"\xfe\xfe" if t == -1 else t.to_bytes(2, "big") for t in best)
         else:
             body = bytes(254 if t == -1 else t for t in best)
         return body + b"|%d" % self.free_loops
@@ -431,6 +352,76 @@ class Diagram:
         return hash((self.crossings, self.free_loops))
 
 
+def _least_tokens(crossings, cycles):
+    """Least token list over the candidate starts of a connected diagram
+    with labels 1..2c; -1 ends each component."""
+    n = len(crossings)
+    size = 2 * n + 1
+    nxt, cross, low, pout = [0] * size, [0] * size, [0] * size, [0] * size
+    for i, (a, b, c, d, s) in enumerate(crossings):
+        o_in, o_out, neg = (d, b, 0) if s > 0 else (b, d, 1)
+        nxt[a], nxt[o_in] = c, o_out
+        cross[a] = cross[o_in] = i
+        low[a], low[o_in] = 2 + neg, neg
+        pout[a], pout[o_in] = o_out, c
+    multi = len(cycles) > 1
+    comp = [0] * size
+    for ci, cyc in enumerate(cycles):
+        for e in cyc:
+            comp[e] = ci
+
+    def walk(start, best):
+        """Token list from edge `start`, or None once it cannot beat best."""
+        num = [-1] * n
+        seen = [False] * len(cycles)
+        count = 0
+        toks = []
+        tied = best is not None
+        candidates = []
+        ci_next = 0
+        e0 = start
+        while e0:
+            seen[comp[e0]] = True
+            e = e0
+            while True:
+                i = cross[e]
+                k = num[i]
+                if k < 0:
+                    k = num[i] = count
+                    count += 1
+                tok = 4 * k + low[e]
+                if tied:
+                    b = best[len(toks)]
+                    if tok != b:
+                        if tok > b:
+                            return None
+                        tied = False
+                toks.append(tok)
+                if multi and not seen[comp[pout[e]]]:
+                    candidates.append(pout[e])
+                e = nxt[e]
+                if e == e0:
+                    break
+            if tied and best[len(toks)] != -1:
+                tied = False
+            toks.append(-1)
+            e0 = 0
+            while ci_next < len(candidates):
+                cand = candidates[ci_next]
+                ci_next += 1
+                if not seen[comp[cand]]:
+                    e0 = cand
+                    break
+        return None if tied else toks
+
+    first = min(low[1:])
+    best = None
+    for start in range(1, size):
+        if low[start] == first:
+            best = walk(start, best) or best
+    return best
+
+
 def _renumber(crossings, free_loops):
     """Relabel arbitrary hashable edge labels to 1..2c by traversal order.
 
@@ -439,23 +430,40 @@ def _renumber(crossings, free_loops):
     """
     if not crossings:
         return Diagram((), free_loops, _validated=True)
-    succ = {}
-    for x in crossings:
-        succ[x.a] = x.c
-        succ[x.over_in] = x.over_out
+    succ = _successors(crossings)
     label = {}
     nxt = 1
     for x in crossings:
-        for e in x.edges():
-            if e in label:
-                continue
-            cur = e
-            while cur not in label:
-                label[cur] = nxt
+        for e in x[:4]:
+            while e not in label:
+                label[e] = nxt
                 nxt += 1
-                cur = succ[cur]
-    out = [Crossing(label[x.a], label[x.b], label[x.c], label[x.d], x.sign) for x in crossings]
+                e = succ[e]
+    out = [Crossing(label[a], label[b], label[c], label[d], s) for a, b, c, d, s in crossings]
     return Diagram(out, free_loops)
+
+
+def _successors(crossings):
+    """Edge -> next edge along its oriented strand."""
+    succ = {}
+    for a, b, c, d, s in crossings:
+        succ[a] = c
+        if s > 0:
+            succ[d] = b
+        else:
+            succ[b] = d
+    return succ
+
+
+def _check_labels(quads):
+    """Raise unless the edge labels of these 4-tuples are 1..2c, each twice."""
+    n = len(quads)
+    counts = Counter(chain.from_iterable(quads))
+    # 4c occurrences in all, so 1..2c twice each leaves no other label
+    if any(counts[e] != 2 for e in range(1, 2 * n + 1)):
+        expected = set(range(1, 2 * n + 1))
+        bad = sorted(set(counts) ^ expected) or sorted(e for e, v in counts.items() if v != 2)
+        raise InvalidPDError(f"edge labels must be 1..{2 * n} each twice; offending labels {bad}")
 
 
 # -- parsing ------------------------------------------------------------------
@@ -504,16 +512,7 @@ def parse_pd(text: str) -> Diagram:
             return Diagram((), loops, _validated=True)
         raise InvalidPDError("empty link: no crossings and no free loops")
 
-    n = len(tuples)
-    counts = {}
-    for t in tuples:
-        for e in t:
-            counts[e] = counts.get(e, 0) + 1
-    expected = set(range(1, 2 * n + 1))
-    if set(counts) != expected or any(v != 2 for v in counts.values()):
-        bad = sorted(set(counts) ^ expected) or sorted(e for e, v in counts.items() if v != 2)
-        raise InvalidPDError(f"edge labels must be 1..{2 * n} each twice; offending labels {bad}")
-
+    _check_labels(tuples)
     signs = _derive_signs(tuples)
     xs = [Crossing(a, b, c, d, s) for (a, b, c, d), s in zip(tuples, signs)]
     return Diagram(xs, loops)

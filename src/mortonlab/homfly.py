@@ -53,7 +53,7 @@ def choose_skein_crossing(d: Diagram):
     diagram is traversed from least-label basepoints in component order;
     None when the diagram is descending (an unlink)."""
     first = {}
-    ins, _ = d._slots()
+    ins = d._in_slots()
     for cyc in d.component_cycles():
         for e in cyc:
             i, kind = ins[e]

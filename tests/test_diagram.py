@@ -1,14 +1,18 @@
 """PD parsing, validation, crossing moves, canonical codes, simplification."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
-from mortonlab.diagram import Diagram, parse_pd
+from mortonlab.diagram import _DELETE, Diagram, _renumber, parse_pd
 from mortonlab.errors import InvalidPDError, ParseError
+from mortonlab.family import whitehead_double
 
 
 class TestParsing:
@@ -220,3 +224,141 @@ class TestRelabel:
     def test_identity_mapping(self):
         d = parse_pd(TREFOIL_PD)
         assert d.relabel({i: i for i in range(1, 7)}) == d
+
+
+class TestCacheKeyPins:
+    """Canonical codes are the keys of --cache files, which carry no format
+    version: any change to these bytes silently orphans existing caches."""
+
+    PINS = {
+        "trefoil": "01070903050bfe7c30",
+        "hopf": "0006fe0402fe7c30",
+        "split_with_free_loop": "5300060802040afe7c303b0006fe0402fe7c307c31",
+        "T(4,5)": "0004080e1216181c200a262a142c30220636281038321e0234240c3a2e1afe7c30",
+        "W(4_1)": "0005080e1315181e2311242a072d1c1a3302343a17213c0a43450c3e2f3138264741"
+                  "2836fe7c30",
+    }
+
+    def diagrams(self, small_knots):
+        knot_4_1 = next(e.diagram for e in small_knots if e.name == "4_1")
+        return {
+            "trefoil": parse_pd(TREFOIL_PD),
+            "hopf": braid_closure([1, 1], 2),
+            # Hopf link, trefoil and a free loop: the split "S...;...|k" form
+            "split_with_free_loop": braid_closure([1, 1, 3, 3, 3], 5),
+            "T(4,5)": braid_closure([1, 2, 3] * 5, 4),
+            "W(4_1)": whitehead_double(knot_4_1, 1, 0),
+        }
+
+    def test_pinned_codes(self, small_knots):
+        codes = {name: d.canonical_code().hex() for name, d in self.diagrams(small_knots).items()}
+        assert codes == self.PINS
+
+    def test_pinned_two_byte_code(self):
+        # 66 crossings: above 62 crossings every token is written as two bytes
+        code = braid_closure([1, 2, 3] * 22, 4).canonical_code()
+        assert len(code) == 270 and code.endswith(b"\xfe\xfe|0")
+        assert hashlib.sha256(code).hexdigest() == (
+            "849e52c9e55735780fd4f5c8c16f0cf66cf7bf4540a00fad1bbff4e036526513"
+        )
+
+
+# -- plain references for the optimized diagram routines ----------------------
+
+
+def _reference_tokens(d, start):
+    """Unpruned token list of a connected diagram from edge `start`, as the
+    canonical_code docstring describes it."""
+    succ, entered = {}, {}
+    for i, x in enumerate(d.crossings):
+        succ[x.a], succ[x.over_in] = x.c, x.over_out
+        # crossing entered, under?, the other strand's outgoing edge
+        entered[x.a] = (i, True, x.over_out)
+        entered[x.over_in] = (i, False, x.c)
+    comp_of = {e: ci for ci, cyc in enumerate(d.component_cycles()) for e in cyc}
+    num, toks, done, contacts = {}, [], set(), []
+    e0 = start
+    while e0 is not None:
+        done.add(comp_of[e0])
+        e = e0
+        while True:
+            i, under, other_out = entered[e]
+            num.setdefault(i, len(num))
+            toks.append(4 * num[i] + 2 * under + (d.crossings[i].sign < 0))
+            contacts.append(other_out)
+            e = succ[e]
+            if e == e0:
+                break
+        toks.append(-1)
+        # the next component is attached at its first contact in passage order
+        e0 = next((c for c in contacts if comp_of[c] not in done), None)
+    return toks
+
+
+def _reference_code(d):
+    n = len(d.crossings)
+    if n == 0:
+        return b"U%d" % d.free_loops
+    if not d.is_connected():
+        parts = sorted(_reference_code(p) for p in d.split_pieces() if p.crossings)
+        return b"S" + b";".join(parts) + b"|%d" % d.free_loops
+    best = min(_reference_tokens(d, start) for start in range(1, 2 * n + 1))
+    if n > 62:
+        body = b"".join((0xFEFE if t == -1 else t).to_bytes(2, "big") for t in best)
+    else:
+        body = bytes(254 if t == -1 else t for t in best)
+    return body + b"|%d" % d.free_loops
+
+
+def _reference_simplify(d):
+    """R1/R2 moves to a fixpoint, renumbering after every single move."""
+    while True:
+        i = d._find_r1()
+        found = (i,) if i is not None else d._find_r2()
+        if found is None:
+            return d
+        d = _renumber(*d._remove(dict.fromkeys(found, _DELETE)))
+
+
+_words = st.integers(min_value=2, max_value=5).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.integers(min_value=1, max_value=k - 1).flatmap(lambda i: st.sampled_from([i, -i])),
+                 min_size=1, max_size=14),
+    )
+)
+
+
+@st.composite
+def _diagrams(draw):
+    """Braid closures (knots, links, split links, free loops) and their
+    smoothed and switched descendants."""
+    strands, word = draw(_words)
+    d = braid_closure(word, strands)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if not d.crossings:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(d.crossings) - 1))
+        d = d.smooth_crossing(i) if draw(st.booleans()) else d.switch_crossing(i)
+    return d
+
+
+class TestAgainstReferences:
+    @given(_diagrams())
+    @example(braid_closure([1, 1, 3, 3, 3], 5))
+    @example(braid_closure([1, -2, 1, -2, 3, 3], 5).smooth_crossing(4))
+    @example(braid_closure([1, 2, 3] * 22, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_code_is_least_unpruned_walk(self, d):
+        assert d.canonical_code() == _reference_code(d)
+        s = d.simplify()
+        assert s.canonical_code() == _reference_code(s)
+
+    @given(_diagrams())
+    @example(braid_closure([1, 1, -1], 2))
+    @example(braid_closure([1, -1, 2, -2, 1, 3, -3], 4))
+    @settings(max_examples=150, deadline=None)
+    def test_simplify_matches_renumber_per_move(self, d):
+        s, r = d.simplify(), _reference_simplify(d)
+        assert s.crossings == r.crossings
+        assert s.free_loops == r.free_loops

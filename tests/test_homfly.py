@@ -15,6 +15,7 @@ from helpers import braid_closure, random_braid_diagrams, random_relabeling, shu
 
 from mortonlab.diagram import parse_pd
 from mortonlab.errors import TooLargeError
+from mortonlab.family import whitehead_double
 from mortonlab.homfly import (
     HomflyEngine,
     append_cache_file,
@@ -368,3 +369,21 @@ class TestRecursionLimit:
                 HomflyEngine(oracle_limit=15).naive_homfly(d)
         finally:
             sys.setrecursionlimit(saved)
+
+
+class TestEngineCounterPins:
+    """Expansions and cache entries of a fresh engine depend only on the
+    skein choices, simplification and canonical codes; they must not move
+    when those routines are made faster."""
+
+    def counters(self, d):
+        engine = HomflyEngine()
+        engine.homfly(d)
+        return engine.expansions, len(engine.cache)
+
+    def test_torus_4_5(self):
+        assert self.counters(braid_closure([1, 2, 3] * 5, 4)) == (1822, 1944)
+
+    def test_whitehead_double_4_1(self, small_knots):
+        knot = next(e.diagram for e in small_knots if e.name == "4_1")
+        assert self.counters(whitehead_double(knot, 1, 0)) == (385, 404)

@@ -1,6 +1,7 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
-pools, and a package namespace that does not shadow its modules."""
+pools, a package namespace that does not shadow its modules, and the
+attributes the benchmark's layer trace wraps."""
 
 import ast
 import importlib
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import mortonlab
+from mortonlab.diagram import Diagram, parse_pd
+from mortonlab.homfly import HomflyEngine
 
 SOURCES = sorted(Path(mortonlab.__file__).parent.glob("*.py"))
 
@@ -46,3 +49,59 @@ def test_homfly_module_not_shadowed():
     module = importlib.import_module("mortonlab.homfly")
     assert mortonlab.homfly is module
     assert module.HomflyEngine is mortonlab.HomflyEngine
+
+
+# The benchmark's layer trace (perfbench/layers.py) wraps these attributes
+# from outside; moving one off its class or module detaches a layer silently.
+TRACED_DIAGRAM_METHODS = ("simplify", "canonical_code", "smooth_crossing", "switch_crossing",
+                          "is_connected", "split_pieces", "component_cycles")
+TRACED_ENGINE_METHODS = ("homfly", "load_cache", "flush_cache")
+
+
+def test_traced_methods_stay_on_their_classes():
+    assert [m for m in TRACED_DIAGRAM_METHODS if not callable(Diagram.__dict__.get(m))] == []
+    assert [m for m in TRACED_ENGINE_METHODS if not callable(HomflyEngine.__dict__.get(m))] == []
+
+
+TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+
+
+def test_engine_looks_up_skein_choice_on_module(monkeypatch):
+    module = importlib.import_module("mortonlab.homfly")
+    calls = []
+    original = module.choose_skein_crossing
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(module, "choose_skein_crossing", counted)
+    HomflyEngine().homfly(parse_pd(TREFOIL))
+    assert calls
+
+
+class _GetOnlyCache(dict):
+    """Engine cache that counts get() and refuses every other read."""
+
+    def __init__(self):
+        super().__init__()
+        self.gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return dict.get(self, key, default)
+
+    def __getitem__(self, key):
+        raise AssertionError("engine read its cache with []")
+
+    def __contains__(self, key):
+        raise AssertionError("engine read its cache with 'in'")
+
+
+def test_engine_reads_cache_only_through_get():
+    cache = _GetOnlyCache()
+    engine = HomflyEngine(cache=cache)
+    d = parse_pd(TREFOIL)
+    first = engine.homfly(d)
+    assert engine.homfly(d) == first
+    assert cache.gets > 0 and len(cache) > 0
