@@ -3,7 +3,7 @@ parallel-band families, and Morton-inequality audits over PD codes."""
 
 from .diagram import Diagram, parse_pd
 from .homfly import HomflyEngine, naive_homfly
-from .poly import LaurentPoly1, LaurentPoly2, alexander_specialize, mirror_substitute
+from .poly import LaurentPoly1, LaurentPoly2, alexander_specialize
 from .seifert import diagram_genus, seifert_circles
 
 __version__ = "0.1.0"
@@ -16,7 +16,6 @@ __all__ = [
     "LaurentPoly1",
     "LaurentPoly2",
     "alexander_specialize",
-    "mirror_substitute",
     "diagram_genus",
     "seifert_circles",
     "__version__",

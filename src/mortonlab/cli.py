@@ -142,54 +142,62 @@ def export_report(payload, fmt) -> bytes:
 # -- argument plumbing ---------------------------------------------------------
 
 
+_SHARED_OPTIONS = {
+    "--pd": {"help": "PD text, e.g. \"X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]\""},
+    "--table": {"help": "name,pd CSV file"},
+    "--name": {"help": "entry name inside --table"},
+    "--cache": {"help": f"polynomial cache file (or ${CACHE_ENV})"},
+    "--format": {"dest": "fmt", "choices": ["json", "csv", "table", "dot"]},
+    "--mirror": {"default": "auto", "choices": ["auto", "off", "on"]},
+    "--out": {"help": "write primary output to this file instead of stdout"},
+}
+
+
 def _build_parser():
     top = argparse.ArgumentParser(prog="mortonlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="table"):
-        p.add_argument("--pd", help="PD text, e.g. \"X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]\"")
-        p.add_argument("--table", help="name,pd CSV file")
-        p.add_argument("--name", help="entry name inside --table")
-        p.add_argument("--cache", help=f"polynomial cache file (or ${CACHE_ENV})")
-        p.add_argument("--format", dest="fmt", default=fmt_default,
-                       choices=["json", "csv", "table", "dot"])
-        p.add_argument("--mirror", default="auto", choices=["auto", "off", "on"])
-        p.add_argument("--out", help="write primary output to this file instead of stdout")
+    def command(name, help, options, fmt_default="table"):
+        """Subparser taking the listed shared options (a space-separated string)."""
+        p = sub.add_parser(name, help=help)
+        for flag in options.split():
+            kwargs = dict(_SHARED_OPTIONS[flag])
+            if flag == "--format":
+                kwargs["default"] = fmt_default
+            p.add_argument(flag, **kwargs)
+        return p
 
-    p = sub.add_parser("parse", help="validate PD text and echo the diagram")
-    common(p)
+    command("parse", "validate PD text and echo the diagram", "--pd --table --name --format --out")
 
-    p = sub.add_parser("homfly", help="HOMFLY polynomial of a diagram")
-    common(p)
+    p = command("homfly", "HOMFLY polynomial of a diagram",
+                "--pd --table --name --cache --format --mirror --out")
     p.add_argument("--expect", help="expected polynomial as JSON term records")
 
-    p = sub.add_parser("seifert", help="Seifert circles / genus report")
-    common(p, fmt_default="csv")
+    command("seifert", "Seifert circles / genus report (CSV)", "--pd --table --name --out")
 
-    p = sub.add_parser("family", help="emit parallel-band diagrams L_n")
-    common(p)
+    p = command("family", "emit parallel-band diagrams L_n", "--pd --table --name --format --out")
     p.add_argument("--crossing", default="auto")
     p.add_argument("--ns", default="0,1,2,3", help="comma-separated band counts")
 
-    p = sub.add_parser("verify", help="audit M(L_n) < 2*gc - 1 + n over a family")
-    common(p)
+    p = command("verify", "audit M(L_n) < 2*gc - 1 + n over a family",
+                "--pd --table --name --cache --format --mirror --out")
     p.add_argument("--gc", type=int, required=True, help="knot-level canonical genus (given)")
     p.add_argument("--crossing", default="auto")
     p.add_argument("--nmax", type=int, default=5)
     p.add_argument("--budget", type=float, default=None, help="seconds")
     p.add_argument("--expect", help="expected base polynomial as JSON term records")
 
-    p = sub.add_parser("skein-tree", help="materialize the resolution tree")
-    common(p, fmt_default="dot")
+    p = command("skein-tree", "materialize the resolution tree",
+                "--pd --table --name --format --out", fmt_default="dot")
     p.add_argument("--trace-limit", type=int, default=DEFAULT_TRACE_LIMIT)
 
-    p = sub.add_parser("double", help="blackboard-framed Whitehead double")
-    common(p)
+    p = command("double", "blackboard-framed Whitehead double",
+                "--pd --table --name --format --out")
     p.add_argument("--clasp", type=int, default=1, choices=[1, -1])
     p.add_argument("--twists", type=int, default=0)
 
-    p = sub.add_parser("oracle-check", help="homfly vs naive oracle over a table")
-    common(p)
+    p = command("oracle-check", "homfly vs naive oracle over a table",
+                "--table --cache --format --out")
     p.add_argument("--limit", type=int, default=DEFAULT_ORACLE_LIMIT)
 
     return top
@@ -235,10 +243,13 @@ def _auto_crossing(d):
     raise UsageError("no eligible crossing (every crossing joins a circle to itself)")
 
 
-def _poly_with_mirror(p, args):
-    if args.mirror == "on":
-        return p.mirror()
-    return p
+def _expected_match(p, args):
+    """Compare p with --expect: exact or mirror image under --mirror auto,
+    exact only otherwise."""
+    expected = LaurentPoly2.from_json(args.expect)
+    if args.mirror == "auto":
+        return match_expected_polynomial(p, expected)
+    return "exact" if p == expected else None
 
 
 def run_command(argv) -> int:
@@ -279,17 +290,15 @@ def _dispatch(args):
     if cmd == "homfly":
         d, name = _diagram_from_args(args)
         engine, cache_path = _engine_from_args(args)
-        p = _poly_with_mirror(engine.homfly(d), args)
+        p = engine.homfly(d)
+        if args.mirror == "on":
+            p = p.mirror()
         if cache_path:
             engine.flush_cache(cache_path)
         code = 0
         match = None
         if args.expect:
-            expected = LaurentPoly2.from_json(args.expect)
-            if args.mirror == "auto":
-                match = match_expected_polynomial(p, expected)
-            else:
-                match = "exact" if p == expected else None
+            match = _expected_match(p, args)
             code = 0 if match else 1
         obj = {
             "name": name,
@@ -350,10 +359,7 @@ def _dispatch(args):
             budget_seconds=args.budget, base_name=name,
         )
         if args.expect:
-            expected = LaurentPoly2.from_json(args.expect)
-            p = engine.homfly(d)
-            match = (match_expected_polynomial(p, expected) if args.mirror == "auto"
-                     else ("exact" if p == expected else None))
+            match = _expected_match(engine.homfly(d), args)
             obj = report.to_json_obj()
             obj["expected_match"] = match
             data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
@@ -368,9 +374,7 @@ def _dispatch(args):
 
     if cmd == "skein-tree":
         d, _ = _diagram_from_args(args)
-        engine, _ = _engine_from_args(args)
-        engine.trace_limit = args.trace_limit
-        trace = engine.skein_trace(d)
+        trace = HomflyEngine(trace_limit=args.trace_limit).skein_trace(d)
         _emit(export_report(trace, args.fmt if args.fmt in ("dot", "json") else "dot"), args)
         return 0
 

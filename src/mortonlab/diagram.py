@@ -50,12 +50,13 @@ class Crossing(NamedTuple):
 class Diagram:
     """Immutable oriented link diagram."""
 
-    __slots__ = ("crossings", "free_loops", "_cycles", "_pieces", "_split", "_code", "_ins")
+    __slots__ = ("crossings", "free_loops", "_cycles", "_comp", "_pieces", "_split", "_code", "_ins")
 
     def __init__(self, crossings, free_loops=0, _validated=False):
         self.crossings = tuple(crossings)
         self.free_loops = int(free_loops)
         self._cycles = None
+        self._comp = None
         self._pieces = None
         self._split = None
         self._code = None
@@ -102,22 +103,28 @@ class Diagram:
 
     def component_cycles(self):
         """Oriented edge cycles, each rotated to start at its least label,
-        ordered by least label; free loops appended as empty tuples."""
+        ordered by least label; free loops appended as empty tuples.  Also
+        records each label's cycle index in the list _comp."""
         if self._cycles is None:
             succ = _successors(self.crossings)
+            comp = [0] * (2 * len(self.crossings) + 1)
             cycles = []
             # labels are scanned upward, so each cycle is entered at its least label
-            for start in range(1, 2 * len(self.crossings) + 1):
+            for start in range(1, len(comp)):
                 if start not in succ:
                     continue
+                ci = len(cycles)
                 cyc = [start]
+                comp[start] = ci
                 e = succ.pop(start)
                 while e != start:
                     cyc.append(e)
+                    comp[e] = ci
                     e = succ.pop(e)
                 cycles.append(tuple(cyc))
             cycles.extend(() for _ in range(self.free_loops))
             self._cycles = tuple(cycles)
+            self._comp = comp
         return self._cycles
 
     def num_components(self):
@@ -140,9 +147,8 @@ class Diagram:
         order of first crossing.  A piece is a class of link components
         joined by shared crossings."""
         if self._pieces is None:
-            cycles = [cyc for cyc in self.component_cycles() if cyc]
-            comp = {e: ci for ci, cyc in enumerate(cycles) for e in cyc}
-            root = list(range(len(cycles)))
+            root = list(range(len(self.component_cycles()) - self.free_loops))
+            comp = self._comp
 
             def find(k):
                 while root[k] != k:
@@ -325,7 +331,7 @@ class Diagram:
         if not self.is_connected():
             parts = sorted(p.canonical_code() for p in self.split_pieces() if p.crossings)
             return b"S" + b";".join(parts) + b"|%d" % self.free_loops
-        best = _least_tokens(self.crossings, self.component_cycles())
+        best = _least_tokens(self.crossings, self.num_components(), self._comp)
         if n > 62:
             body = b"".join(b"\xfe\xfe" if t == -1 else t.to_bytes(2, "big") for t in best)
         else:
@@ -352,9 +358,10 @@ class Diagram:
         return hash((self.crossings, self.free_loops))
 
 
-def _least_tokens(crossings, cycles):
+def _least_tokens(crossings, ncomp, comp):
     """Least token list over the candidate starts of a connected diagram
-    with labels 1..2c; -1 ends each component."""
+    with labels 1..2c and ncomp components, comp giving each label's
+    component; -1 ends each component."""
     n = len(crossings)
     size = 2 * n + 1
     nxt, cross, low, pout = [0] * size, [0] * size, [0] * size, [0] * size
@@ -364,16 +371,12 @@ def _least_tokens(crossings, cycles):
         cross[a] = cross[o_in] = i
         low[a], low[o_in] = 2 + neg, neg
         pout[a], pout[o_in] = o_out, c
-    multi = len(cycles) > 1
-    comp = [0] * size
-    for ci, cyc in enumerate(cycles):
-        for e in cyc:
-            comp[e] = ci
+    multi = ncomp > 1
 
     def walk(start, best):
         """Token list from edge `start`, or None once it cannot beat best."""
         num = [-1] * n
-        seen = [False] * len(cycles)
+        seen = [False] * ncomp
         count = 0
         toks = []
         tied = best is not None
@@ -519,103 +522,56 @@ def parse_pd(text: str) -> Diagram:
 
 
 def _derive_signs(tuples):
-    """Infer crossing signs from orientation consistency.
+    """Infer crossing signs by walking each strand once.
 
-    Slot a is incoming, c outgoing; slot b is outgoing iff the sign is
-    positive and slot d incoming iff positive.  Every edge needs one head
-    and one tail, which yields parity constraints between sign variables;
-    leftover freedom (components that never pass under) is tied off with
-    the ascending-label heuristic, lowest crossing index first.
+    Slot a is incoming and c outgoing; the over-strand enters by d at a
+    positive crossing and by b at a negative one.  A strand that passes
+    under somewhere is followed forward from an outgoing slot c, and
+    reaching another slot c means its direction is inconsistent.  A strand
+    that never passes under could run either way: the unsigned crossing of
+    least index is made positive iff b follows d cyclically on the strand's
+    sorted labels, and the strand is followed from there.
     """
     n = len(tuples)
-    occ = {}
-    for i, t in enumerate(tuples):
-        for slot, e in enumerate(t):
-            occ.setdefault(e, []).append((i, slot))
+    flat = list(chain.from_iterable(tuples))
+    # slot position (4 * crossing + slot) -> position of the same label's other slot
+    mate = [0] * (4 * n)
+    first = [-1] * (2 * n + 1)
+    for p, e in enumerate(flat):
+        q = first[e]
+        if q < 0:
+            first[e] = p
+        else:
+            mate[p], mate[q] = q, p
+    sign = [0] * n
+    passed_under = bytearray(n)
 
-    # literal for "occurrence is incoming", as (var, flip) over sign var x_i
-    # ("x_i true" means positive): slot0 -> constant IN; slot2 -> constant
-    # OUT; slot1 (b): incoming iff negative -> NOT x; slot3 (d): incoming
-    # iff positive -> x.
-    sign = [None] * n
-    pending = []
-    for e, places in occ.items():
-        (i, si), (j, sj) = places
-
-        def lit(idx, slot):
-            if slot == 0:
-                return ("const", True)
+    def walk(start):
+        """Follow the strand leaving by slot position start back to it,
+        signing the crossings it passes over; returns the slots left by."""
+        outs = [start]
+        while True:
+            p = mate[outs[-1]]
+            i, slot = p >> 2, p & 3
             if slot == 2:
-                return ("const", False)
-            return ("var", idx, slot == 3)
+                raise InvalidPDError(f"edge {flat[p]} oriented inconsistently")
+            if slot == 0:
+                passed_under[i] = 1
+            else:
+                sign[i] = 1 if slot == 3 else -1
+            if p ^ 2 == start:
+                return outs
+            outs.append(p ^ 2)  # leave by the opposite slot
 
-        pending.append((e, lit(i, si), lit(j, sj)))
-
-    def lit_value(l):
-        if l[0] == "const":
-            return l[1]
-        _, idx, direct = l
-        if sign[idx] is None:
-            return None
-        positive = sign[idx] > 0
-        return positive if direct else not positive
-
-    def assign(l, value):
-        _, idx, direct = l
-        positive = value if direct else not value
-        s = 1 if positive else -1
-        if sign[idx] is None:
-            sign[idx] = s
-            return True
-        if sign[idx] != s:
-            raise InvalidPDError("orientation conflict while deriving crossing signs")
-        return False
-
-    def propagate():
-        progress = True
-        while progress:
-            progress = False
-            for e, l1, l2 in pending:
-                v1, v2 = lit_value(l1), lit_value(l2)
-                if v1 is not None and v2 is not None:
-                    if v1 == v2:
-                        raise InvalidPDError(f"edge {e} oriented inconsistently")
-                elif v1 is not None:
-                    progress |= assign(l2, not v1)
-                elif v2 is not None:
-                    progress |= assign(l1, not v2)
-
-    propagate()
-    while any(s is None for s in sign):
-        i = next(k for k, s in enumerate(sign) if s is None)
-        sign[i] = 1 if _ascending_positive(tuples, i) else -1
-        propagate()
+    for i in range(n):
+        if not passed_under[i]:
+            walk(4 * i + 2)
+    for i in range(n):
+        if not sign[i]:
+            outs = walk(4 * i + 1)  # as if positive: in by d, out by b
+            labels = [flat[p] for p in outs]
+            _, b, _, d = tuples[i]
+            if not (b == d + 1 or (d == max(labels) and b == min(labels))):
+                for p in outs:
+                    sign[p >> 2] = -sign[p >> 2]
     return sign
-
-
-def _ascending_positive(tuples, i):
-    """Tie-break for over-only components: positive iff b follows d
-    cyclically on their (unoriented) circle."""
-    parent = {}
-
-    def find(e):
-        parent.setdefault(e, e)
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(e, f):
-        re_, rf = find(e), find(f)
-        if re_ != rf:
-            parent[re_] = rf
-
-    for a, b, c, d in tuples:
-        union(a, c)
-        union(b, d)
-    _, b, _, d = tuples[i]
-    circle = sorted(e for e in parent if find(e) == find(b))
-    if b == d + 1 or (d == max(circle) and b == min(circle)):
-        return True
-    return False
-

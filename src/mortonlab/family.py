@@ -157,18 +157,11 @@ def whitehead_double(d: Diagram, clasp_sign: int = 1, twists: int = 0) -> Diagra
 
     def rename_head(old, fresh):
         for idx, x in enumerate(new):
-            t = list(x[:4])
-            changed = False
-            for slot in range(4):
-                if t[slot] == old:
-                    is_in = (slot == 0) or (
-                        slot == (3 if x.sign > 0 else 1)
-                    )
-                    if is_in:
-                        t[slot] = fresh
-                        changed = True
-            if changed:
-                new[idx] = Crossing(t[0], t[1], t[2], t[3], x.sign)
+            if x.a == old:
+                new[idx] = x._replace(a=fresh)
+            elif x.over_in == old:
+                # b and d of a block crossing differ, so b == old only as over-in
+                new[idx] = x._replace(b=fresh) if x.b == old else x._replace(d=fresh)
 
     # the incoming-to-a-block occurrence of each cut edge becomes the
     # "post" label; the outgoing occurrence keeps the original label

@@ -209,8 +209,8 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
         m = engine.homfly(d).maxdeg_z()
         if m is None:
             raise RuntimeError(f"zero polynomial for family row n={n}")
-        s = seifert_circles(d).num_circles if d.is_connected() else None
-        genus = diagram_genus(d) if d.is_connected() else None
+        dec = seifert_circles(d) if d.is_connected() else None
+        s, genus = (dec.num_circles, dec.diagram_genus) if dec else (None, None)
         bound = 2 * gc_claimed - 1 + n
         report.rows.append(FamilyRow(n=n, c=len(d.crossings), s=s, genus=genus,
                                      m=m, bound=bound, strict=m < bound))

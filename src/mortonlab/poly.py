@@ -20,7 +20,6 @@ from .errors import NegativeZDegreeError, ParseError
 __all__ = [
     "LaurentPoly2",
     "LaurentPoly1",
-    "mirror_substitute",
     "alexander_specialize",
     "delta_factor",
 ]
@@ -331,10 +330,6 @@ class LaurentPoly1:
 
 
 # -- module-level operation surface -----------------------------------
-
-
-def mirror_substitute(p: LaurentPoly2) -> LaurentPoly2:
-    return p.mirror()
 
 
 def delta_factor() -> LaurentPoly2:

@@ -175,6 +175,29 @@ class TestCommands:
         assert run_command(["homfly", "--pd", TREFOIL_PD, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["maxdeg_z"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--pd", TREFOIL_PD, "--cache", "c.jsonl"],
+        ["parse", "--pd", TREFOIL_PD, "--mirror", "on"],
+        ["seifert", "--pd", TREFOIL_PD, "--cache", "c.jsonl"],
+        ["seifert", "--pd", TREFOIL_PD, "--mirror", "on"],
+        ["family", "--pd", TREFOIL_PD, "--cache", "c.jsonl"],
+        ["family", "--pd", TREFOIL_PD, "--mirror", "on"],
+        ["skein-tree", "--pd", TREFOIL_PD, "--cache", "c.jsonl"],
+        ["skein-tree", "--pd", TREFOIL_PD, "--mirror", "on"],
+        ["double", "--pd", TREFOIL_PD, "--cache", "c.jsonl"],
+        ["double", "--pd", TREFOIL_PD, "--mirror", "on"],
+        ["oracle-check", "--table", SMALL, "--pd", TREFOIL_PD],
+        ["oracle-check", "--table", SMALL, "--name", "3_1"],
+        ["oracle-check", "--table", SMALL, "--mirror", "on"],
+    ])
+    def test_unread_options_are_usage_errors(self, argv, capsys):
+        assert run_command(argv) == 2
+
+    def test_seifert_has_no_format(self, capsys):
+        # the report is always CSV; --format json used to print CSV anyway
+        assert run_command(["seifert", "--pd", TREFOIL_PD, "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestCacheFlag:
     def test_warm_cache_identical_output_fewer_expansions(self, tmp_path, capsys):
@@ -231,3 +254,10 @@ class TestCacheFlag:
         code, cap, cache = self._corrupt_cache(tmp_path, capsys, mangle)
         assert code == 2
         assert cap.err.startswith(f"PARSE_ERROR: {cache}:2: bad cache record")
+
+    def test_skein_tree_never_reads_cache(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("not a cache record\n")
+        monkeypatch.setenv("MORTONLAB_CACHE", str(cache))
+        assert run_command(["skein-tree", "--pd", TREFOIL_PD]) == 0
+        assert capsys.readouterr().out.startswith("digraph skein {")

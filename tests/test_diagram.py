@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,6 +72,100 @@ class TestParsing:
     def test_kink_signs(self):
         assert parse_pd("X[1,1,2,2]").writhe() == 1
         assert parse_pd("X[1,2,2,1]").writhe() == -1
+
+    # Signs feed the canonical codes that key --cache files, so the values
+    # below were recorded once and any change to sign inference must keep them.
+
+    def test_over_only_tie_break(self):
+        # the second component passes only over: its least-index crossing is
+        # positive iff b follows d cyclically on that component's labels
+        assert [x.sign for x in parse_pd("X[4,1,3,2] X[3,1,4,2]").crossings] == [1, -1]
+        text = "X[8,1,5,2] X[5,3,6,2] X[6,3,7,4] X[7,1,8,4]"
+        assert [x.sign for x in parse_pd(text).crossings] == [-1, 1, -1, 1]
+
+    def test_pinned_signs(self):
+        digest = hashlib.sha256()
+        for text in _sign_corpus():
+            d = parse_pd(text)
+            digest.update(repr((d.crossings, d.free_loops)).encode())
+        assert digest.hexdigest() == (
+            "a76d379e956f652304c1fc537ca16cd8600425cff2ed5c75c24d27eab5730cb8"
+        )
+
+    def test_pinned_corruption_verdicts(self):
+        rejected = 0
+        digest = hashlib.sha256()
+        for text in _corrupted_corpus():
+            try:
+                d = parse_pd(text)
+            except InvalidPDError:
+                rejected += 1
+                digest.update(b"!")
+            else:
+                digest.update(repr(d.crossings).encode())
+        assert rejected == 138
+        assert digest.hexdigest() == (
+            "e409bd3b2ae27d48c3a80f1526c6cabcc7f21235590437f72240fe583369269b"
+        )
+
+    def test_pinned_whitehead_doubles(self, small_knots):
+        digest = hashlib.sha256()
+        for entry in small_knots:
+            for clasp in (1, -1):
+                for twists in range(-2, 4):
+                    digest.update(whitehead_double(entry.diagram, clasp, twists).serialize().encode())
+                    digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "841b80151ffe11051a85f755f45afc2fa7d3acfe21f73b7ce73130c50f7092c0"
+        )
+
+
+def _over_only(d, ci):
+    """Switch every crossing where component ci passes under another
+    component; a component without self-crossings then passes only over."""
+    comp = {e: k for k, cyc in enumerate(d.component_cycles()) for e in cyc}
+    for i, x in enumerate(d.crossings):
+        if comp[x.a] == ci and comp[x.over_in] != ci:
+            d = d.switch_crossing(i)
+    return d
+
+
+def _sign_corpus(seed=5, count=120):
+    """PD texts of seeded braid closures, each also relabelled and
+    crossing-shuffled, and with one component made over-only."""
+    rng = random.Random(seed)
+    texts = []
+    while len(texts) < 4 * count:
+        strands = rng.randint(2, 6)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 24))]
+        d = braid_closure(word, strands)
+        if not d.crossings:
+            continue
+        over = _over_only(d, rng.randrange(d.num_components() - d.free_loops))
+        for v in (d, random_relabeling(d, rng), shuffled_crossings(d, rng),
+                  random_relabeling(shuffled_crossings(over, rng), rng)):
+            texts.append(v.serialize())
+    return texts
+
+
+def _corrupted_corpus(seed=6):
+    """Valid label counts, possibly inconsistent orientation: one crossing's
+    slots rotated, its a and c swapped, or two label occurrences swapped."""
+    rng = random.Random(seed)
+    out = []
+    for text in _sign_corpus(seed, count=60):
+        tuples = [list(map(int, t)) for t in re.findall(r"X\[(\d+),(\d+),(\d+),(\d+)\]", text)]
+        k = rng.randrange(len(tuples))
+        kind = rng.randrange(3)
+        if kind == 0:
+            tuples[k] = tuples[k][1:] + tuples[k][:1]
+        elif kind == 1:
+            tuples[k][0], tuples[k][2] = tuples[k][2], tuples[k][0]
+        else:
+            j, s, t = rng.randrange(len(tuples)), rng.randrange(4), rng.randrange(4)
+            tuples[k][s], tuples[j][t] = tuples[j][t], tuples[k][s]
+        out.append(" ".join("X[%d,%d,%d,%d]" % tuple(t) for t in tuples))
+    return out
 
 
 class TestComponents:
