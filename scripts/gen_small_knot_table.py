@@ -17,14 +17,10 @@ Run from the repository root:  python scripts/gen_small_knot_table.py
 import csv
 import itertools
 import os
-import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-
-from helpers import two_bridge_plat  # noqa: E402
-
-from mortonlab.homfly import HomflyEngine  # noqa: E402
-from mortonlab.poly import LaurentPoly1, alexander_specialize  # noqa: E402
+from mortonlab.family import two_bridge_plat
+from mortonlab.homfly import HomflyEngine
+from mortonlab.poly import LaurentPoly1, alexander_specialize
 
 CROSSING_NUMBER = {name: int(name.split("_")[0]) for name in (
     "3_1 4_1 5_1 5_2 6_1 6_2 6_3 7_1 7_2 7_3 7_4 7_5 7_6 7_7".split()

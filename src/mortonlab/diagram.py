@@ -518,7 +518,9 @@ def parse_pd(text: str) -> Diagram:
     _check_labels(tuples)
     signs = _derive_signs(tuples)
     xs = [Crossing(a, b, c, d, s) for (a, b, c, d), s in zip(tuples, signs)]
-    return Diagram(xs, loops)
+    # labels are checked above, and a strand walk that completes gives every
+    # edge one head and one tail, so _validate would only repeat both checks
+    return Diagram(xs, loops, _validated=True)
 
 
 def _derive_signs(tuples):

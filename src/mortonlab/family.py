@@ -1,5 +1,6 @@
-"""Diagram surgeries: parallel-band multiplication, crossing-change
-candidates, and the blackboard-framed Whitehead double.
+"""Diagram constructions and surgeries: braid closures, two-bridge 4-plats,
+parallel-band multiplication, crossing-change candidates, and the
+blackboard-framed Whitehead double.
 
 Band multiplication replaces an eligible crossing (one whose smoothed
 arcs lie on two distinct Seifert circles) with a chain of n same-sign
@@ -26,12 +27,93 @@ from .errors import NotAKnotError, NotEligibleError
 from .seifert import CrossingClass, classify_crossing, seifert_circles
 
 __all__ = [
+    "braid_closure",
+    "two_bridge_plat",
     "FamilySpec",
     "insert_parallel_bands",
     "family_sequence",
     "crossing_change_candidates",
     "whitehead_double",
 ]
+
+
+def braid_closure(word, strands) -> Diagram:
+    """Diagram of the closure of a braid word.
+
+    word: nonzero ints; letter +i crosses strand positions (i-1, i) with the
+    left strand passing over, -i with the right strand passing over.  Unused
+    strand positions close into free loops.
+    """
+    if any(w == 0 or abs(w) >= strands for w in word):
+        raise ValueError(f"word letters must be nonzero with |w| < {strands}")
+    cur = [("init", j) for j in range(strands)]
+    crossings = []
+    for t, w in enumerate(word):
+        p = abs(w) - 1
+        x, y = cur[p], cur[p + 1]
+        u, v = ("e", t, 0), ("e", t, 1)  # u continues x at p+1, v continues y at p
+        if w > 0:
+            crossings.append(Crossing(y, u, v, x, 1))
+        else:
+            crossings.append(Crossing(x, y, u, v, -1))
+        cur[p], cur[p + 1] = v, u
+    free = 0
+    rename = {}
+    for j in range(strands):
+        if cur[j] == ("init", j):
+            free += 1
+        else:
+            rename[cur[j]] = ("init", j)
+    fixed = [Crossing(*(rename.get(e, e) for e in x[:4]), x.sign) for x in crossings]
+    return _renumber(fixed, free)
+
+
+def two_bridge_plat(parts, od_mid=0, od_side=1) -> Diagram:
+    """4-plat for a rational link C(a1, a2, ...): twist regions alternate
+    between the middle strand pair and a side pair, capped in pairs top and
+    bottom.  od_mid and od_side pick the over-diagonal of each kind of
+    region (handedness): 0 when a crossing's first and third ends, taken
+    counterclockwise from bottom-left, pass over."""
+    cur = [("b0",), ("b0",), ("b1",), ("b1",)]
+    crossings = []
+    t = 0
+    for k, a in enumerate(parts):
+        pos, od = (1, od_mid) if k % 2 == 0 else (2, od_side)
+        for _ in range(a):
+            hi1, hi2 = ("e", t, 0), ("e", t, 1)
+            crossings.append(((cur[pos], cur[pos + 1], hi2, hi1), od))
+            cur[pos], cur[pos + 1] = hi1, hi2
+            t += 1
+    rename = {cur[1]: cur[0], cur[3]: cur[2]}
+    return _orient([(tuple(rename.get(e, e) for e in ends), od) for ends, od in crossings])
+
+
+def _orient(crossings) -> Diagram:
+    """Diagram of unoriented crossings (ends counterclockwise, over-diagonal
+    0 or 1); each component is oriented away from the first end met of its
+    first edge in crossing order."""
+    incid = {}
+    for x, (ends, _) in enumerate(crossings):
+        for s, e in enumerate(ends):
+            incid.setdefault(e, []).append((x, s))
+    enters = {}  # (crossing, slot) -> whether the strand enters there
+    for e0, (tail, head) in incid.items():
+        if tail in enters:
+            continue
+        while True:
+            enters[tail], enters[head] = False, True
+            x, s = head
+            tail = (x, (s + 2) % 4)
+            e = crossings[x][0][tail[1]]
+            head = next(end for end in incid[e] if end != tail)
+            if e == e0:
+                break
+    out = []
+    for x, (ends, od) in enumerate(crossings):
+        a = next(s for s in ((1, 3) if od == 0 else (0, 2)) if enters[(x, s)])
+        sign = 1 if enters[(x, (a + 3) % 4)] else -1
+        out.append(Crossing(*(ends[(a + k) % 4] for k in range(4)), sign))
+    return _renumber(out, 0)
 
 
 @dataclass

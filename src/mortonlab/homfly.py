@@ -8,17 +8,22 @@ step progress toward a descending diagram:
     positive crossing:  P(D) = v^2 P(switched) + v z P(smoothed)
     negative crossing:  P(D) = v^-2 P(switched) - v^-1 z P(smoothed)
 
-A diagram that is descending with respect to least-label basepoints (every
-crossing met first on its over-strand, components in least-label order) is
-an unlink of k components with P = delta^(k-1), delta = (v^-1 - v) z^-1.
-Switching the first non-descending crossing lowers the count of badly met
-crossings and smoothing lowers the crossing count, so the recursion
-terminates.
+A diagram that is descending with respect to some basepoints (components
+in least-label order, each walked from its basepoint, every crossing met
+first on its over-strand) is an unlink of k components with
+P = delta^(k-1), delta = (v^-1 - v) z^-1.  The engine chooses each
+component's basepoint to leave the fewest of its self-crossings met under
+first, and switches the first crossing met under.  For those basepoints
+the switch lowers the count of badly met crossings by one, so the least
+count drops by at least one; smoothing and Reidemeister moves lower the
+crossing count, so the recursion terminates.
 
 The cached engine simplifies first, multiplies split unions by delta, and
-memoizes on canonical codes.  The naive oracle re-walks the same contract
-with no cache, no simplification and no split shortcut; it exists so the
-two routes can be compared exactly on small diagrams.
+memoizes on canonical codes, which do not depend on the basepoints.  The
+naive oracle and skein traces keep every basepoint at its component's
+least label, with no cache, no simplification and no split shortcut, so
+the oracle walks a different resolution tree from the engine and the two
+routes can be compared exactly on small diagrams.
 """
 
 from __future__ import annotations
@@ -50,8 +55,49 @@ _ONE = LaurentPoly2.one()
 
 def choose_skein_crossing(d: Diagram):
     """Index of the first crossing met first on its under-strand when the
-    diagram is traversed from least-label basepoints in component order;
-    None when the diagram is descending (an unlink)."""
+    components are traversed in least-label order, each from the basepoint
+    that leaves the fewest of its self-crossings met under first (the last
+    such basepoint along the cycle from its least label); None when the
+    diagram is descending (an unlink).
+
+    A self-crossing passed at cycle positions p < q is met at q first
+    exactly for basepoints p+1..q, so one walk fills a difference array
+    from which the count for every basepoint is read in order.  Crossings
+    with other components are met first by the earlier component whatever
+    the basepoints, so they do not enter the choice.
+    """
+    ins = d._in_slots()
+    seen = [False] * len(d.crossings)
+    for cyc in d.component_cycles():
+        diff = [0] * (len(cyc) + 1)
+        first = {}
+        bad = 0
+        for q, e in enumerate(cyc):
+            i, kind = ins[e]
+            p = first.setdefault(i, q)
+            if p != q:
+                # met under first from basepoint 0 iff passed over at q
+                step = 1 if kind == "under" else -1
+                bad += step < 0
+                diff[p + 1] += step
+                diff[q + 1] -= step
+        start, least = 0, bad
+        for s in range(1, len(cyc)):
+            bad += diff[s]
+            if bad <= least:
+                start, least = s, bad
+        for e in cyc[start:] + cyc[:start]:
+            i, kind = ins[e]
+            if not seen[i]:
+                if kind == "under":
+                    return i
+                seen[i] = True
+    return None
+
+
+def _least_label_crossing(d: Diagram):
+    """Like choose_skein_crossing, with every basepoint at its component's
+    least label: the resolution tree of the oracle and of skein traces."""
     first = {}
     ins = d._in_slots()
     for cyc in d.component_cycles():
@@ -148,7 +194,7 @@ class HomflyEngine:
             raise _too_deep(d) from None
 
     def _naive(self, d: Diagram) -> LaurentPoly2:
-        i = choose_skein_crossing(d)
+        i = _least_label_crossing(d)
         if i is None:
             return _descending_value(d)
         switched = self._naive(d.switch_crossing(i))
@@ -175,7 +221,7 @@ class HomflyEngine:
         return trace
 
     def _trace(self, d, role, depth, trace):
-        i = choose_skein_crossing(d)
+        i = _least_label_crossing(d)
         node_id = len(trace.nodes)
         if i is None:
             node = SkeinNode(

@@ -1,59 +1,12 @@
-"""Shared test utilities: braid closures and deterministic corpora."""
+"""Shared test utilities: deterministic corpora of braid closures and
+relabelled or reordered variants."""
 
 from __future__ import annotations
 
 import random
 
-from mortonlab.diagram import Crossing, Diagram, _renumber
-
-
-def braid_closure(word, strands):
-    """Diagram of the closure of a braid word.
-
-    word: nonzero ints; letter +i crosses strand positions (i-1, i) with the
-    left strand passing over, -i with the right strand passing over.  Unused
-    strand positions close into free loops.
-    """
-    if any(w == 0 or abs(w) >= strands for w in word):
-        raise ValueError(f"word letters must be nonzero with |w| < {strands}")
-    cur = [("init", j) for j in range(strands)]
-    crossings = []
-    for t, w in enumerate(word):
-        p = abs(w) - 1
-        x, y = cur[p], cur[p + 1]
-        u, v = ("e", t, 0), ("e", t, 1)  # u continues x at p+1, v continues y at p
-        if w > 0:
-            crossings.append(Crossing(y, u, v, x, 1))
-        else:
-            crossings.append(Crossing(x, y, u, v, -1))
-        cur[p], cur[p + 1] = v, u
-    free = 0
-    rename = {}
-    for j in range(strands):
-        if cur[j] == ("init", j):
-            free += 1
-        else:
-            rename[cur[j]] = ("init", j)
-    fixed = [
-        Crossing(
-            rename.get(x.a, x.a),
-            rename.get(x.b, x.b),
-            rename.get(x.c, x.c),
-            rename.get(x.d, x.d),
-            x.sign,
-        )
-        for x in crossings
-    ]
-    return _renumber(fixed, free)
-
-
-def two_bridge_word(parts):
-    """Alternating 3-braid word for the rational link C(a1, a2, ...)."""
-    word = []
-    for k, a in enumerate(parts):
-        gen = 1 if k % 2 == 0 else -2
-        word.extend([gen] * a)
-    return word
+from mortonlab.diagram import Diagram
+from mortonlab.family import braid_closure
 
 
 def random_braid_diagrams(count, seed, max_strands=4, max_len=7, max_crossings=7):
@@ -68,87 +21,6 @@ def random_braid_diagrams(count, seed, max_strands=4, max_len=7, max_crossings=7
         if 0 < len(d.crossings) <= max_crossings:
             out.append(d)
     return out
-
-
-def orient_unoriented(crossings):
-    """Orient an unoriented quadrivalent diagram and emit a Diagram.
-
-    crossings: list of (ends, over_diag) where ends is a 4-tuple of edge
-    labels in counterclockwise order and over_diag says which diagonal is
-    the over-strand: 0 for (ends[0], ends[2]), 1 for (ends[1], ends[3]).
-    Each component gets an arbitrary consistent orientation.
-    """
-    incid = {}
-    for x, (ends, _) in enumerate(crossings):
-        for s, e in enumerate(ends):
-            incid.setdefault(e, []).append((x, s))
-    for e, places in incid.items():
-        if len(places) != 2:
-            raise ValueError(f"edge {e} has {len(places)} ends")
-
-    # tail/head assignment per incidence: walk strands, exiting opposite ends
-    head = {}  # (crossing, slot) -> True if the strand enters there
-    for e0 in incid:
-        if (incid[e0][0] in head) or (incid[e0][1] in head):
-            continue
-        inc_tail, inc_head = incid[e0]
-        edge = e0
-        while True:
-            head[inc_head] = True
-            head[inc_tail] = False
-            x, s = inc_head
-            t = (s + 2) % 4
-            nxt = crossings[x][0][t]
-            inc_tail = (x, t)
-            a, b = incid[nxt]
-            inc_head = b if a == inc_tail else a
-            edge = nxt
-            if edge == e0 and inc_tail in head:
-                break
-
-    out = []
-    for x, (ends, over_diag) in enumerate(crossings):
-        under_slots = (1, 3) if over_diag == 0 else (0, 2)
-        a_slot = next(s for s in under_slots if head[(x, s)])
-        rot = [ends[(a_slot + k) % 4] for k in range(4)]
-        d_in = head[(x, (a_slot + 3) % 4)]
-        out.append(Crossing(rot[0], rot[1], rot[2], rot[3], 1 if d_in else -1))
-    return _renumber(out, 0)
-
-
-def plat_closure(word):
-    """Unoriented 4-plat: word letters (pair, over_diag) twist adjacent
-    strand positions; plat-closed with caps top and bottom."""
-    cur = [("cap-b", 0), ("cap-b", 0), ("cap-b", 1), ("cap-b", 1)]
-    # bottom caps: strands (1,2) share an edge, (3,4) share an edge
-    cur = [("b0",), ("b0",), ("b1",), ("b1",)]
-    crossings = []
-    for t, (pos, over_diag) in enumerate(word):
-        lo1, lo2 = cur[pos], cur[pos + 1]
-        hi1, hi2 = ("e", t, 0), ("e", t, 1)
-        # counterclockwise: bottom-left, bottom-right, top-right, top-left
-        crossings.append(((lo1, lo2, hi2, hi1), over_diag))
-        # strands swap sides
-        cur[pos], cur[pos + 1] = hi1, hi2
-    # top caps
-    rename = {cur[1]: cur[0], cur[3]: cur[2]}
-    fixed = []
-    for ends, od in crossings:
-        fixed.append((tuple(rename.get(e, e) for e in ends), od))
-    return orient_unoriented(fixed)
-
-
-def two_bridge_plat(parts, od_mid=0, od_side=1):
-    """4-plat for a rational link C(a1, a2, ...): twist regions alternate
-    between the middle strand pair and a side pair.  The od_* flags pick
-    the over-diagonal used in each kind of region (handedness)."""
-    word = []
-    for k, a in enumerate(parts):
-        if k % 2 == 0:
-            word.extend([(1, od_mid)] * a)
-        else:
-            word.extend([(2, od_side)] * a)
-    return plat_closure(word)
 
 
 def random_relabeling(d, rng):

@@ -1,5 +1,6 @@
 """CLI dispatch, table ingestion, exports, exit codes, cache behavior."""
 
+import hashlib
 import json
 import os
 
@@ -15,7 +16,7 @@ from mortonlab.errors import (
     TableError,
     UnsupportedFormatError,
 )
-from mortonlab.family import FamilySpec
+from mortonlab.family import FamilySpec, braid_closure
 from mortonlab.homfly import HomflyEngine
 from mortonlab.morton import verify_theorem_family
 
@@ -90,6 +91,16 @@ class TestExport:
         rep = verify_theorem_family(FamilySpec(parse_pd(TREFOIL_PD), 0, []),
                                     gc_claimed=1, n_max=2, engine=engine)
         assert export_report(rep, "json") == export_report(rep, "json")
+
+    @pytest.mark.parametrize("pd, digest", [
+        (TREFOIL_PD, "d28ac7b7121c446ece871d95a7a10881984e4aa178fda123b780ab5e9c1a7354"),
+        (braid_closure([1, 2, 3, 4, -3, -2, -1, 5, 6, 7], 8).serialize(),
+         "97fc5d17713043eea83f6400773c117e6396a94b088873fc496759b5d1b733e9"),
+    ], ids=["trefoil", "braid10"])
+    def test_skein_tree_dot_pinned(self, pd, digest, capsys):
+        # the trace keeps least-label basepoints whatever the engine chooses
+        assert run_command(["skein-tree", "--pd", pd, "--format", "dot"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCommands:

@@ -15,6 +15,7 @@ from mortonlab.family import (
     crossing_change_candidates,
     family_sequence,
     insert_parallel_bands,
+    two_bridge_plat,
     whitehead_double,
 )
 from mortonlab.homfly import HomflyEngine
@@ -26,6 +27,14 @@ def eligible_crossings(d):
     dec = seifert_circles(d)
     return [i for i in range(len(d.crossings))
             if classify_crossing(dec, i) is CrossingClass.JOINS_DISTINCT]
+
+
+class TestTwoBridgePlat:
+    @pytest.mark.parametrize("parts, name", [((3,), "3_1"), ((1, 1, 1, 2, 2), "7_6"),
+                                             ((2, 1, 1, 1, 2), "7_7")])
+    def test_reproduces_table_rows(self, parts, name, small_knots):
+        # scripts/gen_small_knot_table.py wrote these rows from these plats
+        assert two_bridge_plat(parts) == next(e.diagram for e in small_knots if e.name == name)
 
 
 class TestBands:

@@ -1,7 +1,8 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, a package namespace that does not shadow its modules, and the
-attributes the benchmark's layer trace wraps."""
+attributes the benchmark's layer trace wraps; and over scripts/: nothing
+imported from the test tree."""
 
 import ast
 import importlib
@@ -42,6 +43,24 @@ def test_no_thread_imports(path):
             found += [a.name for a in n.names if a.name.split(".")[0] in banned]
         elif isinstance(n, ast.ImportFrom) and n.module and n.module.split(".")[0] in banned:
             found.append(n.module)
+    assert not found, f"{path.name}: imports {found}"
+
+
+SCRIPTS = sorted((Path(__file__).parent.parent / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_do_not_import_tests(path):
+    # scripts run against the installed library, not the test tree
+    found = []
+    for n in ast.walk(_tree(path)):
+        if isinstance(n, ast.Import):
+            found += [a.name for a in n.names if a.name.split(".")[0] in ("helpers", "tests")]
+        elif isinstance(n, ast.ImportFrom) and n.module and n.module.split(".")[0] in ("helpers", "tests"):
+            found.append(n.module)
+        elif (isinstance(n, ast.Attribute) and n.attr in ("insert", "append")
+              and isinstance(n.value, ast.Attribute) and n.value.attr == "path"):
+            found.append(f"sys.path.{n.attr} on line {n.lineno}")
     assert not found, f"{path.name}: imports {found}"
 
 
