@@ -12,6 +12,19 @@ diagram and checks M(L_n) < 2*gc - 1 + n row by row, where gc is the
 knot-level canonical genus supplied by the caller (never computed:
 minimizing over all diagrams is out of scope).  Odd rows n = 2m + 1 are
 the knots K_m, whose bound reads M < 2(gc + m) + 1.
+
+The n chain crossings of L_n all have the sign s of the base crossing.
+Switching one leaves L_(n-2) after an R2 move and smoothing it leaves
+L_(n-1), so the skein rule gives
+
+    P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1))    (n >= 2).
+
+The engine therefore evaluates only L_0, L_1 and the switched base
+diagrams of the hypothesis certificates; every later row is two
+polynomial terms.  Each row with a Seifert decomposition is checked
+against the Morton-Franks-Williams v-degree bound w - s + 1 <= deg_v P
+<= w + s - 1, which holds at every size and so also checks the derived
+rows.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from dataclasses import dataclass, field
 from .diagram import Diagram
 from .errors import DisconnectedError
 from .family import FamilySpec, crossing_change_candidates, insert_parallel_bands
-from .homfly import HomflyEngine
+from .homfly import HomflyEngine, _skein_terms
 from .poly import LaurentPoly2
 from .seifert import diagram_genus, seifert_circles
 
@@ -163,10 +176,13 @@ class FamilyReport:
         return "\n".join(out) + "\n"
 
 
-def _hypothesis_certificates(base: Diagram, engine: HomflyEngine):
-    """Sufficient certificates that switching some crossing lowers the
-    canonical genus (or at least the degree chain the bound needs)."""
-    certs = []
+def _hypothesis_certificates(base: Diagram, engine: HomflyEngine, report: FamilyReport,
+                             over_budget):
+    """Append sufficient certificates that switching some crossing lowers
+    the canonical genus (or at least the degree chain the bound needs) to
+    the report.  A budget overrun before a candidate's engine evaluation
+    marks the report incomplete and keeps the certificates found so far."""
+    certs = report.hypothesis_certificates
     base_genus = diagram_genus(base)
     for i, switched in crossing_change_candidates(base):
         if switched.is_connected():
@@ -177,6 +193,9 @@ def _hypothesis_certificates(base: Diagram, engine: HomflyEngine):
                     "switched_simplified_genus": g, "base_genus": base_genus,
                 })
                 continue
+        if over_budget():
+            report.incomplete = True
+            return
         m = engine.homfly(switched).maxdeg_z()
         m = -1 if m is None else m
         if m < 2 * base_genus:
@@ -184,7 +203,6 @@ def _hypothesis_certificates(base: Diagram, engine: HomflyEngine):
                 "crossing": i, "kind": "morton_degree",
                 "switched_maxdeg_z": m, "base_genus": base_genus,
             })
-    return certs
 
 
 def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
@@ -192,25 +210,50 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
                           budget_seconds: float | None = None,
                           base_name: str = "base") -> FamilyReport:
     """Row-by-row audit M(L_n) < 2*gc - 1 + n for n = 0..n_max, in order of
-    n over one engine cache.  A budget overrun marks the report incomplete
-    and keeps the rows finished so far.
+    n over one engine cache.  The engine evaluates L_0 and L_1; each later
+    row is P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the sign s
+    of the base crossing.  Every row with a Seifert decomposition must
+    meet the Morton-Franks-Williams v-degree bound (RuntimeError naming
+    n otherwise).  A budget overrun, checked before each certificate
+    candidate's evaluation and before each row, marks the report
+    incomplete and keeps the certificates and rows finished so far.
     """
     engine = engine or HomflyEngine()
     t0 = time.monotonic()
+
+    def over_budget():
+        return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
+
     report = FamilyReport(base_name=base_name, crossing=spec.crossing,
                           gc_claimed=gc_claimed)
-    report.hypothesis_certificates = _hypothesis_certificates(spec.base, engine)
+    _hypothesis_certificates(spec.base, engine, report, over_budget)
 
     diagrams = [insert_parallel_bands(spec.base, spec.crossing, n) for n in range(n_max + 1)]
+    polys = []
     for n, d in enumerate(diagrams):
-        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
+        if over_budget():
             report.incomplete = True
             break
-        m = engine.homfly(d).maxdeg_z()
+        if n < 2:
+            p = engine.homfly(d)
+        else:
+            sign = spec.base.crossings[spec.crossing].sign
+            p_sw, p_sm = _skein_terms(sign, polys[n - 2], polys[n - 1])
+            p = p_sw + p_sm
+        polys.append(p)
+        m = p.maxdeg_z()
         if m is None:
             raise RuntimeError(f"zero polynomial for family row n={n}")
-        dec = seifert_circles(d) if d.is_connected() else None
-        s, genus = (dec.num_circles, dec.diagram_genus) if dec else (None, None)
+        s = genus = None
+        if d.is_connected():
+            dec = seifert_circles(d)
+            s, genus = dec.num_circles, dec.diagram_genus
+            w = d.writhe()
+            evs = [ev for ev, _ in p.terms]
+            if not w - s + 1 <= min(evs) <= max(evs) <= w + s - 1:
+                raise RuntimeError(
+                    f"v-degree bound violated for family row n={n}: "
+                    f"deg_v in [{min(evs)}, {max(evs)}], w={w}, s={s}")
         bound = 2 * gc_claimed - 1 + n
         report.rows.append(FamilyRow(n=n, c=len(d.crossings), s=s, genus=genus,
                                      m=m, bound=bound, strict=m < bound))

@@ -4,13 +4,16 @@ Alexander degree comparison."""
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams
 
 from mortonlab.diagram import parse_pd
 from mortonlab.errors import DisconnectedError
-from mortonlab.family import FamilySpec
+from mortonlab.family import FamilySpec, insert_parallel_bands, whitehead_double
+from mortonlab.homfly import HomflyEngine
 from mortonlab.morton import (
     FamilyReport,
     knot_level_defect,
@@ -21,6 +24,7 @@ from mortonlab.morton import (
     verify_theorem_family,
 )
 from mortonlab.poly import LaurentPoly2, alexander_specialize
+from mortonlab.seifert import diagram_genus
 
 
 class TestBounds:
@@ -132,6 +136,28 @@ class TestTheoremFamily:
         assert report.incomplete
         assert not report.all_strict()
 
+    def test_budget_stops_certificate_phase(self, small_knots):
+        # W(3_1) needs the engine for six of its certificates; an overrun
+        # is caught before the first of them
+        knot = next(e.diagram for e in small_knots if e.name == "3_1")
+        fresh = HomflyEngine()
+        report = verify_theorem_family(FamilySpec(whitehead_double(knot, 1, 0), 0, []),
+                                       gc_claimed=3, n_max=10, engine=fresh,
+                                       budget_seconds=0.0)
+        assert (fresh.expansions, report.rows, report.incomplete) == (0, [], True)
+        assert not report.all_strict()
+
+    def test_v_degree_violation_raises(self):
+        class FixedEngine:
+            def homfly(self, d):
+                return LaurentPoly2({(0, 2): 1})
+
+        # L_0 of the trefoil is a Hopf link with w = -2 and s = 2, so its
+        # v-degrees lie in [-3, -1]
+        spec = FamilySpec(parse_pd(TREFOIL_PD), 0, [])
+        with pytest.raises(RuntimeError, match="v-degree bound violated for family row n=0"):
+            verify_theorem_family(spec, gc_claimed=1, n_max=3, engine=FixedEngine())
+
     def test_report_serialization(self, engine):
         spec = FamilySpec(parse_pd(TREFOIL_PD), 0, [])
         report = verify_theorem_family(spec, gc_claimed=1, n_max=2, engine=engine)
@@ -141,6 +167,56 @@ class TestTheoremFamily:
         assert obj["rows"][1]["M"] == 2
         table = report.to_text_table()
         assert "strict" in table and "UNVERIFIED" not in table
+
+
+def _mixed_sign_braids(max_strands=4, max_len=8):
+    """(strands, word) pairs with letters of both signs."""
+    return st.integers(min_value=2, max_value=max_strands).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(min_value=1, max_value=k - 1).flatmap(lambda i: st.sampled_from([i, -i])),
+                     min_size=2, max_size=max_len),
+        )
+    ).filter(lambda b: min(b[1]) < 0 < max(b[1]))
+
+
+class TestFamilyRecurrence:
+    """Rows n >= 2 come from the skein recurrence, not from the engine;
+    they must agree with a fresh engine run on each L_n."""
+
+    @given(_mixed_sign_braids(), st.integers(min_value=0, max_value=7))
+    @example((2, [1, 1, -1]), 0)
+    @example((2, [1, 1, -1]), 1)
+    @example((3, [1, -2, 1, -2]), 7)
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_fresh_engine(self, braid, n_max):
+        strands, word = braid
+        base = braid_closure(word, strands)
+        assume(base.is_connected())
+        # every crossing of a braid closure joins two strand circles, so
+        # the first crossing of each sign is eligible
+        for sign in (1, -1):
+            i = next(j for j, x in enumerate(base.crossings) if x.sign == sign)
+            report = verify_theorem_family(FamilySpec(base, i, []), diagram_genus(base), n_max)
+            polys = [HomflyEngine().homfly(insert_parallel_bands(base, i, n))
+                     for n in range(n_max + 1)]
+            assert [r.n for r in report.rows] == list(range(n_max + 1))
+            assert [r.m for r in report.rows] == [p.maxdeg_z() for p in polys]
+            # v^-1 P(L+) - v P(L-) = z P(L0) at a chain crossing of L_n
+            for n in range(2, n_max + 1):
+                plus, minus = (polys[n], polys[n - 2]) if sign > 0 else (polys[n - 2], polys[n])
+                assert (plus.mono_mul(1, ev=-1) - minus.mono_mul(1, ev=1)
+                        == polys[n - 1].mono_mul(1, ez=1))
+
+    def test_counter_pin_whitehead_double_3_1(self, small_knots):
+        # the certificates take 89 of these expansions and L_0, L_1 the
+        # other 7; the rows n >= 2 take none
+        knot = next(e.diagram for e in small_knots if e.name == "3_1")
+        engine = HomflyEngine()
+        report = verify_theorem_family(FamilySpec(whitehead_double(knot, 1, 0), 0, []),
+                                       gc_claimed=3, n_max=10, engine=engine)
+        assert [r.m for r in report.rows] == list(range(5, 16))
+        assert (engine.expansions, len(engine.cache)) == (96, 102)
 
 
 class TestAlexanderDegree:

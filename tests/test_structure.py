@@ -1,8 +1,8 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
-pools, a package namespace that does not shadow its modules, and the
-attributes the benchmark's layer trace wraps; and over scripts/: nothing
-imported from the test tree."""
+pools, the skein rule written once, a package namespace that does not
+shadow its modules, and the attributes the benchmark's layer trace wraps;
+and over scripts/: nothing imported from the test tree."""
 
 import ast
 import importlib
@@ -62,6 +62,18 @@ def test_scripts_do_not_import_tests(path):
               and isinstance(n.value, ast.Attribute) and n.value.attr == "path"):
             found.append(f"sys.path.{n.attr} on line {n.lineno}")
     assert not found, f"{path.name}: imports {found}"
+
+
+def test_family_audit_reuses_the_skein_rule():
+    # the family recurrence takes its weights from homfly._skein_terms,
+    # so the skein rule stays written once
+    tree = _tree(Path(mortonlab.__file__).parent / "morton.py")
+    calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "mono_mul"]
+    assert not calls, f"morton.py: mono_mul on lines {calls}"
+    imported = [a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "homfly"
+                for a in n.names]
+    assert "_skein_terms" in imported
 
 
 def test_homfly_module_not_shadowed():
