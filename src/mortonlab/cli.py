@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .diagram import Diagram, parse_pd
 from .errors import (
@@ -153,7 +154,10 @@ _SHARED_OPTIONS = {
 }
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process: parsing does not change
+    it, and each build leaves about 500 objects in reference cycles."""
     top = argparse.ArgumentParser(prog="mortonlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -358,8 +362,10 @@ def _dispatch(args):
             spec, gc_claimed=args.gc, n_max=args.nmax, engine=engine,
             budget_seconds=args.budget, base_name=name,
         )
+        match = _expected_match(engine.homfly(d), args) if args.expect else None
+        if cache_path:
+            engine.flush_cache(cache_path)
         if args.expect:
-            match = _expected_match(engine.homfly(d), args)
             obj = report.to_json_obj()
             obj["expected_match"] = match
             data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
@@ -368,8 +374,6 @@ def _dispatch(args):
                 return 1
         else:
             _emit(export_report(report, args.fmt), args)
-        if cache_path:
-            engine.flush_cache(cache_path)
         return 0 if report.all_strict() else 1
 
     if cmd == "skein-tree":

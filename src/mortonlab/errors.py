@@ -75,3 +75,9 @@ class UnsupportedFormatError(MortonLabError):
 
 class UsageError(MortonLabError):
     code = "USAGE_ERROR"
+
+
+class CacheIOError(MortonLabError):
+    """A polynomial cache file that cannot be read or written."""
+
+    code = "IO_ERROR"

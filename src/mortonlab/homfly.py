@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 from .diagram import Diagram
-from .errors import ParseError, TooLargeError
+from .errors import CacheIOError, ParseError, TooLargeError
 from .poly import LaurentPoly2, delta_factor
 
 __all__ = [
@@ -132,7 +133,9 @@ class HomflyEngine:
 
     The cache maps canonical codes of simplified diagrams to polynomials;
     lookups are exact-key only (never up to mirror) to keep chirality
-    honest.  Recursion depth grows with the crossing count; a diagram too
+    honest.  Records read by load_cache wait as polynomial JSON text in a
+    map of this engine's own and enter the cache on their code's first
+    lookup.  Recursion depth grows with the crossing count; a diagram too
     deep for the interpreter's recursion limit raises TooLargeError.
     """
 
@@ -143,6 +146,7 @@ class HomflyEngine:
         self.trace_limit = trace_limit
         self.expansions = 0
         self._loaded_keys = set()
+        self._undecoded = {}
 
     # -- cached engine --------------------------------------------------
 
@@ -156,6 +160,10 @@ class HomflyEngine:
         d = d.simplify()
         code = d.canonical_code()
         hit = self.cache.get(code)
+        if hit is None and self._undecoded:
+            text = self._undecoded.pop(code, None)
+            if text is not None:
+                hit = self.cache[code] = LaurentPoly2.from_json(text)
         if hit is not None:
             return hit
         if d.is_connected():
@@ -247,13 +255,19 @@ class HomflyEngine:
     # -- persistent cache ----------------------------------------------------
 
     def load_cache(self, path):
-        loaded = load_cache_file(path)
-        self.cache.update(loaded)
-        self._loaded_keys.update(loaded)
-        return len(loaded)
+        """Check every record of a cache file and return the record count;
+        a record that does not decode raises ParseError naming path:line.
+        A record's polynomial is decoded on its code's first lookup, and
+        only when the cache holds no entry for that code: entries already
+        in memory take precedence over the file's."""
+        records = _read_cache_records(path)
+        self._undecoded.update(records)
+        self._loaded_keys.update(records)
+        return len(records)
 
     def flush_cache(self, path):
-        """Append entries not previously loaded from disk."""
+        """Append the entries whose codes were neither loaded from nor
+        flushed to a cache file before; returns how many."""
         new = {k: v for k, v in self.cache.items() if k not in self._loaded_keys}
         if new:
             append_cache_file(path, new)
@@ -314,31 +328,66 @@ def trace_to_dot(trace: SkeinTrace) -> str:
 
 # -- persistent cache file format: one JSON record per line ----------------
 
+# A record as append_cache_file writes it.  A line that fully matches
+# needs no JSON decode at load: json.loads and LaurentPoly2.from_json_obj
+# accept every such line, and bytes.fromhex every one whose code has even
+# length (an odd one raises the error the JSON path would).  Digit runs
+# stop at 640, the least limit sys.set_int_max_str_digits accepts, so
+# int() takes each one whatever the limit; longer runs take the JSON path.
+_INT = r"-?(?:0|[1-9][0-9]{0,639})"
+_TERM = rf'\{{"ev":{_INT},"ez":{_INT},"c":"-?[0-9]{{1,640}}"\}}'
+_WRITTEN_RECORD = re.compile(
+    rf'\{{"code":"([0-9a-f]*)","poly":(\[(?:{_TERM}(?:,{_TERM})*)?\])\}}')
 
-def load_cache_file(path):
-    """Cache records keyed by code; a record that does not decode raises
-    ParseError naming path:line."""
+
+def _read_cache_records(path):
+    """Polynomial JSON text keyed by code for every record of a cache file
+    (later records win); a record that does not decode raises ParseError
+    naming path:line, and a file that cannot be read raises CacheIOError."""
     out = {}
     if not os.path.exists(path):
         return out
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out[bytes.fromhex(rec["code"])] = LaurentPoly2.from_json_obj(rec["poly"])
-            except (ValueError, KeyError, TypeError, ParseError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad cache record: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    m = _WRITTEN_RECORD.fullmatch(line)
+                    if m is not None:
+                        out[bytes.fromhex(m[1])] = m[2]
+                        continue
+                    line.encode("utf-8")
+                    rec = json.loads(line)
+                    poly = LaurentPoly2.from_json_obj(rec["poly"])
+                    out[bytes.fromhex(rec["code"])] = poly.to_json()
+                except UnicodeEncodeError:
+                    raise ParseError(f"{path}:{lineno}: bad cache record: not UTF-8") from None
+                except (ValueError, KeyError, TypeError, ParseError) as exc:
+                    raise ParseError(f"{path}:{lineno}: bad cache record: {exc}") from exc
+    except OSError as exc:
+        raise CacheIOError(f"cannot read cache {path}: {exc}") from exc
     return out
 
 
+def load_cache_file(path):
+    """Decoded cache records keyed by code; every record is checked as in
+    HomflyEngine.load_cache, with the same errors."""
+    return {code: LaurentPoly2.from_json(text)
+            for code, text in _read_cache_records(path).items()}
+
+
 def append_cache_file(path, entries):
-    with open(path, "a", encoding="utf-8") as fh:
-        for code, poly in entries.items():
-            fh.write(json.dumps({"code": code.hex(), "poly": poly.to_json_obj()},
-                                separators=(",", ":")) + "\n")
+    """Append one record per entry; a file that cannot be written raises
+    CacheIOError."""
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            for code, poly in entries.items():
+                fh.write(json.dumps({"code": code.hex(), "poly": poly.to_json_obj()},
+                                    separators=(",", ":")) + "\n")
+    except OSError as exc:
+        raise CacheIOError(f"cannot write cache {path}: {exc}") from exc
 
 
 def naive_homfly(d: Diagram, limit=DEFAULT_ORACLE_LIMIT) -> LaurentPoly2:

@@ -266,6 +266,31 @@ class TestCacheFlag:
         assert code == 2
         assert cap.err.startswith(f"PARSE_ERROR: {cache}:2: bad cache record")
 
+    def test_cache_directory_exit2(self, tmp_path, capsys):
+        assert run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(tmp_path)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(f"IO_ERROR: cannot read cache {tmp_path}")
+
+    def test_cache_not_utf8_exit2(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        assert run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        lines = cache.read_bytes().splitlines(keepends=True)
+        cache.write_bytes(lines[0] + b'{"code":"\xff\xfe","poly":[]}\n' + b"".join(lines[1:]))
+        assert run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(cache)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(f"PARSE_ERROR: {cache}:2: bad cache record: not UTF-8")
+
+    @pytest.mark.parametrize("argv", [["homfly"], ["verify", "--gc", "1", "--nmax", "2"]])
+    def test_cache_flush_to_missing_directory_exit2(self, argv, tmp_path, capsys):
+        cache = tmp_path / "missing" / "cache.jsonl"
+        assert run_command(argv + ["--pd", TREFOIL_PD, "--cache", str(cache)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(f"IO_ERROR: cannot write cache {cache}")
+
     def test_skein_tree_never_reads_cache(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache.jsonl"
         cache.write_text("not a cache record\n")

@@ -3,19 +3,21 @@ audit, invariance, parity, caching, traces, thread determinism, recursion
 depth."""
 
 import hashlib
+import json
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
 from mortonlab.diagram import parse_pd
-from mortonlab.errors import TooLargeError
+from mortonlab.errors import ParseError, TooLargeError
 from mortonlab.family import whitehead_double
 from mortonlab.homfly import (
     HomflyEngine,
@@ -358,6 +360,257 @@ class TestCache:
         entries = {b"\x01\x02": LaurentPoly2({(1, -1): 3}), b"U1": LaurentPoly2.one()}
         append_cache_file(path, entries)
         assert load_cache_file(path) == entries
+
+
+def _reference_load(path):
+    """Reference reader: json.loads, bytes.fromhex and from_json_obj on
+    every line.  The cache loader must accept, decode and reject exactly
+    as this does."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                out[bytes.fromhex(rec["code"])] = LaurentPoly2.from_json_obj(rec["poly"])
+            except (ValueError, KeyError, TypeError, ParseError) as exc:
+                raise ParseError(f"{path}:{lineno}: bad cache record: {exc}") from exc
+    return out
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+_codes = st.lists(st.sampled_from([0x3B, 0x7C]) | st.integers(0, 255), max_size=10).map(bytes)
+_coeffs = st.integers(-3, 3) | st.integers(-(10**200), 10**200) | st.integers(-(10**639), 10**639)
+_cache_polys = st.dictionaries(
+    st.tuples(st.integers(-12, 12) | st.integers(-(10**6), 10**6), st.integers(-12, 12)),
+    _coeffs, max_size=6).map(LaurentPoly2)
+_cache_entries = st.dictionaries(_codes, _cache_polys, min_size=1, max_size=5)
+
+
+def _write_entries(path, entries):
+    path.write_text("")
+    append_cache_file(path, entries)
+    return path.read_text().splitlines(keepends=True)
+
+
+def _edit_record(edit):
+    """A line mutation that rewrites one record through json; a line an
+    earlier mutation left without that structure stays as it is."""
+    def mutate(line, draw):
+        try:
+            rec = json.loads(line)
+            edit(rec, draw)
+        except (ValueError, KeyError, TypeError, AttributeError, IndexError):
+            return line
+        return json.dumps(rec, separators=(",", ":")) + "\n"
+    return mutate
+
+
+def _reorder_keys(rec, draw):
+    poly = [dict(reversed(list(t.items()))) for t in rec.pop("poly")]
+    rec["poly"] = poly
+    rec["code"] = rec.pop("code")
+
+
+def _replace_value(rec, draw):
+    """Another JSON value (or no value) for the code, the polynomial or a
+    term field."""
+    value = draw(st.sampled_from([None, "x", "1", "", 1.5, -2, True, [], {}, "drop"]))
+    target, key = rec, draw(st.sampled_from(["code", "poly", "term"]))
+    if key == "term":
+        if not rec["poly"]:
+            rec["poly"].append({"ev": 0, "ez": 0, "c": "1"})
+        target = draw(st.sampled_from(rec["poly"]))
+        key = draw(st.sampled_from(sorted(target)))
+    if value == "drop":
+        del target[key]
+    else:
+        target[key] = value
+
+
+def _respace(line, draw):
+    """json.dumps's default spacing after , and :"""
+    try:
+        return json.dumps(json.loads(line)) + "\n"
+    except ValueError:
+        return line
+
+
+def _leading_zeros(line, draw):
+    key = draw(st.sampled_from(['"c":"', '"ev":', '"ez":']))
+    return line.replace(key, key + "0", 1)
+
+
+_RECORD_MUTATIONS = [
+    _respace,
+    _edit_record(_reorder_keys),
+    _edit_record(lambda rec, draw: rec.update(code=rec["code"].upper())),
+    _edit_record(lambda rec, draw: rec.update(code=rec["code"] + draw(st.sampled_from("0aF")))),
+    _edit_record(lambda rec, draw: [t.update(c=int(t["c"])) for t in rec["poly"]]),
+    _edit_record(_replace_value),
+    _leading_zeros,
+    _edit_record(lambda rec, draw: rec["poly"].append(
+        {"ev": draw(st.integers(-3, 3)), "ez": 0, "c": draw(st.sampled_from(["0", "-0", "00"]))})),
+    _edit_record(lambda rec, draw: rec["poly"].extend(rec["poly"][:1])),
+    lambda line, draw: line[: draw(st.integers(0, len(line) - 1))] + "\n",
+    lambda line, draw: line.rstrip("\n") + draw(st.text(max_size=4)) + "\n",
+    lambda line, draw: draw(st.text(max_size=12)) + "\n",
+]
+
+
+_T1, _T2 = '{"ev":2,"ez":0,"c":"-1"}', '{"ev":0,"ez":0,"c":"1"}'
+_SPELLINGS = [
+    '{"code":"3b7c","poly":[%s,%s]}' % (_T1, _T2),
+    '{"code":"","poly":[]}',
+    '{"code": "3b7c", "poly": [%s]}' % _T1,
+    '{"poly":[%s],"code":"3b7c"}' % _T1,
+    '{"code":"3b7c","poly":[{"c":"-1","ev":2,"ez":0}]}',
+    '{"code":"3B7C","poly":[%s]}' % _T1,
+    '{"code":"3b7","poly":[%s]}' % _T1,
+    '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":-1}]}',
+    '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":"01"}]}',
+    '{"code":"3b7c","poly":[{"ev":02,"ez":0,"c":"1"}]}',
+    '{"code":"3b7c","poly":[{"ev":-0,"ez":00,"c":"1"}]}',
+    '{"code":"3b7c","poly":[{"ev":-0,"ez":0,"c":"-01"}]}',
+    '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":"0"},{"ev":1,"ez":0,"c":"-0"}]}',
+    '{"code":"3b7c","poly":[%s,%s]}' % (_T1, _T1),
+    '{"code":"3b7c","poly":[{"ev":2.0,"ez":0,"c":"1"}]}',
+    '{"code":"3b7c","poly":[{"ev":"2","ez":0,"c":" 1"}]}',
+    '{"code":"3b7c","poly":{}}',
+    '{"code":"3b7c","poly":[%s],"x":"\u00e9"}' % _T1,
+    '{"code":3,"poly":[]}',
+    '{"code":"3b7","poly":5}',
+    '{"poly":[]}',
+    '{"code":"3b7c","poly":[%s]} x' % _T1,
+    '{"code":"3b7c","poly":[%s' % _T1,
+    '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":"%s"}]}' % ("9" * 641),
+    '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":"%s"}]}' % ("9" * 4301),
+    '{"code":"3b7c","poly":[{"ev":%s,"ez":0,"c":"1"}]}' % ("9" * 641),
+]
+
+
+class TestCacheLoader:
+    @pytest.mark.parametrize("spelling", _SPELLINGS)
+    def test_spelling_matches_json_per_line_reference(self, spelling, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"code":"3b7c","poly":[%s]}\n%s\n' % (_T2, spelling), encoding="utf-8")
+        expected = _outcome(_reference_load, path)
+        assert _outcome(load_cache_file, path) == expected
+        loaded = _outcome(HomflyEngine().load_cache, path)
+        assert loaded == (expected if isinstance(expected, str) else len(expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=_cache_entries, data=st.data())
+    def test_matches_json_per_line_reference(self, entries, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "differential.jsonl"
+        written = _write_entries(path, entries)
+        lines = list(written)
+        for _ in range(data.draw(st.integers(0, 3))):
+            line = data.draw(st.sampled_from(written))
+            if data.draw(st.booleans()):
+                for mutation in data.draw(st.lists(st.sampled_from(_RECORD_MUTATIONS),
+                                                   min_size=1, max_size=2)):
+                    line = mutation(line, data.draw)
+            else:  # the same code again, with some record's polynomial
+                rec = json.loads(line)
+                rec["poly"] = json.loads(data.draw(st.sampled_from(written)))["poly"]
+                line = json.dumps(rec, separators=(",", ":")) + "\n"
+            pos = data.draw(st.integers(0, len(lines)))
+            lines[pos:pos + data.draw(st.integers(0, 1))] = [line]
+        if data.draw(st.booleans()):  # a torn last line
+            lines[-1] = lines[-1][: data.draw(st.integers(0, max(len(lines[-1]) - 1, 0)))]
+        path.write_text("".join(lines), encoding="utf-8")
+        expected = _outcome(_reference_load, path)
+        event("rejected" if isinstance(expected, str) else "accepted")
+        assert _outcome(load_cache_file, path) == expected
+        engine = HomflyEngine()
+        loaded = _outcome(engine.load_cache, path)
+        assert loaded == (expected if isinstance(expected, str) else len(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=_cache_entries)
+    def test_written_records_load_without_json_decode(self, entries, tmp_path_factory):
+        """Every line the writer emits takes the fast check, so a change to
+        the written form cannot send every load back through json.loads."""
+        path = tmp_path_factory.getbasetemp() / "written.jsonl"
+        _write_entries(path, entries)
+
+        def no_decode(text):
+            raise AssertionError(f"JSON decode at load: {text}")
+
+        with mock.patch.object(json, "loads", no_decode):
+            assert HomflyEngine().load_cache(path) == len(entries)
+        assert load_cache_file(path) == entries
+
+    @staticmethod
+    def _counting_decoder(monkeypatch):
+        decoded = []
+        original = LaurentPoly2.from_json_obj
+
+        def counted(cls, obj):
+            decoded.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(LaurentPoly2, "from_json_obj", classmethod(counted))
+        return decoded
+
+    def test_warm_call_decodes_only_hit_records(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cold = HomflyEngine()
+        for pd in (TREFOIL_PD, FIGURE8_PD):
+            cold.homfly(parse_pd(pd))
+        cold.homfly(braid_closure([1, -2, 1, -2, 1, 2], 3))
+        n = cold.flush_cache(path)
+        decoded = self._counting_decoder(monkeypatch)
+
+        warm = HomflyEngine()
+        assert warm.load_cache(path) == n
+        assert decoded == []
+        assert warm.homfly(parse_pd(FIGURE8_PD)) == FIG8
+        assert warm.expansions == 0
+        assert len(decoded) == 1 and len(warm.cache) == 1
+        size = path.stat().st_size
+        assert warm.flush_cache(path) == 0
+        assert path.stat().st_size == size
+
+    def test_partial_warm_run_flushes_only_new_entries(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cold = HomflyEngine()
+        cold.homfly(braid_closure([1, 1, 1], 2))
+        cold.flush_cache(path)
+        old_codes = set(load_cache_file(path))
+        decoded = self._counting_decoder(monkeypatch)
+
+        warm = HomflyEngine()
+        warm.load_cache(path)
+        warm.homfly(braid_closure([1, 1, 1, 1, 1], 2))
+        hit = {code for code in warm.cache if code in old_codes}
+        assert hit and len(decoded) == len(hit) and len(hit) < len(old_codes)
+        before = path.read_text().splitlines()
+        assert warm.flush_cache(path) == len(warm.cache) - len(hit)
+        appended = path.read_text().splitlines()[len(before):]
+        assert {bytes.fromhex(json.loads(line)["code"]) for line in appended} == \
+            set(warm.cache) - old_codes
+        assert warm.flush_cache(path) == 0
+
+    def test_memory_entries_take_precedence_over_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        d = parse_pd(TREFOIL_PD)
+        engine = HomflyEngine()
+        p = engine.homfly(d)
+        code = d.simplify().canonical_code()
+        append_cache_file(path, {code: LaurentPoly2.one()})
+        engine.load_cache(path)
+        assert engine.homfly(d) == p
+        assert load_cache_file(path) == {code: LaurentPoly2.one()}
 
 
 class TestThreads:
