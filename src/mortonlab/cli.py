@@ -34,6 +34,7 @@ from .homfly import (
 )
 from .morton import (
     FamilyReport,
+    check_v_degree_bound,
     knot_level_defect,
     match_expected_polynomial,
     morton_bound_diagram,
@@ -404,6 +405,13 @@ def _dispatch(args):
         checked = skipped = 0
         for e in load_knot_table(args.table):
             if len(e.diagram.crossings) > args.limit:
+                if e.diagram.is_connected():
+                    try:
+                        check_v_degree_bound(e.diagram, engine.homfly(e.diagram),
+                                             "the engine's polynomial")
+                    except RuntimeError as exc:
+                        print(f"MFW_VIOLATION {e.name}: {exc}", file=sys.stderr)
+                        return 1
                 skipped += 1
                 continue
             fast = engine.homfly(e.diagram)

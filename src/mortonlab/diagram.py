@@ -24,9 +24,6 @@ from .errors import InvalidPDError, ParseError
 
 __all__ = ["Crossing", "Diagram", "parse_pd"]
 
-_SMOOTH = "smooth"
-_DELETE = "delete"
-
 
 class Crossing(NamedTuple):
     a: int
@@ -50,7 +47,7 @@ class Crossing(NamedTuple):
 class Diagram:
     """Immutable oriented link diagram."""
 
-    __slots__ = ("crossings", "free_loops", "_cycles", "_comp", "_pieces", "_split", "_code", "_ins")
+    __slots__ = ("crossings", "free_loops", "_cycles", "_comp", "_pieces", "_split", "_code")
 
     def __init__(self, crossings, free_loops=0, _validated=False):
         self.crossings = tuple(crossings)
@@ -60,7 +57,6 @@ class Diagram:
         self._pieces = None
         self._split = None
         self._code = None
-        self._ins = None
         if not _validated:
             self._validate()
 
@@ -90,16 +86,6 @@ class Diagram:
                 ends.add(e)
 
     # -- derived structure ---------------------------------------------
-
-    def _in_slots(self):
-        """Edge -> (index of the crossing it enters, "under" or "over")."""
-        if self._ins is None:
-            ins = {}
-            for i, x in enumerate(self.crossings):
-                ins[x.a] = (i, "under")
-                ins[x.over_in] = (i, "over")
-            self._ins = ins
-        return self._ins
 
     def component_cycles(self):
         """Oriented edge cycles, each rotated to start at its least label,
@@ -173,7 +159,7 @@ class Diagram:
             for idx in self._crossing_graph_pieces():
                 sub = [self.crossings[i] for i in idx]
                 key = min(min(x[:4]) for x in sub)
-                pieces.append((key, _renumber(sub, 0)))
+                pieces.append((key, _renumber(sub, 0, _validated=True)))
             pieces.sort(key=lambda kv: kv[0])
             out = [p for _, p in pieces]
             out.extend(Diagram((), 1, _validated=True) for _ in range(self.free_loops))
@@ -191,103 +177,29 @@ class Diagram:
             y = Crossing(x.b, x.c, x.d, x.a, 1)
         xs = list(self.crossings)
         xs[i] = y
-        return Diagram(xs, self.free_loops, _validated=True)
+        out = Diagram(xs, self.free_loops, _validated=True)
+        # every strand and the projection are kept
+        out._cycles, out._comp, out._pieces = self._cycles, self._comp, self._pieces
+        return out
 
     def smooth_crossing(self, i):
-        """Remove crossing i by the oriented smoothing."""
+        """Remove crossing i by the oriented smoothing and renumber, with no
+        Reidemeister moves (the engine reduces its smoothed child in _reduce)."""
         self._crossing(i)
-        return _renumber(*self._remove({i: _SMOOTH}))
+        return _reduce(self.crossings, self.free_loops, i, moves=False)
 
     def _crossing(self, i):
         if not isinstance(i, int) or not 0 <= i < len(self.crossings):
             raise IndexError(f"crossing index {i} out of range (0..{len(self.crossings) - 1})")
         return self.crossings[i]
 
-    def _remove(self, removals):
-        """Delete crossings, stitching their edges together; returns the
-        surviving crossings, in order and not renumbered, and the new
-        free-loop count.
-
-        removals maps crossing index to a mode: the oriented smoothing glues
-        under-in to over-out and over-in to under-out; plain deletion (used
-        by the Reidemeister moves) glues each strand straight through.
-        Stitched chains that close up with no surviving crossing become free
-        loops.
-        """
-        glue = {}
-        for i, mode in removals.items():
-            x = self.crossings[i]
-            if mode == _SMOOTH:
-                glue[x.a] = x.over_out
-                glue[x.over_in] = x.c
-            else:
-                glue[x.a] = x.c
-                glue[x.over_in] = x.over_out
-        survivors = [x for i, x in enumerate(self.crossings) if i not in removals]
-
-        rep = {}
-        new_loops = 0
-        glued_into = set(glue.values())
-        for e in list(glue):
-            if e in rep or e in glued_into:
-                continue
-            # open chain starting at e
-            chain = [e]
-            f = glue[e]
-            while f in glue:
-                chain.append(f)
-                f = glue[f]
-            chain.append(f)
-            for m in chain:
-                rep[m] = e
-        for e in glue:
-            if e not in rep:
-                # part of a closed glue cycle: a crossing-free loop
-                f = glue[e]
-                while f != e:
-                    rep[f] = e
-                    f = glue[f]
-                rep[e] = e
-                new_loops += 1
-        m = rep.get
-        mapped = [Crossing(m(a, a), m(b, b), m(c, c), m(d, d), s) for a, b, c, d, s in survivors]
-        return mapped, self.free_loops + new_loops
-
-    # -- Reidemeister I/II reduction ---------------------------------------
-
-    def _find_r1(self):
-        for i, (a, b, c, d, _) in enumerate(self.crossings):
-            if a == b or b == c or c == d or d == a:
-                return i
-        return None
-
-    def _find_r2(self):
-        ins = self._in_slots()
-        for i, x in enumerate(self.crossings):
-            j, kind = ins[x.over_out]
-            if j == i or kind != "over" or self.crossings[j].sign == x.sign:
-                continue
-            y = self.crossings[j]
-            # same strand passes over both; the under strand must also run
-            # directly between the two crossings (either direction)
-            if x.c == y.a or y.c == x.a:
-                return (i, j)
-        return None
-
     def simplify(self):
-        """Greedy crossing-reducing Reidemeister I and II moves to a fixpoint.
-
-        Moves are found and applied by crossing order and edge incidence
-        alone, so the intermediate diagrams keep their old edge labels and
-        the result is renumbered once."""
-        d = self
-        while True:
-            i = d._find_r1()
-            found = (i,) if i is not None else d._find_r2()
-            if found is None:
-                break
-            d = Diagram(*d._remove(dict.fromkeys(found, _DELETE)), _validated=True)
-        return self if d is self else _renumber(d.crossings, d.free_loops)
+        """Greedy crossing-reducing Reidemeister I and II moves to a fixpoint:
+        the first R1 move by crossing order, otherwise the first R2 move by
+        crossing order.  The result is renumbered once, and is this diagram
+        when no move applies."""
+        out = _reduce(self.crossings, self.free_loops)
+        return self if out is None else out
 
     # -- relabeling and canonical form ------------------------------------
 
@@ -425,25 +337,121 @@ def _least_tokens(crossings, ncomp, comp):
     return best
 
 
-def _renumber(crossings, free_loops):
+def _reduce(crossings, free_loops, smooth=None, moves=True):
+    """Stitch out crossing `smooth` by the oriented smoothing, if given,
+    then take Reidemeister moves to a fixpoint if `moves`: each time the
+    first R1 by crossing order, else the first R2.  All of it works on one
+    list in crossing order (None for a removed crossing) and one _entries
+    map; the result is renumbered once, or None when nothing changed."""
+    xs = list(crossings)
+    ins = _entries(xs)
+    loops = free_loops
+    if smooth is not None:
+        loops += _stitch(xs, ins, (smooth,), True)
+    while moves and (found := _first_move(xs, ins)):
+        loops += _stitch(xs, ins, found, False)
+    if None not in xs:
+        return None
+    return _renumber([x for x in xs if x is not None], loops, _validated=True)
+
+
+def _first_move(xs, ins):
+    """Indices of the first R1 move in the working list, else of the first R2."""
+    for i, x in enumerate(xs):
+        if x is not None:
+            a, b, c, d, _ = x
+            if a == b or b == c or c == d or d == a:
+                return (i,)
+    for i, x in enumerate(xs):
+        if x is not None:
+            a, b, c, d, s = x
+            j, under = ins[b if s > 0 else d]
+            # the same strand passes over both; the under strand must also
+            # run directly between the two crossings (either direction)
+            if j != i and not under and xs[j].sign != s and (c == xs[j].a or xs[j].c == a):
+                return (i, j)
+    return None
+
+
+def _stitch(xs, ins, removed, smooth):
+    """Remove crossings from the working list and its edge map, gluing the
+    edges through each: the smoothing joins under-in to over-out and
+    over-in to under-out, deletion runs each strand straight through.  A
+    glued chain keeps its first edge's label, written into the surviving
+    crossing that its last edge enters; returns how many chains close up."""
+    glue = {}
+    for i in removed:
+        a, b, c, d, s = xs[i]
+        o_in, o_out = (d, b) if s > 0 else (b, d)
+        glue[a], glue[o_in] = (o_out, c) if smooth else (c, o_out)
+        del ins[a], ins[o_in]
+        xs[i] = None
+    closed, heads = set(glue), set(glue.values())
+    for e in glue:
+        if e in heads:
+            continue
+        f = e
+        while f in glue:
+            closed.discard(f)
+            f = glue[f]
+        j, under = ins[e] = ins.pop(f)
+        a, b, c, d, s = xs[j]
+        if under:
+            a = e
+        elif s > 0:
+            d = e
+        else:
+            b = e
+        xs[j] = Crossing(a, b, c, d, s)
+    loops = 0
+    while closed:
+        e = closed.pop()
+        while glue[e] in closed:
+            e = glue[e]
+            closed.remove(e)
+        loops += 1
+    return loops
+
+
+def _renumber(crossings, free_loops, _validated=False):
     """Relabel arbitrary hashable edge labels to 1..2c by traversal order.
 
     Components are taken in order of first appearance scanning the crossing
-    list slotwise; each is walked from its first-seen edge.
+    list slotwise; each is walked from its first-seen edge, so component k
+    takes one run of labels lo_k..hi_k in walking order.  The new diagram
+    records those runs as its component cycles instead of walking them
+    again.
     """
-    if not crossings:
-        return Diagram((), free_loops, _validated=True)
     succ = _successors(crossings)
     label = {}
     nxt = 1
+    starts = []
     for x in crossings:
         for e in x[:4]:
-            while e not in label:
-                label[e] = nxt
-                nxt += 1
-                e = succ[e]
-    out = [Crossing(label[a], label[b], label[c], label[d], s) for a, b, c, d, s in crossings]
-    return Diagram(out, free_loops)
+            if e not in label:
+                starts.append(nxt)
+                while e not in label:
+                    label[e] = nxt
+                    nxt += 1
+                    e = succ[e]
+    out = Diagram([Crossing(label[a], label[b], label[c], label[d], s)
+                   for a, b, c, d, s in crossings], free_loops, _validated)
+    starts.append(nxt)
+    cycles, comp = [], [0]
+    for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        cycles.append(tuple(range(lo, hi)))
+        comp += [k] * (hi - lo)
+    out._cycles = tuple(cycles) + ((),) * free_loops
+    out._comp = comp
+    return out
+
+
+def _entries(crossings):
+    """Edge -> (index of the crossing it enters, whether it enters under)."""
+    ins = {}
+    for i, (a, b, c, d, s) in enumerate(crossings):
+        ins[a], ins[d if s > 0 else b] = (i, True), (i, False)
+    return ins
 
 
 def _successors(crossings):

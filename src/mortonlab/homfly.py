@@ -33,7 +33,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .diagram import Diagram
+from .diagram import Diagram, _entries, _reduce
 from .errors import CacheIOError, ParseError, TooLargeError
 from .poly import LaurentPoly2, delta_factor
 
@@ -67,18 +67,18 @@ def choose_skein_crossing(d: Diagram):
     with other components are met first by the earlier component whatever
     the basepoints, so they do not enter the choice.
     """
-    ins = d._in_slots()
+    ins = _entries(d.crossings)
     seen = [False] * len(d.crossings)
     for cyc in d.component_cycles():
         diff = [0] * (len(cyc) + 1)
         first = {}
         bad = 0
         for q, e in enumerate(cyc):
-            i, kind = ins[e]
+            i, under = ins[e]
             p = first.setdefault(i, q)
             if p != q:
                 # met under first from basepoint 0 iff passed over at q
-                step = 1 if kind == "under" else -1
+                step = 1 if under else -1
                 bad += step < 0
                 diff[p + 1] += step
                 diff[q + 1] -= step
@@ -88,9 +88,9 @@ def choose_skein_crossing(d: Diagram):
             if bad <= least:
                 start, least = s, bad
         for e in cyc[start:] + cyc[:start]:
-            i, kind = ins[e]
+            i, under = ins[e]
             if not seen[i]:
-                if kind == "under":
+                if under:
                     return i
                 seen[i] = True
     return None
@@ -99,14 +99,14 @@ def choose_skein_crossing(d: Diagram):
 def _least_label_crossing(d: Diagram):
     """Like choose_skein_crossing, with every basepoint at its component's
     least label: the resolution tree of the oracle and of skein traces."""
-    first = {}
-    ins = d._in_slots()
+    first = set()
+    ins = _entries(d.crossings)
     for cyc in d.component_cycles():
         for e in cyc:
-            i, kind = ins[e]
+            i, under = ins[e]
             if i not in first:
-                first[i] = kind
-                if kind == "under":
+                first.add(i)
+                if under:
                     return i
     return None
 
@@ -152,12 +152,13 @@ class HomflyEngine:
 
     def homfly(self, d: Diagram) -> LaurentPoly2:
         try:
-            return self._eval(d)
+            return self._eval(d.simplify())
         except RecursionError:
             raise _too_deep(d) from None
 
     def _eval(self, d: Diagram) -> LaurentPoly2:
-        d = d.simplify()
+        """P of a diagram that admits no R1 or R2 move; so do the connected
+        pieces of a split one, as each move lies within one piece."""
         code = d.canonical_code()
         hit = self.cache.get(code)
         if hit is None and self._undecoded:
@@ -182,8 +183,8 @@ class HomflyEngine:
         if i is None:
             return _descending_value(d)
         self.expansions += 1
-        switched = self._eval(d.switch_crossing(i))
-        smoothed = self._eval(d.smooth_crossing(i))
+        switched = self._eval(d.switch_crossing(i).simplify())
+        smoothed = self._eval(_reduce(d.crossings, d.free_loops, i))
         contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
         return contrib_sw + contrib_sm
 

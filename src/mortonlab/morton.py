@@ -44,6 +44,7 @@ __all__ = [
     "FamilyReport",
     "morton_bound_diagram",
     "morton_defect",
+    "check_v_degree_bound",
     "knot_level_defect",
     "verify_skein_degree_inequalities",
     "verify_theorem_family",
@@ -71,6 +72,19 @@ def morton_defect(d: Diagram, engine: HomflyEngine | None = None) -> int:
     if defect < 0:
         raise RuntimeError(f"degree bound violated: M={m} > bound={bound}")
     return defect
+
+
+def check_v_degree_bound(d: Diagram, p: LaurentPoly2, what: str, s: int | None = None):
+    """Raise RuntimeError naming `what` unless P = p of the connected diagram
+    d meets the Morton-Franks-Williams bound w - s + 1 <= min deg_v P <=
+    max deg_v P <= w + s - 1 (writhe w, s Seifert circles, found if not given)."""
+    if s is None:
+        s = seifert_circles(d).num_circles
+    w = d.writhe()
+    evs = [ev for ev, _ in p.terms]
+    if not w - s + 1 <= min(evs) <= max(evs) <= w + s - 1:
+        raise RuntimeError(f"v-degree bound violated for {what}: "
+                           f"deg_v in [{min(evs)}, {max(evs)}], w={w}, s={s}")
 
 
 def knot_level_defect(gc_claimed: int, m: int) -> int:
@@ -248,12 +262,7 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
         if d.is_connected():
             dec = seifert_circles(d)
             s, genus = dec.num_circles, dec.diagram_genus
-            w = d.writhe()
-            evs = [ev for ev, _ in p.terms]
-            if not w - s + 1 <= min(evs) <= max(evs) <= w + s - 1:
-                raise RuntimeError(
-                    f"v-degree bound violated for family row n={n}: "
-                    f"deg_v in [{min(evs)}, {max(evs)}], w={w}, s={s}")
+            check_v_degree_bound(d, p, f"family row n={n}", s)
         bound = 2 * gc_claimed - 1 + n
         report.rows.append(FamilyRow(n=n, c=len(d.crossings), s=s, genus=genus,
                                      m=m, bound=bound, strict=m < bound))

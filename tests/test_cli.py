@@ -19,6 +19,7 @@ from mortonlab.errors import (
 from mortonlab.family import FamilySpec, braid_closure
 from mortonlab.homfly import HomflyEngine
 from mortonlab.morton import verify_theorem_family
+from mortonlab.poly import LaurentPoly2
 
 SMALL = os.path.join(DATA_DIR, "small_knots.csv")
 
@@ -180,6 +181,21 @@ class TestCommands:
         p.write_text('name,pd\ntre,"X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"\n')
         assert run_command(["oracle-check", "--table", str(p)]) == 0
         assert json.loads(capsys.readouterr().out)["checked"] == 1
+
+    def test_oracle_check_report_bytes_with_rows_above_limit(self, capsys):
+        # rows above --limit are evaluated and checked against the
+        # v-degree bound; a passing table keeps the report bytes
+        assert run_command(["oracle-check", "--table", SMALL, "--limit", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert out == '{\n  "agree": true,\n  "checked": 4,\n  "skipped": 10\n}\n'
+        assert err == ""
+
+    def test_oracle_check_v_degree_violation_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(HomflyEngine, "homfly", lambda self, d: LaurentPoly2({(99, 0): 1}))
+        assert run_command(["oracle-check", "--table", SMALL, "--limit", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("MFW_VIOLATION 3_1: v-degree bound violated")
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "r.json"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
-from mortonlab.diagram import _DELETE, Diagram, _renumber, parse_pd
+from mortonlab.diagram import Crossing, Diagram, _entries, _reduce, _renumber, parse_pd
 from mortonlab.errors import InvalidPDError, ParseError
 from mortonlab.family import whitehead_double
 
@@ -405,14 +405,90 @@ def _reference_code(d):
     return body + b"|%d" % d.free_loops
 
 
+_SMOOTH = "smooth"
+_DELETE = "delete"
+
+
+def _remove(diagram, removals):
+    """Delete crossings, stitching their edges together; returns the
+    surviving crossings, in order and not renumbered, and the new
+    free-loop count.
+
+    removals maps crossing index to a mode: the oriented smoothing glues
+    under-in to over-out and over-in to under-out; plain deletion (used
+    by the Reidemeister moves) glues each strand straight through.
+    Stitched chains that close up with no surviving crossing become free
+    loops.
+    """
+    glue = {}
+    for i, mode in removals.items():
+        x = diagram.crossings[i]
+        if mode == _SMOOTH:
+            glue[x.a] = x.over_out
+            glue[x.over_in] = x.c
+        else:
+            glue[x.a] = x.c
+            glue[x.over_in] = x.over_out
+    survivors = [x for i, x in enumerate(diagram.crossings) if i not in removals]
+
+    rep = {}
+    new_loops = 0
+    glued_into = set(glue.values())
+    for e in list(glue):
+        if e in rep or e in glued_into:
+            continue
+        # open chain starting at e
+        chain = [e]
+        f = glue[e]
+        while f in glue:
+            chain.append(f)
+            f = glue[f]
+        chain.append(f)
+        for m in chain:
+            rep[m] = e
+    for e in glue:
+        if e not in rep:
+            # part of a closed glue cycle: a crossing-free loop
+            f = glue[e]
+            while f != e:
+                rep[f] = e
+                f = glue[f]
+            rep[e] = e
+            new_loops += 1
+    m = rep.get
+    mapped = [Crossing(m(a, a), m(b, b), m(c, c), m(d, d), s) for a, b, c, d, s in survivors]
+    return mapped, diagram.free_loops + new_loops
+
+
+def _find_r1(diagram):
+    for i, (a, b, c, d, _) in enumerate(diagram.crossings):
+        if a == b or b == c or c == d or d == a:
+            return i
+    return None
+
+
+def _find_r2(diagram):
+    ins = _entries(diagram.crossings)
+    for i, x in enumerate(diagram.crossings):
+        j, under = ins[x.over_out]
+        if j == i or under or diagram.crossings[j].sign == x.sign:
+            continue
+        y = diagram.crossings[j]
+        # same strand passes over both; the under strand must also run
+        # directly between the two crossings (either direction)
+        if x.c == y.a or y.c == x.a:
+            return (i, j)
+    return None
+
+
 def _reference_simplify(d):
     """R1/R2 moves to a fixpoint, renumbering after every single move."""
     while True:
-        i = d._find_r1()
-        found = (i,) if i is not None else d._find_r2()
+        i = _find_r1(d)
+        found = (i,) if i is not None else _find_r2(d)
         if found is None:
             return d
-        d = _renumber(*d._remove(dict.fromkeys(found, _DELETE)))
+        d = _renumber(*_remove(d, dict.fromkeys(found, _DELETE)))
 
 
 _words = st.integers(min_value=2, max_value=5).flatmap(
@@ -457,3 +533,36 @@ class TestAgainstReferences:
         s, r = d.simplify(), _reference_simplify(d)
         assert s.crossings == r.crossings
         assert s.free_loops == r.free_loops
+
+    @given(_diagrams())
+    @example(parse_pd("X[1,1,2,2]"))
+    @example(braid_closure([1, -1, 2, -2, 1, 3, -3], 4))
+    @settings(max_examples=150, deadline=None)
+    def test_reduced_smoothing_matches_smooth_then_simplify(self, d):
+        for i in range(len(d.crossings)):
+            smoothed = d.smooth_crossing(i)
+            ref = _renumber(*_remove(d, {i: _SMOOTH}))
+            assert (smoothed.crossings, smoothed.free_loops) == (ref.crossings, ref.free_loops)
+            s, r = _reduce(d.crossings, d.free_loops, i), smoothed.simplify()
+            assert (s.crossings, s.free_loops) == (r.crossings, r.free_loops)
+
+    @given(_diagrams())
+    @example(braid_closure([1, 1, 3, 3, 3], 5))
+    @settings(max_examples=150, deadline=None)
+    def test_carried_cycles_match_a_fresh_walk(self, d):
+        def assert_carried(x):
+            fresh = Diagram(x.crossings, x.free_loops)  # runs _validate
+            assert x._cycles is not None
+            assert x._cycles == fresh.component_cycles()
+            assert x._comp == fresh._comp
+
+        renumbered = [d, d.simplify(), *(p for p in d.split_pieces() if p.crossings)]
+        renumbered += [_reduce(d.crossings, d.free_loops, i) for i in range(len(d.crossings))]
+        for x in renumbered:
+            assert_carried(x)
+        d.is_connected()
+        for i in range(len(d.crossings)):
+            switched = d.switch_crossing(i)
+            assert_carried(switched)
+            fresh = Diagram(switched.crossings, switched.free_loops)
+            assert switched._pieces == fresh._crossing_graph_pieces()

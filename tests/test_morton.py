@@ -16,6 +16,7 @@ from mortonlab.family import FamilySpec, insert_parallel_bands, whitehead_double
 from mortonlab.homfly import HomflyEngine
 from mortonlab.morton import (
     FamilyReport,
+    check_v_degree_bound,
     knot_level_defect,
     match_expected_polynomial,
     morton_bound_diagram,
@@ -37,6 +38,13 @@ class TestBounds:
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             morton_bound_diagram(parse_pd("O O"))
+
+    def test_v_degree_bound_helper(self, engine):
+        # the left-handed trefoil has w = -3 and s = 2: v-degrees in [-4, -2]
+        d = parse_pd(TREFOIL_PD)
+        check_v_degree_bound(d, engine.homfly(d), "trefoil")
+        with pytest.raises(RuntimeError, match=r"for trefoil: deg_v in \[0, 0\], w=-3, s=2"):
+            check_v_degree_bound(d, LaurentPoly2({(0, 2): 1}), "trefoil")
 
     def test_bound_equals_genus_form(self, small_knots):
         from mortonlab.seifert import diagram_genus, seifert_circles

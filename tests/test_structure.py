@@ -1,8 +1,9 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, the skein rule written once, a package namespace that does not
-shadow its modules, and the attributes the benchmark's layer trace wraps;
-and over scripts/: nothing imported from the test tree."""
+shadow its modules, the attributes the benchmark's layer trace wraps, and
+a cold evaluation that neither validates nor walks cycles again; and over
+scripts/: nothing imported from the test tree."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pytest
 
 import mortonlab
 from mortonlab.diagram import Diagram, parse_pd
+from mortonlab.family import braid_closure
 from mortonlab.homfly import HomflyEngine
 
 SOURCES = sorted(Path(mortonlab.__file__).parent.glob("*.py"))
@@ -136,3 +138,39 @@ def test_engine_reads_cache_only_through_get():
     first = engine.homfly(d)
     assert engine.homfly(d) == first
     assert cache.gets > 0 and len(cache) > 0
+
+
+def test_engine_neither_revalidates_nor_rewalks_cycles(monkeypatch):
+    # renumbered and switched diagrams are built valid and carry their
+    # component cycles, so a cold evaluation validates nothing after
+    # parse_pd and walks the cycles only of diagrams made otherwise
+    module = importlib.import_module("mortonlab.diagram")
+    d = parse_pd(braid_closure([1, 2, 3] * 5, 4).serialize())
+    validations, walks, made = [], [], {}
+
+    def keep(made_by):
+        def made_here(*args, **kwargs):
+            out = made_by(*args, **kwargs)
+            made[id(out)] = out
+            return out
+        return made_here
+
+    def counted_validate(self):
+        validations.append(self)
+        return validate(self)
+
+    def counted_cycles(self):
+        if self._cycles is None:
+            walks.append(self)
+        return cycles(self)
+
+    validate, cycles = Diagram._validate, Diagram.component_cycles
+    monkeypatch.setattr(module, "_renumber", keep(module._renumber))
+    monkeypatch.setattr(Diagram, "switch_crossing", keep(Diagram.switch_crossing))
+    monkeypatch.setattr(Diagram, "_validate", counted_validate)
+    monkeypatch.setattr(Diagram, "component_cycles", counted_cycles)
+    engine = HomflyEngine()
+    engine.homfly(d)
+    assert engine.expansions > 0 and len(made) > engine.expansions
+    assert validations == []
+    assert walks and [w for w in walks if id(w) in made] == []
