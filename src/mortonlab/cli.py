@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -30,6 +31,8 @@ from .homfly import (
     DEFAULT_TRACE_LIMIT,
     HomflyEngine,
     SkeinTrace,
+    naive_homfly,
+    skein_trace,
     trace_to_dot,
 )
 from .morton import (
@@ -99,45 +102,21 @@ def load_knot_table(path, warn=None):
 
 
 def export_report(payload, fmt) -> bytes:
-    """Deterministic bytes for a report payload in the requested format."""
-    if isinstance(payload, FamilyReport):
-        if fmt == "json":
-            return (json.dumps(payload.to_json_obj(), indent=2, sort_keys=True) + "\n").encode()
-        if fmt == "csv":
-            return payload.to_csv().encode()
-        if fmt == "table":
-            return payload.to_text_table().encode()
-        raise UnsupportedFormatError(f"family report cannot be exported as {fmt}")
-    if isinstance(payload, SkeinTrace):
-        if fmt == "dot":
-            return trace_to_dot(payload).encode()
-        if fmt == "json":
-            obj = {
-                "stats": payload.stats,
-                "cancellations": [n.id for n in payload.nodes if n.cancellation],
-                "nodes": [
-                    {
-                        "id": n.id,
-                        "role": n.role,
-                        "m": n.m,
-                        "chosen_crossing": n.chosen_crossing,
-                        "switch": n.switched_child,
-                        "smooth": n.smoothed_child,
-                        "cancellation": n.cancellation,
-                    }
-                    for n in payload.nodes
-                ],
-            }
-            return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
-        raise UnsupportedFormatError(f"skein trace cannot be exported as {fmt}")
-    if isinstance(payload, dict):
-        if fmt == "json":
-            return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-        if fmt == "csv":
-            lines = [",".join(str(k) for k in payload)]
-            lines.append(",".join(str(v) for v in payload.values()))
-            return ("\n".join(lines) + "\n").encode()
-        raise UnsupportedFormatError(f"stats cannot be exported as {fmt}")
+    """Deterministic bytes for a report payload (a FamilyReport, a
+    SkeinTrace or a dict) in the requested format."""
+    if fmt == "json":
+        obj = payload.to_json_obj() if isinstance(payload, (FamilyReport, SkeinTrace)) else payload
+        return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    if isinstance(payload, FamilyReport) and fmt == "csv":
+        return payload.to_csv().encode()
+    if isinstance(payload, FamilyReport) and fmt == "table":
+        return payload.to_text_table().encode()
+    if isinstance(payload, SkeinTrace) and fmt == "dot":
+        return trace_to_dot(payload).encode()
+    if isinstance(payload, dict) and fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([payload, payload.values()])
+        return out.getvalue().encode()
     raise UnsupportedFormatError(f"cannot export {type(payload).__name__} as {fmt}")
 
 
@@ -149,8 +128,6 @@ _SHARED_OPTIONS = {
     "--table": {"help": "name,pd CSV file"},
     "--name": {"help": "entry name inside --table"},
     "--cache": {"help": f"polynomial cache file (or ${CACHE_ENV})"},
-    "--format": {"dest": "fmt", "choices": ["json", "csv", "table", "dot"]},
-    "--mirror": {"default": "auto", "choices": ["auto", "off", "on"]},
     "--out": {"help": "write primary output to this file instead of stdout"},
 }
 
@@ -162,47 +139,52 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="mortonlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, help, options, fmt_default="table"):
-        """Subparser taking the listed shared options (a space-separated string)."""
+    def command(name, help, options, formats=(), mirrors=()):
+        """Subparser taking the listed shared options (a space-separated
+        string), and --format and --mirror with the given values, the
+        first of each the default."""
         p = sub.add_parser(name, help=help)
         for flag in options.split():
-            kwargs = dict(_SHARED_OPTIONS[flag])
-            if flag == "--format":
-                kwargs["default"] = fmt_default
-            p.add_argument(flag, **kwargs)
+            p.add_argument(flag, **_SHARED_OPTIONS[flag])
+        if formats:
+            p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
+        if mirrors:
+            p.add_argument("--mirror", choices=mirrors, default=mirrors[0])
         return p
 
-    command("parse", "validate PD text and echo the diagram", "--pd --table --name --format --out")
+    command("parse", "validate PD text and echo the diagram", "--pd --table --name --out",
+            ("json", "csv"))
 
     p = command("homfly", "HOMFLY polynomial of a diagram",
-                "--pd --table --name --cache --format --mirror --out")
+                "--pd --table --name --cache --out", ("json",), ("auto", "off", "on"))
     p.add_argument("--expect", help="expected polynomial as JSON term records")
 
     command("seifert", "Seifert circles / genus report (CSV)", "--pd --table --name --out")
 
-    p = command("family", "emit parallel-band diagrams L_n", "--pd --table --name --format --out")
+    p = command("family", "emit parallel-band diagrams L_n", "--pd --table --name --out",
+                ("table", "json"))
     p.add_argument("--crossing", default="auto")
     p.add_argument("--ns", default="0,1,2,3", help="comma-separated band counts")
 
     p = command("verify", "audit M(L_n) < 2*gc - 1 + n over a family",
-                "--pd --table --name --cache --format --mirror --out")
+                "--pd --table --name --cache --out", ("table", "json", "csv"), ("auto", "off"))
     p.add_argument("--gc", type=int, required=True, help="knot-level canonical genus (given)")
     p.add_argument("--crossing", default="auto")
     p.add_argument("--nmax", type=int, default=5)
     p.add_argument("--budget", type=float, default=None, help="seconds")
     p.add_argument("--expect", help="expected base polynomial as JSON term records")
 
-    p = command("skein-tree", "materialize the resolution tree",
-                "--pd --table --name --format --out", fmt_default="dot")
+    p = command("skein-tree", "materialize the resolution tree", "--pd --table --name --out",
+                ("dot", "json"))
     p.add_argument("--trace-limit", type=int, default=DEFAULT_TRACE_LIMIT)
 
-    p = command("double", "blackboard-framed Whitehead double",
-                "--pd --table --name --format --out")
+    p = command("double", "blackboard-framed Whitehead double", "--pd --table --name --out",
+                ("json", "csv"))
     p.add_argument("--clasp", type=int, default=1, choices=[1, -1])
     p.add_argument("--twists", type=int, default=0)
 
-    p = command("oracle-check", "homfly vs naive oracle over a table",
-                "--table --cache --format --out")
+    p = command("oracle-check", "homfly vs naive oracle over a table", "--table --cache --out",
+                ("json", "csv"))
     p.add_argument("--limit", type=int, default=DEFAULT_ORACLE_LIMIT)
 
     return top
@@ -289,7 +271,7 @@ def _dispatch(args):
             "free_loops": d.free_loops,
             "pd": d.serialize(),
         }
-        _emit(export_report(obj, "json" if args.fmt == "table" else args.fmt), args)
+        _emit(export_report(obj, args.fmt), args)
         return 0
 
     if cmd == "homfly":
@@ -314,7 +296,7 @@ def _dispatch(args):
         print(f"expansions: {engine.expansions}", file=sys.stderr)
         if args.expect:
             obj["expected_match"] = match
-        _emit(export_report(obj, "json" if args.fmt in ("table", "dot") else args.fmt), args)
+        _emit(export_report(obj, args.fmt), args)
         return code
 
     if cmd == "seifert":
@@ -333,10 +315,12 @@ def _dispatch(args):
         d, name = _diagram_from_args(args)
         crossing = _auto_crossing(d) if args.crossing == "auto" else int(args.crossing)
         ns = [int(v) for v in args.ns.split(",") if v != ""]
+        members = [(n, insert_parallel_bands(d, crossing, n)) for n in ns]
+        if args.fmt == "table":
+            _emit(("\n".join(dn.serialize() for _, dn in members) + "\n").encode(), args)
+            return 0
         manifest = []
-        chunks = []
-        for n in ns:
-            dn = insert_parallel_bands(d, crossing, n)
+        for n, dn in members:
             dec = seifert_circles(dn) if dn.is_connected() else None
             manifest.append({
                 "n": n,
@@ -346,19 +330,15 @@ def _dispatch(args):
                 "components": dn.num_components(),
                 "pd": dn.serialize(),
             })
-            chunks.append(dn.serialize())
-        if args.fmt == "json":
-            _emit(export_report({"base": name, "crossing": crossing, "members": manifest},
-                                "json"), args)
-        else:
-            _emit(("\n".join(chunks) + "\n").encode(), args)
+        _emit(export_report({"base": name, "crossing": crossing, "members": manifest},
+                            args.fmt), args)
         return 0
 
     if cmd == "verify":
         d, name = _diagram_from_args(args)
         engine, cache_path = _engine_from_args(args)
         crossing = _auto_crossing(d) if args.crossing == "auto" else int(args.crossing)
-        spec = FamilySpec(d, crossing, list(range(args.nmax + 1)))
+        spec = FamilySpec(d, crossing, [])
         report = verify_theorem_family(
             spec, gc_claimed=args.gc, n_max=args.nmax, engine=engine,
             budget_seconds=args.budget, base_name=name,
@@ -366,21 +346,17 @@ def _dispatch(args):
         match = _expected_match(engine.homfly(d), args) if args.expect else None
         if cache_path:
             engine.flush_cache(cache_path)
-        if args.expect:
-            obj = report.to_json_obj()
-            obj["expected_match"] = match
-            data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
-            _emit(data if args.fmt == "json" else export_report(report, args.fmt), args)
-            if not match:
-                return 1
-        else:
-            _emit(export_report(report, args.fmt), args)
+        payload = report
+        if args.expect and args.fmt == "json":
+            payload = {**report.to_json_obj(), "expected_match": match}
+        _emit(export_report(payload, args.fmt), args)
+        if args.expect and not match:
+            return 1
         return 0 if report.all_strict() else 1
 
     if cmd == "skein-tree":
         d, _ = _diagram_from_args(args)
-        trace = HomflyEngine(trace_limit=args.trace_limit).skein_trace(d)
-        _emit(export_report(trace, args.fmt if args.fmt in ("dot", "json") else "dot"), args)
+        _emit(export_report(skein_trace(d, args.trace_limit), args.fmt), args)
         return 0
 
     if cmd == "double":
@@ -394,14 +370,13 @@ def _dispatch(args):
             "genus_bound_crossings_of_base": len(d.crossings),
             "pd": w.serialize(),
         }
-        _emit(export_report(obj, "json" if args.fmt in ("table", "dot") else args.fmt), args)
+        _emit(export_report(obj, args.fmt), args)
         return 0
 
     if cmd == "oracle-check":
         if not args.table:
             raise UsageError("oracle-check needs --table")
         engine, _ = _engine_from_args(args)
-        engine.oracle_limit = args.limit
         checked = skipped = 0
         for e in load_knot_table(args.table):
             if len(e.diagram.crossings) > args.limit:
@@ -415,14 +390,14 @@ def _dispatch(args):
                 skipped += 1
                 continue
             fast = engine.homfly(e.diagram)
-            slow = engine.naive_homfly(e.diagram)
+            slow = naive_homfly(e.diagram, args.limit)
             if fast != slow:
                 print(f"MISMATCH {e.name}: engine={fast.pretty()} oracle={slow.pretty()}",
                       file=sys.stderr)
                 return 1
             checked += 1
-        _emit(export_report({"checked": checked, "skipped": skipped, "agree": True},
-                            "json" if args.fmt in ("table", "dot") else args.fmt), args)
+        _emit(export_report({"checked": checked, "skipped": skipped, "agree": True}, args.fmt),
+              args)
         return 0
 
     raise UsageError(f"unknown command {cmd!r}")

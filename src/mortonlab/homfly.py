@@ -42,6 +42,7 @@ __all__ = [
     "SkeinNode",
     "SkeinTrace",
     "naive_homfly",
+    "skein_trace",
     "choose_skein_crossing",
     "trace_to_dot",
     "load_cache_file",
@@ -139,16 +140,11 @@ class HomflyEngine:
     deep for the interpreter's recursion limit raises TooLargeError.
     """
 
-    def __init__(self, cache=None, oracle_limit=DEFAULT_ORACLE_LIMIT,
-                 trace_limit=DEFAULT_TRACE_LIMIT):
+    def __init__(self, cache=None):
         self.cache = {} if cache is None else cache
-        self.oracle_limit = oracle_limit
-        self.trace_limit = trace_limit
         self.expansions = 0
         self._loaded_keys = set()
         self._undecoded = {}
-
-    # -- cached engine --------------------------------------------------
 
     def homfly(self, d: Diagram) -> LaurentPoly2:
         try:
@@ -188,71 +184,6 @@ class HomflyEngine:
         contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
         return contrib_sw + contrib_sm
 
-    # -- independent oracle ----------------------------------------------
-
-    def naive_homfly(self, d: Diagram) -> LaurentPoly2:
-        """Same value as homfly, computed with no cache, no simplification
-        and no split shortcut; guarded by the oracle crossing limit."""
-        if len(d.crossings) > self.oracle_limit:
-            raise TooLargeError(
-                f"{len(d.crossings)} crossings exceeds oracle limit {self.oracle_limit}"
-            )
-        try:
-            return self._naive(d)
-        except RecursionError:
-            raise _too_deep(d) from None
-
-    def _naive(self, d: Diagram) -> LaurentPoly2:
-        i = _least_label_crossing(d)
-        if i is None:
-            return _descending_value(d)
-        switched = self._naive(d.switch_crossing(i))
-        smoothed = self._naive(d.smooth_crossing(i))
-        contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
-        return contrib_sw + contrib_sm
-
-    # -- full resolution trace ---------------------------------------------
-
-    def skein_trace(self, d: Diagram) -> "SkeinTrace":
-        """Materialized resolution tree (uncached, unsimplified), with the
-        polynomial and its z-degree recorded at every node."""
-        if len(d.crossings) > self.trace_limit:
-            raise TooLargeError(
-                f"{len(d.crossings)} crossings exceeds trace limit {self.trace_limit}"
-            )
-        trace = SkeinTrace()
-        trace.root = self._trace(d, "ROOT", 0, trace)
-        trace.stats = {
-            "nodes": len(trace.nodes),
-            "cancellations": sum(1 for n in trace.nodes if n.cancellation),
-            "max_depth": max(n.depth for n in trace.nodes),
-        }
-        return trace
-
-    def _trace(self, d, role, depth, trace):
-        i = _least_label_crossing(d)
-        node_id = len(trace.nodes)
-        if i is None:
-            node = SkeinNode(
-                id=node_id, code=d.canonical_code(), role="BASE_UNLINK",
-                chosen_crossing=None, poly=_descending_value(d), depth=depth,
-            )
-            trace.nodes.append(node)
-            return node_id
-        node = SkeinNode(id=node_id, code=d.canonical_code(), role=role,
-                         chosen_crossing=i, poly=None, depth=depth)
-        trace.nodes.append(node)
-        sw = self._trace(d.switch_crossing(i), "SWITCHED_CHILD", depth + 1, trace)
-        sm = self._trace(d.smooth_crossing(i), "SMOOTHED_CHILD", depth + 1, trace)
-        node.switched_child = sw
-        node.smoothed_child = sm
-        node.sign = d.crossings[i].sign
-        contrib_sw, contrib_sm = _skein_terms(node.sign, trace.nodes[sw].poly,
-                                              trace.nodes[sm].poly)
-        node.poly = contrib_sw + contrib_sm
-        node.cancellation = _leading_terms_cancelled(node.poly, contrib_sw, contrib_sm)
-        return node_id
-
     # -- persistent cache ----------------------------------------------------
 
     def load_cache(self, path):
@@ -276,6 +207,69 @@ class HomflyEngine:
         return len(new)
 
 
+# -- independent oracle and full resolution trace ---------------------------
+
+
+def naive_homfly(d: Diagram, limit=DEFAULT_ORACLE_LIMIT) -> LaurentPoly2:
+    """Same value as HomflyEngine.homfly, computed with no cache, no
+    simplification and no split shortcut; diagrams of more than limit
+    crossings raise TooLargeError."""
+    if len(d.crossings) > limit:
+        raise TooLargeError(f"{len(d.crossings)} crossings exceeds oracle limit {limit}")
+    try:
+        return _naive(d)
+    except RecursionError:
+        raise _too_deep(d) from None
+
+
+def _naive(d: Diagram) -> LaurentPoly2:
+    i = _least_label_crossing(d)
+    if i is None:
+        return _descending_value(d)
+    switched = _naive(d.switch_crossing(i))
+    smoothed = _naive(d.smooth_crossing(i))
+    contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
+    return contrib_sw + contrib_sm
+
+
+def skein_trace(d: Diagram, limit=DEFAULT_TRACE_LIMIT) -> "SkeinTrace":
+    """Materialized resolution tree (uncached, unsimplified), with the
+    polynomial and its z-degree recorded at every node; diagrams of more
+    than limit crossings raise TooLargeError."""
+    if len(d.crossings) > limit:
+        raise TooLargeError(f"{len(d.crossings)} crossings exceeds trace limit {limit}")
+    trace = SkeinTrace()
+    trace.root = _trace(d, "ROOT", 0, trace)
+    trace.stats = {
+        "nodes": len(trace.nodes),
+        "cancellations": sum(1 for n in trace.nodes if n.cancellation),
+        "max_depth": max(n.depth for n in trace.nodes),
+    }
+    return trace
+
+
+def _trace(d, role, depth, trace):
+    i = _least_label_crossing(d)
+    node_id = len(trace.nodes)
+    if i is None:
+        node = SkeinNode(id=node_id, role="BASE_UNLINK", chosen_crossing=None,
+                         poly=_descending_value(d), depth=depth)
+        trace.nodes.append(node)
+        return node_id
+    node = SkeinNode(id=node_id, role=role, chosen_crossing=i, poly=None, depth=depth)
+    trace.nodes.append(node)
+    sw = _trace(d.switch_crossing(i), "SWITCHED_CHILD", depth + 1, trace)
+    sm = _trace(d.smooth_crossing(i), "SMOOTHED_CHILD", depth + 1, trace)
+    node.switched_child = sw
+    node.smoothed_child = sm
+    node.sign = d.crossings[i].sign
+    contrib_sw, contrib_sm = _skein_terms(node.sign, trace.nodes[sw].poly,
+                                          trace.nodes[sm].poly)
+    node.poly = contrib_sw + contrib_sm
+    node.cancellation = _leading_terms_cancelled(node.poly, contrib_sw, contrib_sm)
+    return node_id
+
+
 def _leading_terms_cancelled(total, contrib_a, contrib_b):
     ma, mb = contrib_a.maxdeg_z(), contrib_b.maxdeg_z()
     tops = [m for m in (ma, mb) if m is not None]
@@ -288,7 +282,6 @@ def _leading_terms_cancelled(total, contrib_a, contrib_b):
 @dataclass
 class SkeinNode:
     id: int
-    code: bytes
     role: str
     chosen_crossing: int | None
     poly: LaurentPoly2 | None
@@ -308,6 +301,24 @@ class SkeinTrace:
     nodes: list = field(default_factory=list)
     root: int = 0
     stats: dict = field(default_factory=dict)
+
+    def to_json_obj(self):
+        return {
+            "stats": self.stats,
+            "cancellations": [n.id for n in self.nodes if n.cancellation],
+            "nodes": [
+                {
+                    "id": n.id,
+                    "role": n.role,
+                    "m": n.m,
+                    "chosen_crossing": n.chosen_crossing,
+                    "switch": n.switched_child,
+                    "smooth": n.smoothed_child,
+                    "cancellation": n.cancellation,
+                }
+                for n in self.nodes
+            ],
+        }
 
 
 def trace_to_dot(trace: SkeinTrace) -> str:
@@ -389,7 +400,3 @@ def append_cache_file(path, entries):
                                     separators=(",", ":")) + "\n")
     except OSError as exc:
         raise CacheIOError(f"cannot write cache {path}: {exc}") from exc
-
-
-def naive_homfly(d: Diagram, limit=DEFAULT_ORACLE_LIMIT) -> LaurentPoly2:
-    return HomflyEngine(oracle_limit=limit).naive_homfly(d)

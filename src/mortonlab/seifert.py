@@ -38,7 +38,6 @@ class CrossingClass(Enum):
 
 @dataclass(frozen=True)
 class SeifertDecomposition:
-    circle_of_edge: dict
     num_circles: int
     diagram_genus: int
     crossing_joins: tuple
@@ -50,7 +49,7 @@ def seifert_circles(d: Diagram) -> SeifertDecomposition:
         raise DisconnectedError("Seifert decomposition requires a connected diagram")
     n = len(d.crossings)
     if n == 0:
-        return SeifertDecomposition({}, 1, 0, ())
+        return SeifertDecomposition(1, 0, ())
 
     succ = {}
     for x in d.crossings:
@@ -75,7 +74,7 @@ def seifert_circles(d: Diagram) -> SeifertDecomposition:
     s = len(circles)
     mu = d.num_components()
     genus = _genus_from_counts(n, s, mu)
-    return SeifertDecomposition(circle_of, s, genus, joins)
+    return SeifertDecomposition(s, genus, joins)
 
 
 def _genus_from_counts(c, s, mu):

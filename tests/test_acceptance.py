@@ -25,7 +25,7 @@ from helpers import braid_closure, random_braid_diagrams
 from mortonlab.cli import load_knot_table, run_command
 from mortonlab.diagram import parse_pd
 from mortonlab.family import FamilySpec, family_sequence, whitehead_double
-from mortonlab.homfly import HomflyEngine
+from mortonlab.homfly import HomflyEngine, naive_homfly
 from mortonlab.morton import (
     knot_level_defect,
     match_expected_polynomial,
@@ -228,7 +228,7 @@ def test_criterion_4_oracle_equivalence(small_knots, warm_engine):
     checked = 0
     for d in corpus:
         assert len(d.crossings) <= 7
-        assert warm_engine.homfly(d) == warm_engine.naive_homfly(d)
+        assert warm_engine.homfly(d) == naive_homfly(d)
         checked += 1
     took = time.monotonic() - t0
     assert checked == 114
@@ -322,8 +322,7 @@ def test_pipeline_rehearsal_for_criterion_1(tmp_path, capsys):
     polynomial the naive oracle verifies independently, so the machinery
     is known-good even while the census data itself is unavailable."""
     t34 = braid_closure([1, 2] * 4, 3)
-    engine = HomflyEngine()
-    expected = engine.naive_homfly(t34)  # independent oracle route
+    expected = naive_homfly(t34)  # independent oracle route
     table = tmp_path / "rehearsal.csv"
     table.write_text('name,pd\n8_19,"' + t34.serialize() + '"\n')
 

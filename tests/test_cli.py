@@ -1,6 +1,9 @@
 """CLI dispatch, table ingestion, exports, exit codes, cache behavior."""
 
+import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 
@@ -8,7 +11,7 @@ import pytest
 
 from conftest import DATA_DIR, TREFOIL_PD
 
-from mortonlab.cli import export_report, load_knot_table, run_command
+from mortonlab.cli import _build_parser, export_report, load_knot_table, run_command
 from mortonlab.diagram import parse_pd
 from mortonlab.errors import (
     DuplicateNameError,
@@ -16,8 +19,8 @@ from mortonlab.errors import (
     TableError,
     UnsupportedFormatError,
 )
-from mortonlab.family import FamilySpec, braid_closure
-from mortonlab.homfly import HomflyEngine
+from mortonlab.family import FamilySpec, braid_closure, whitehead_double
+from mortonlab.homfly import HomflyEngine, skein_trace
 from mortonlab.morton import verify_theorem_family
 from mortonlab.poly import LaurentPoly2
 
@@ -80,7 +83,7 @@ class TestExport:
             export_report(rep, "dot")
 
     def test_trace_formats(self):
-        t = HomflyEngine().skein_trace(parse_pd(TREFOIL_PD))
+        t = skein_trace(parse_pd(TREFOIL_PD))
         dot = export_report(t, "dot").decode()
         assert dot.startswith("digraph skein {")
         obj = json.loads(export_report(t, "json"))
@@ -224,6 +227,105 @@ class TestCommands:
         # the report is always CSV; --format json used to print CSV anyway
         assert run_command(["seifert", "--pd", TREFOIL_PD, "--format", "json"]) == 2
         assert capsys.readouterr().out == ""
+
+
+
+def _parser_choices(flag):
+    """{subcommand: values of flag} as the parser declares them."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: tuple(a.choices) for name, p in sub.choices.items()
+            for a in p._actions if flag in a.option_strings}
+
+
+# the values each subcommand writes, default first
+FORMATS = {
+    "parse": ("json", "csv"),
+    "homfly": ("json",),
+    "family": ("table", "json"),
+    "verify": ("table", "json", "csv"),
+    "skein-tree": ("dot", "json"),
+    "double": ("json", "csv"),
+    "oracle-check": ("json", "csv"),
+}
+MIRRORS = {"homfly": ("auto", "off", "on"), "verify": ("auto", "off")}
+REMOVED = [("homfly", "--format", v) for v in ("table", "dot", "csv")] + [
+    ("parse", "--format", "table"), ("parse", "--format", "dot"),
+    ("family", "--format", "csv"), ("family", "--format", "dot"),
+    ("verify", "--format", "dot"),
+    ("skein-tree", "--format", "csv"), ("skein-tree", "--format", "table"),
+    ("double", "--format", "table"), ("double", "--format", "dot"),
+    ("oracle-check", "--format", "table"), ("oracle-check", "--format", "dot"),
+    ("verify", "--mirror", "on"),
+]
+ARGV = {
+    "parse": ["--pd", TREFOIL_PD],
+    "homfly": ["--pd", TREFOIL_PD],
+    "seifert": ["--pd", TREFOIL_PD],
+    "family": ["--pd", TREFOIL_PD],
+    # --gc 2 overstates the trefoil's genus, so every row is strict and verify exits 0
+    "verify": ["--pd", TREFOIL_PD, "--gc", "2", "--nmax", "2"],
+    "skein-tree": ["--pd", TREFOIL_PD],
+    "double": ["--pd", TREFOIL_PD],
+    "oracle-check": ["--table", SMALL, "--limit", "5"],
+}
+# sha256 of each subcommand's output for ARGV with no --format, recorded
+# before --format and --mirror were narrowed to the values written
+DEFAULT_DIGESTS = {
+    "parse": "8138cae8b8af2272337b5e520db3d0694acc1e7b2034f59a903c48176b1f38aa",
+    "homfly": "6a08994055b68f71541ce58718697a7ad689d98e33ef8040570393eda3f0b937",
+    "seifert": "9d4f3af6d65104c92378b06a69deb7468493c31c2f9b32b49d669d3a92d1f7a2",
+    "family": "d967ae93ffddf84d6cf83569b02aca6b2549a93873baf6574f65b23dbf51db6d",
+    "verify": "522e718bdcc9a4a11fdb7721506af1b8a961c8624eddcc049c45ecf48389a0eb",
+    "skein-tree": "d28ac7b7121c446ece871d95a7a10881984e4aa178fda123b780ab5e9c1a7354",
+    "double": "327701cc75d22cbde72998e3953a62e4201119467781e1c5988a0e44f00e84f6",
+    "oracle-check": "fe49e2666cf8fabd1f0e5622cdb987a2204998e438cbcdc7ae2204921d1ea6a3",
+}
+ACCEPTED = [(cmd, fmt) for cmd, fmts in _parser_choices("--format").items() for fmt in fmts]
+
+
+def _run(cmd, *extra, capsys):
+    code = run_command([cmd, *ARGV[cmd], *extra])
+    return code, capsys.readouterr().out
+
+
+class TestFormats:
+    def test_parser_accepts_exactly_the_written_values(self):
+        assert _parser_choices("--format") == FORMATS
+        assert _parser_choices("--mirror") == MIRRORS
+
+    @pytest.mark.parametrize("cmd, fmt", ACCEPTED)
+    def test_accepted_pair_exits0(self, cmd, fmt, capsys):
+        code, out = _run(cmd, "--format", fmt, capsys=capsys)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("cmd", sorted(FORMATS))
+    def test_formats_differ_pairwise(self, cmd, capsys):
+        outs = [_run(cmd, "--format", fmt, capsys=capsys)[1] for fmt in FORMATS[cmd]]
+        assert len(set(outs)) == len(outs)
+
+    @pytest.mark.parametrize("cmd", [cmd for cmd, fmt in ACCEPTED if fmt == "csv"])
+    def test_csv_reads_back(self, cmd, capsys):
+        code, out = _run(cmd, "--format", "csv", capsys=capsys)
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and len(rows) >= 2
+        assert len({len(r) for r in rows}) == 1
+        if cmd in ("parse", "double"):
+            d = parse_pd(TREFOIL_PD)
+            pd = dict(zip(*rows))["pd"]
+            assert pd == (d if cmd == "parse" else whitehead_double(d)).serialize()
+
+    @pytest.mark.parametrize("cmd", sorted(DEFAULT_DIGESTS))
+    def test_default_output_pinned(self, cmd, capsys):
+        code, out = _run(cmd, capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_DIGESTS[cmd]
+
+    @pytest.mark.parametrize("cmd, flag, value", REMOVED)
+    def test_removed_value_is_usage_error(self, cmd, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_command([cmd, *ARGV[cmd], flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 class TestCacheFlag:

@@ -25,6 +25,7 @@ from mortonlab.homfly import (
     choose_skein_crossing,
     load_cache_file,
     naive_homfly,
+    skein_trace,
     trace_to_dot,
 )
 from mortonlab.poly import LaurentPoly2, delta_factor
@@ -183,19 +184,18 @@ class TestMirrorLaw:
 class TestOracle:
     def test_oracle_limit(self, engine):
         big = braid_closure([1, 2, 3] * 4, 4)
-        engine.oracle_limit = 10
         with pytest.raises(TooLargeError):
-            engine.naive_homfly(big)
+            naive_homfly(big, 10)
 
     def test_agreement_small_knots(self, small_knots, session_engine):
         for entry in small_knots:
             fast = session_engine.homfly(entry.diagram)
-            slow = session_engine.naive_homfly(entry.diagram)
+            slow = naive_homfly(entry.diagram)
             assert fast == slow, entry.name
 
     def test_agreement_random(self, session_engine):
         for d in random_braid_diagrams(30, seed=41):
-            assert session_engine.homfly(d) == session_engine.naive_homfly(d)
+            assert session_engine.homfly(d) == naive_homfly(d)
 
     def test_unknot(self):
         assert naive_homfly(parse_pd("O")) == LaurentPoly2.one()
@@ -213,7 +213,7 @@ class TestInvariance:
     def test_r_move_invariance(self, session_engine):
         # invariance under the crossing-reducing moves used by simplify
         for d in random_braid_diagrams(25, seed=43):
-            raw = HomflyEngine().naive_homfly(d) if len(d.crossings) <= 8 else None
+            raw = naive_homfly(d) if len(d.crossings) <= 8 else None
             if raw is not None:
                 assert session_engine.homfly(d.simplify()) == raw
 
@@ -238,7 +238,7 @@ class TestSkeinAudit:
     def test_identity_on_traces(self, session_engine):
         # v^-1 P(D+) - v P(D-) = z P(D0) at the chosen crossing of每 node
         for d in random_braid_diagrams(12, seed=53, max_crossings=6):
-            trace = HomflyEngine(trace_limit=8).skein_trace(d)
+            trace = skein_trace(d, 8)
             for node in trace.nodes:
                 if node.chosen_crossing is None:
                     continue
@@ -255,13 +255,13 @@ class TestSkeinAudit:
 
 class TestTrace:
     def test_unknot_single_node(self):
-        t = HomflyEngine().skein_trace(parse_pd("O"))
+        t = skein_trace(parse_pd("O"))
         assert len(t.nodes) == 1
         assert t.nodes[0].role == "BASE_UNLINK"
         assert t.nodes[0].poly == LaurentPoly2.one()
 
     def test_trefoil_trace(self):
-        t = HomflyEngine().skein_trace(parse_pd(TREFOIL_PD))
+        t = skein_trace(parse_pd(TREFOIL_PD))
         root = t.nodes[t.root]
         assert root.role == "ROOT"
         assert root.m == 2
@@ -273,24 +273,23 @@ class TestTrace:
 
     def test_trace_value_matches_engine(self, engine):
         d = parse_pd(FIGURE8_PD)
-        t = engine.skein_trace(d)
+        t = skein_trace(d)
         assert t.nodes[t.root].poly == engine.homfly(d)
 
     def test_simplified_trace_no_larger(self):
         d = braid_closure([1, 1, 1, -2, 2], 3)
-        e = HomflyEngine()
-        assert len(e.skein_trace(d.simplify()).nodes) <= len(e.skein_trace(d).nodes)
+        assert len(skein_trace(d.simplify()).nodes) <= len(skein_trace(d).nodes)
 
     def test_trace_limit(self):
         with pytest.raises(TooLargeError):
-            HomflyEngine(trace_limit=2).skein_trace(parse_pd(TREFOIL_PD))
+            skein_trace(parse_pd(TREFOIL_PD), 2)
 
     def test_cancellation_flags_consistent(self):
         # a node is flagged exactly when its polynomial falls below the top
         # z-degree of its two contributions: the switched child's, and the
         # smoothed child's plus one for the factor z
         for d in random_braid_diagrams(10, seed=59, max_crossings=6):
-            t = HomflyEngine(trace_limit=8).skein_trace(d)
+            t = skein_trace(d, 8)
             for node in t.nodes:
                 if node.chosen_crossing is None:
                     assert not node.cancellation
@@ -306,10 +305,10 @@ class TestTrace:
                     assert m_sw == m_sm + 1
 
     def test_unknot_no_cancellations(self):
-        assert not any(n.cancellation for n in HomflyEngine().skein_trace(parse_pd("O")).nodes)
+        assert not any(n.cancellation for n in skein_trace(parse_pd("O")).nodes)
 
     def test_dot_export(self):
-        t = HomflyEngine().skein_trace(parse_pd(TREFOIL_PD))
+        t = skein_trace(parse_pd(TREFOIL_PD))
         dot = trace_to_dot(t)
         assert dot.startswith("digraph skein {")
         assert dot.rstrip().endswith("}")
@@ -670,7 +669,7 @@ class TestRecursionLimit:
             with pytest.raises(TooLargeError):
                 HomflyEngine().homfly(d)
             with pytest.raises(TooLargeError):
-                HomflyEngine(oracle_limit=15).naive_homfly(d)
+                naive_homfly(d, 15)
         finally:
             sys.setrecursionlimit(saved)
 

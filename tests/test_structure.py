@@ -15,6 +15,7 @@ import mortonlab
 from mortonlab.diagram import Diagram, parse_pd
 from mortonlab.family import braid_closure
 from mortonlab.homfly import HomflyEngine
+from mortonlab.poly import LaurentPoly2
 
 SOURCES = sorted(Path(mortonlab.__file__).parent.glob("*.py"))
 
@@ -88,12 +89,30 @@ def test_homfly_module_not_shadowed():
 # from outside; moving one off its class or module detaches a layer silently.
 TRACED_DIAGRAM_METHODS = ("simplify", "canonical_code", "smooth_crossing", "switch_crossing",
                           "is_connected", "split_pieces", "component_cycles")
-TRACED_ENGINE_METHODS = ("homfly", "load_cache", "flush_cache")
+TRACED_ENGINE_METHODS = ("__init__", "homfly", "load_cache", "flush_cache")
+TRACED_POLY_METHODS = ("__add__", "__mul__", "mono_mul", "__pow__", "from_json_obj", "to_json_obj")
+# (module, name) for every name the trace rebinds in a module; "" is the package
+TRACED_MODULE_NAMES = (
+    [(m, "parse_pd") for m in ("diagram", "", "cli")]
+    + [("homfly", "choose_skein_crossing")]
+    + [(m, "seifert_circles") for m in ("seifert", "", "family", "morton", "cli")]
+    + [(m, "insert_parallel_bands") for m in ("family", "morton", "cli")]
+    + [(m, "crossing_change_candidates") for m in ("family", "morton")]
+    + [(m, "verify_theorem_family") for m in ("morton", "cli")]
+    + [("cli", n) for n in ("run_command", "load_knot_table", "export_report")]
+)
 
 
 def test_traced_methods_stay_on_their_classes():
     assert [m for m in TRACED_DIAGRAM_METHODS if not callable(Diagram.__dict__.get(m))] == []
     assert [m for m in TRACED_ENGINE_METHODS if not callable(HomflyEngine.__dict__.get(m))] == []
+    assert [m for m in TRACED_POLY_METHODS if m not in LaurentPoly2.__dict__] == []
+
+
+def test_traced_names_stay_bound():
+    unbound = [(m, n) for m, n in TRACED_MODULE_NAMES
+               if not callable(importlib.import_module(f"mortonlab.{m}".rstrip(".")).__dict__.get(n))]
+    assert unbound == []
 
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
