@@ -5,9 +5,9 @@ blackboard Whitehead double of 8_19 = T(3,4).
 The double's canonical surface gives g_c(W) <= 8, and the degree bound
 gives g_c(W) >= M/2.  If M < 2 * c(8_19) = 16 then at least one of
 "degree bound strict for W" / "g_c(W) < c(K)" must hold; this run pins
-the computed M so the dichotomy is explicit.  Takes about 2 s of CPU and
-7,551 skein expansions on a 2-vCPU host; pass a cache path to make reruns
-instant.
+the computed M so the dichotomy is explicit.  Takes about 0.6 s of CPU
+and 1,943 skein expansions on a 2-vCPU host; pass a cache path to make
+reruns instant.
 
 Usage:  python scripts/stretch_whitehead_819.py [cache.jsonl]
 """
@@ -30,10 +30,10 @@ def main():
     w = whitehead_double(t34, clasp_sign=1)
     print(f"W(8_19): {len(w.crossings)} crossings, diagram genus {diagram_genus(w)}")
 
-    t0 = time.time()
+    t0 = time.process_time()
     p = engine.homfly(w)
     m = p.maxdeg_z()
-    print(f"computed in {time.time() - t0:.0f}s ({engine.expansions} expansions)")
+    print(f"computed in {time.process_time() - t0:.2f}s of CPU ({engine.expansions} expansions)")
     print(f"M(W(8_19)) = {m}")
     print(f"2*c(8_19) = 16; diagram-level bound 2*g = {2 * diagram_genus(w)}")
     if m < 16:

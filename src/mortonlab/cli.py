@@ -343,7 +343,10 @@ def _dispatch(args):
             spec, gc_claimed=args.gc, n_max=args.nmax, engine=engine,
             budget_seconds=args.budget, base_name=name,
         )
-        match = _expected_match(engine.homfly(d), args) if args.expect else None
+        match = None
+        if args.expect:
+            p = engine.homfly(d)
+            match = _expected_match(p, args)
         if cache_path:
             engine.flush_cache(cache_path)
         payload = report
@@ -351,6 +354,10 @@ def _dispatch(args):
             payload = {**report.to_json_obj(), "expected_match": match}
         _emit(export_report(payload, args.fmt), args)
         if args.expect and not match:
+            if args.fmt != "json":
+                # the table and CSV have no field for the comparison
+                print(f"EXPECT_MISMATCH {name}: base polynomial {p.pretty()} "
+                      f"does not match --expect (--mirror {args.mirror})", file=sys.stderr)
             return 1
         return 0 if report.all_strict() else 1
 

@@ -13,10 +13,11 @@ in least-label order, each walked from its basepoint, every crossing met
 first on its over-strand) is an unlink of k components with
 P = delta^(k-1), delta = (v^-1 - v) z^-1.  The engine chooses each
 component's basepoint to leave the fewest of its self-crossings met under
-first, and switches the first crossing met under.  For those basepoints
-the switch lowers the count of badly met crossings by one, so the least
-count drops by at least one; smoothing and Reidemeister moves lower the
-crossing count, so the recursion terminates.
+first, and switches a crossing met under first: the first whose switch
+opens an R2 move, else the first.  For those basepoints switching any
+such crossing lowers the count of badly met crossings by one, so the
+least count drops by at least one; smoothing and Reidemeister moves lower
+the crossing count, so the recursion terminates.
 
 The cached engine simplifies first, multiplies split unions by delta, and
 memoizes on canonical codes, which do not depend on the basepoints.  The
@@ -56,7 +57,7 @@ _ONE = LaurentPoly2.one()
 
 
 def choose_skein_crossing(d: Diagram):
-    """Index of the first crossing met first on its under-strand when the
+    """Index of a crossing met first on its under-strand when the
     components are traversed in least-label order, each from the basepoint
     that leaves the fewest of its self-crossings met under first (the last
     such basepoint along the cycle from its least label); None when the
@@ -67,11 +68,22 @@ def choose_skein_crossing(d: Diagram):
     from which the count for every basepoint is read in order.  Crossings
     with other components are met first by the earlier component whatever
     the basepoints, so they do not enter the choice.
+
+    Among the crossings met under first, in meeting order, the first one
+    whose switch forms an R2 pair is chosen, else the first one.  After the
+    switch the strand a -> c passes crossing i over; the pair needs a
+    neighbour j on that strand (the crossing c enters, or the one a
+    leaves) that the strand passes over too, of the same sign as i, with
+    the other strand running straight between them: the test _first_move
+    applies to the switched diagram.
     """
-    ins = _entries(d.crossings)
-    seen = [False] * len(d.crossings)
+    xs = d.crossings
+    ins = _entries(xs)
+    seen = [False] * len(xs)
+    first_bad = None
     for cyc in d.component_cycles():
-        diff = [0] * (len(cyc) + 1)
+        n = len(cyc)
+        diff = [0] * (n + 1)
         first = {}
         bad = 0
         for q, e in enumerate(cyc):
@@ -84,17 +96,30 @@ def choose_skein_crossing(d: Diagram):
                 diff[p + 1] += step
                 diff[q + 1] -= step
         start, least = 0, bad
-        for s in range(1, len(cyc)):
+        for s in range(1, n):
             bad += diff[s]
             if bad <= least:
                 start, least = s, bad
-        for e in cyc[start:] + cyc[:start]:
-            i, under = ins[e]
-            if not seen[i]:
-                if under:
-                    return i
-                seen[i] = True
-    return None
+        for k in range(n):
+            q = (start + k) % n
+            i, under = ins[cyc[q]]
+            if seen[i]:
+                continue
+            seen[i] = True
+            if not under:
+                continue
+            if first_bad is None:
+                first_bad = i
+            x = xs[i]
+            # after the switch this strand passes i over; an R2 pair needs
+            # it to pass a neighbour over too, with the same sign as i
+            for e in (cyc[(q + 1) % n], cyc[q - 1]):
+                j, j_under = ins[e]
+                if j != i and not j_under:
+                    y = xs[j]
+                    if y.sign == x.sign and (x.over_out == y.a or y.c == x.over_in):
+                        return i
+    return first_bad
 
 
 def _least_label_crossing(d: Diagram):

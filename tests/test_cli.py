@@ -156,6 +156,23 @@ class TestCommands:
         assert code == 1  # rows are not strict for the trefoil
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_verify_expect_mismatch_on_stderr(self, fmt, capsys):
+        # --gc 2 makes every row strict, so only the expectation fails
+        argv = ["verify", "--pd", TREFOIL_PD, "--gc", "2", "--nmax", "2",
+                "--mirror", "off", "--format", fmt]
+        assert run_command(argv) == 0
+        plain_out, plain_err = capsys.readouterr()
+        right = '[{"ev":2,"ez":2,"c":"1"},{"ev":2,"ez":0,"c":"2"},{"ev":4,"ez":0,"c":"-1"}]'
+        assert run_command(argv + ["--expect", right]) == 1
+        out, err = capsys.readouterr()
+        assert out == plain_out and plain_err == ""
+        assert err.startswith("EXPECT_MISMATCH pd: ") and err.count("\n") == 1
+        # a met expectation writes nothing more
+        left = '[{"ev":-2,"ez":2,"c":"1"},{"ev":-2,"ez":0,"c":"2"},{"ev":-4,"ez":0,"c":"-1"}]'
+        assert run_command(argv + ["--expect", left]) == 0
+        assert capsys.readouterr() == (plain_out, "")
+
     def test_family_emits_pd_texts(self, capsys):
         assert run_command(["family", "--pd", TREFOIL_PD, "--crossing", "0",
                             "--ns", "0,1,2"]) == 0
