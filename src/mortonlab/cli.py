@@ -38,13 +38,11 @@ from .homfly import (
 from .morton import (
     FamilyReport,
     check_v_degree_bound,
-    knot_level_defect,
     match_expected_polynomial,
-    morton_bound_diagram,
     verify_theorem_family,
 )
 from .poly import LaurentPoly2
-from .seifert import CrossingClass, classify_crossing, seifert_circles, seifert_csv_row
+from .seifert import CrossingClass, classify_crossing, seifert_circles
 
 __all__ = ["KnotTableEntry", "load_knot_table", "run_command", "export_report", "main"]
 
@@ -54,21 +52,20 @@ CACHE_ENV = "MORTONLAB_CACHE"
 @dataclass
 class KnotTableEntry:
     name: str
-    pd: str
     source: str
     diagram: Diagram
 
 
-def load_knot_table(path, warn=None):
-    """Parse a name,pd CSV (RFC-4180; the pd field carries commas and must
-    be quoted).  Invalid rows are reported with their line number and
-    skipped; duplicate names are an error."""
-    warn = warn or (lambda msg: print(msg, file=sys.stderr))
+def _table_rows(path, warn):
+    """(name, pd, line number) for each row of a name,pd CSV (RFC-4180; the
+    pd field carries commas and must be quoted), no PD parsed.  Blank rows
+    are skipped and short rows reported and skipped; a name repeated on
+    two rows is an error."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise TableError(f"cannot read table {path}: {exc}") from exc
-    entries = []
+    rows = []
     seen = {}
     with fh:
         reader = csv.reader(fh)
@@ -84,18 +81,28 @@ def load_knot_table(path, warn=None):
             if len(row) < 2:
                 warn(f"{path}:{lineno}: skipping malformed row {row!r}")
                 continue
-            name, pd = row[0].strip(), row[1].strip()
+            name = row[0].strip()
             if name in seen:
                 raise DuplicateNameError(
                     f"{path}: duplicate name {name!r} on lines {seen[name]} and {lineno}"
                 )
-            try:
-                diagram = parse_pd(pd)
-            except MortonLabError as exc:
-                warn(f"{path}:{lineno}: skipping {name!r}: {exc}")
-                continue
             seen[name] = lineno
-            entries.append(KnotTableEntry(name, pd, f"{path}:{lineno}", diagram))
+            rows.append((name, row[1].strip(), lineno))
+    return rows
+
+
+def load_knot_table(path, warn=None):
+    """Every row of a name,pd CSV (see _table_rows) whose PD parses; rows
+    with an invalid PD are reported with their line number and skipped."""
+    warn = warn or (lambda msg: print(msg, file=sys.stderr))
+    entries = []
+    for name, pd, lineno in _table_rows(path, warn):
+        try:
+            diagram = parse_pd(pd)
+        except MortonLabError as exc:
+            warn(f"{path}:{lineno}: skipping {name!r}: {exc}")
+            continue
+        entries.append(KnotTableEntry(name, f"{path}:{lineno}", diagram))
     if not entries:
         raise EmptyTableError(f"{path}: no valid entries")
     return entries
@@ -103,7 +110,8 @@ def load_knot_table(path, warn=None):
 
 def export_report(payload, fmt) -> bytes:
     """Deterministic bytes for a report payload (a FamilyReport, a
-    SkeinTrace or a dict) in the requested format."""
+    SkeinTrace, a dict, or for CSV a list of dicts with the same keys) in
+    the requested format."""
     if fmt == "json":
         obj = payload.to_json_obj() if isinstance(payload, (FamilyReport, SkeinTrace)) else payload
         return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
@@ -113,14 +121,25 @@ def export_report(payload, fmt) -> bytes:
         return payload.to_text_table().encode()
     if isinstance(payload, SkeinTrace) and fmt == "dot":
         return trace_to_dot(payload).encode()
-    if isinstance(payload, dict) and fmt == "csv":
+    if isinstance(payload, (dict, list)) and fmt == "csv":
+        rows = [payload] if isinstance(payload, dict) else payload
         out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([payload, payload.values()])
+        csv.writer(out, lineterminator="\n").writerows([rows[0], *(r.values() for r in rows)])
         return out.getvalue().encode()
     raise UnsupportedFormatError(f"cannot export {type(payload).__name__} as {fmt}")
 
 
 # -- argument plumbing ---------------------------------------------------------
+
+
+def _count(text):
+    """argparse type of an integer >= 0, such as a count or a crossing index."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
 _SHARED_OPTIONS = {
@@ -129,6 +148,8 @@ _SHARED_OPTIONS = {
     "--name": {"help": "entry name inside --table"},
     "--cache": {"help": f"polynomial cache file (or ${CACHE_ENV})"},
     "--out": {"help": "write primary output to this file instead of stdout"},
+    "--crossing": {"type": lambda text: text if text == "auto" else _count(text),
+                   "default": "auto"},
 }
 
 
@@ -161,16 +182,16 @@ def _build_parser():
 
     command("seifert", "Seifert circles / genus report (CSV)", "--pd --table --name --out")
 
-    p = command("family", "emit parallel-band diagrams L_n", "--pd --table --name --out",
-                ("table", "json"))
-    p.add_argument("--crossing", default="auto")
-    p.add_argument("--ns", default="0,1,2,3", help="comma-separated band counts")
+    p = command("family", "emit parallel-band diagrams L_n",
+                "--pd --table --name --out --crossing", ("table", "json"))
+    p.add_argument("--ns", type=lambda text: [_count(v) for v in text.split(",") if v != ""],
+                   default="0,1,2,3", help="comma-separated band counts")
 
     p = command("verify", "audit M(L_n) < 2*gc - 1 + n over a family",
-                "--pd --table --name --cache --out", ("table", "json", "csv"), ("auto", "off"))
+                "--pd --table --name --cache --out --crossing", ("table", "json", "csv"),
+                ("auto", "off"))
     p.add_argument("--gc", type=int, required=True, help="knot-level canonical genus (given)")
-    p.add_argument("--crossing", default="auto")
-    p.add_argument("--nmax", type=int, default=5)
+    p.add_argument("--nmax", type=_count, default=5)
     p.add_argument("--budget", type=float, default=None, help="seconds")
     p.add_argument("--expect", help="expected base polynomial as JSON term records")
 
@@ -198,10 +219,9 @@ def _diagram_from_args(args):
     if args.table:
         if not args.name:
             raise UsageError("--table needs --name to pick an entry")
-        entries = load_knot_table(args.table)
-        for e in entries:
-            if e.name == args.name:
-                return e.diagram, e.name
+        for name, pd, _ in _table_rows(args.table, lambda msg: None):
+            if name == args.name:
+                return parse_pd(pd), name
         raise UsageError(f"no entry named {args.name!r} in {args.table}")
     raise UsageError("need --pd or --table/--name")
 
@@ -257,6 +277,9 @@ def run_command(argv) -> int:
     except IndexError as exc:
         print(f"INDEX_OUT_OF_RANGE: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"IO_ERROR: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args):
@@ -300,22 +323,23 @@ def _dispatch(args):
         return code
 
     if cmd == "seifert":
-        rows = []
         if args.table and not args.name:
-            for e in load_knot_table(args.table):
-                rows.append(seifert_csv_row(e.name, e.diagram))
+            named = [(e.name, e.diagram) for e in load_knot_table(args.table)]
         else:
             d, name = _diagram_from_args(args)
-            rows.append(seifert_csv_row(name, d))
-        text = "name,c,s,mu,genus\n" + "\n".join(rows) + "\n"
-        _emit(text.encode(), args)
+            named = [(name, d)]
+        rows = []
+        for name, d in named:
+            dec = seifert_circles(d)
+            rows.append({"name": name, "c": len(d.crossings), "s": dec.num_circles,
+                         "mu": d.num_components(), "genus": dec.diagram_genus})
+        _emit(export_report(rows, "csv"), args)
         return 0
 
     if cmd == "family":
         d, name = _diagram_from_args(args)
-        crossing = _auto_crossing(d) if args.crossing == "auto" else int(args.crossing)
-        ns = [int(v) for v in args.ns.split(",") if v != ""]
-        members = [(n, insert_parallel_bands(d, crossing, n)) for n in ns]
+        crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
+        members = [(n, insert_parallel_bands(d, crossing, n)) for n in args.ns]
         if args.fmt == "table":
             _emit(("\n".join(dn.serialize() for _, dn in members) + "\n").encode(), args)
             return 0
@@ -337,7 +361,7 @@ def _dispatch(args):
     if cmd == "verify":
         d, name = _diagram_from_args(args)
         engine, cache_path = _engine_from_args(args)
-        crossing = _auto_crossing(d) if args.crossing == "auto" else int(args.crossing)
+        crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
         spec = FamilySpec(d, crossing, [])
         report = verify_theorem_family(
             spec, gc_claimed=args.gc, n_max=args.nmax, engine=engine,

@@ -32,6 +32,15 @@ class Crossing(NamedTuple):
     d: int
     sign: int
 
+    @classmethod
+    def from_strands(cls, under_in, under_out, over_in, over_out, sign):
+        """The crossing where under_in -> under_out passes under over_in ->
+        over_out: the over-strand takes slots d -> b when positive and
+        b -> d when negative."""
+        if sign > 0:
+            return cls(under_in, over_out, under_out, over_in, sign)
+        return cls(under_in, over_in, under_out, over_out, sign)
+
     @property
     def over_in(self):
         return self.d if self.sign > 0 else self.b
@@ -76,9 +85,8 @@ class Diagram:
         # no edge has two heads or two tails (tails stored negated); as each
         # label 1..2c occurs twice, every edge then has one of each
         ends = set()
-        for a, b, c, d, s in self.crossings:
-            o_in, o_out = (d, b) if s > 0 else (b, d)
-            for e in (a, o_in, -c, -o_out):
+        for x in self.crossings:
+            for e in (x.a, x.over_in, -x.c, -x.over_out):
                 if e in ends:
                     raise InvalidPDError(
                         f"edge {abs(e)} oriented inconsistently (two {'heads' if e > 0 else 'tails'})"
@@ -171,12 +179,8 @@ class Diagram:
     def switch_crossing(self, i):
         """Swap the over- and under-strands of crossing i."""
         x = self._crossing(i)
-        if x.sign > 0:
-            y = Crossing(x.d, x.a, x.b, x.c, -1)
-        else:
-            y = Crossing(x.b, x.c, x.d, x.a, 1)
         xs = list(self.crossings)
-        xs[i] = y
+        xs[i] = Crossing.from_strands(x.over_in, x.over_out, x.a, x.c, -x.sign)
         out = Diagram(xs, self.free_loops, _validated=True)
         # every strand and the projection are kept
         out._cycles, out._comp, out._pieces = self._cycles, self._comp, self._pieces

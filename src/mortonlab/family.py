@@ -53,9 +53,9 @@ def braid_closure(word, strands) -> Diagram:
         x, y = cur[p], cur[p + 1]
         u, v = ("e", t, 0), ("e", t, 1)  # u continues x at p+1, v continues y at p
         if w > 0:
-            crossings.append(Crossing(y, u, v, x, 1))
+            crossings.append(Crossing.from_strands(y, v, x, u, 1))
         else:
-            crossings.append(Crossing(x, y, u, v, -1))
+            crossings.append(Crossing.from_strands(x, u, y, v, -1))
         cur[p], cur[p + 1] = v, u
     free = 0
     rename = {}
@@ -153,18 +153,9 @@ def insert_parallel_bands(d: Diagram, i: int, n: int) -> Diagram:
 
     new = [y for j, y in enumerate(d.crossings) if j != i]
     for j in range(1, n + 1):
-        if j % 2:
-            # original under-strand goes under
-            if s > 0:
-                t = Crossing(xs[j - 1], ys[j], xs[j], ys[j - 1], s)
-            else:
-                t = Crossing(xs[j - 1], ys[j - 1], xs[j], ys[j], s)
-        else:
-            if s > 0:
-                t = Crossing(ys[j - 1], xs[j], ys[j], xs[j - 1], s)
-            else:
-                t = Crossing(ys[j - 1], xs[j - 1], ys[j], xs[j], s)
-        new.append(t)
+        # the original under-strand goes under at odd j
+        under, over = (xs, ys) if j % 2 else (ys, xs)
+        new.append(Crossing.from_strands(under[j - 1], under[j], over[j - 1], over[j], s))
     out = _renumber(new, d.free_loops)
     if len(out.crossings) != len(d.crossings) + n - 1:
         raise RuntimeError(f"band insertion lost crossings: {len(out.crossings)} for n={n}")
@@ -218,16 +209,18 @@ def whitehead_double(d: Diagram, clasp_sign: int = 1, twists: int = 0) -> Diagra
         oi, oo = x.over_in, x.over_out
         u1, u2 = ("u1", k), ("u2", k)
         o1, o2 = ("o1", k), ("o2", k)
+        # under: (P, a) -> u1 -> (P, c) and (M, c) -> u2 -> (M, a);
+        # over: (P, oi) -> o1 -> (P, oo) and (M, oo) -> o2 -> (M, oi)
         if x.sign > 0:
-            new.append(Crossing((P, a), (P, oo), u1, o1, 1))
-            new.append(Crossing(u1, (M, oo), (P, c), o2, -1))
-            new.append(Crossing(u2, (P, oi), (M, a), o1, -1))
-            new.append(Crossing((M, c), (M, oi), u2, o2, 1))
+            new.append(Crossing.from_strands((P, a), u1, o1, (P, oo), 1))
+            new.append(Crossing.from_strands(u1, (P, c), (M, oo), o2, -1))
+            new.append(Crossing.from_strands(u2, (M, a), (P, oi), o1, -1))
+            new.append(Crossing.from_strands((M, c), u2, o2, (M, oi), 1))
         else:
-            new.append(Crossing((P, a), (M, oi), u1, o2, 1))
-            new.append(Crossing(u1, (P, oi), (P, c), o1, -1))
-            new.append(Crossing((M, c), (P, oo), u2, o1, 1))
-            new.append(Crossing(u2, (M, oo), (M, a), o2, -1))
+            new.append(Crossing.from_strands((P, a), u1, o2, (M, oi), 1))
+            new.append(Crossing.from_strands(u1, (P, c), (P, oi), o1, -1))
+            new.append(Crossing.from_strands((M, c), u2, o1, (P, oo), 1))
+            new.append(Crossing.from_strands(u2, (M, a), (M, oo), o2, -1))
 
     # cut the doubled copies of the anchor edge and route them through
     # twists (nearest the strand's tail block) and then the clasp
@@ -236,51 +229,35 @@ def whitehead_double(d: Diagram, clasp_sign: int = 1, twists: int = 0) -> Diagra
     m_in, m_out = (M, anchor), ("m-post", anchor)
 
     def rename_head(old, fresh):
-        for idx, x in enumerate(new):
-            if x.a == old:
-                new[idx] = x._replace(a=fresh)
-            elif x.over_in == old:
-                # b and d of a block crossing differ, so b == old only as over-in
-                new[idx] = x._replace(b=fresh) if x.b == old else x._replace(d=fresh)
+        def head(e):
+            return fresh if e == old else e
+        new[:] = [Crossing.from_strands(head(x.a), x.c, head(x.over_in), x.over_out, x.sign)
+                  for x in new]
+
+    def add_pair(strands, sign):
+        # (under, over) strands of two crossings of the given sign, each
+        # strand (in, out); a negative pair is the positive one switched
+        for under, over in strands:
+            if sign < 0:
+                under, over = over, under
+            new.append(Crossing.from_strands(*under, *over, sign))
 
     # the incoming-to-a-block occurrence of each cut edge becomes the
     # "post" label; the outgoing occurrence keeps the original label
     rename_head(p_in, p_out)
     rename_head(m_in, m_out)
 
-    plus_cur = p_in  # flows tail-block -> twists -> clasp -> head-block
-    minus_cur = m_in  # flows head-block -> clasp -> twists -> tail-block
-
+    # plus flows tail-block -> twists -> clasp -> head-block and minus the
+    # other way; the cursors hold each strand's edge on the clasp side of
+    # the twists built so far, starting from the tail block
+    p_edge, q_edge = p_in, m_out
     twist_sign = 1 if twists > 0 else -1
-    k_tw = abs(twists)
-    # build from the tail-block side: plus enters twist j from plus_cur,
-    # minus leaves twist j toward the tail block on minus's final segment
-    plus_segs = [plus_cur] + [("tw-p", j) for j in range(1, k_tw + 1)]
-    minus_segs = [("tw-m", j) for j in range(1, k_tw + 1)] + [m_out]
-    # minus_segs[j-1] is the minus edge on the clasp side of twist j,
-    # minus exits twist 1 onto m_out... index so twist j has minus-in
-    # minus_segs[j-1] (from clasp side) and minus-out minus_segs[j-2]
-    for j in range(1, k_tw + 1):
-        p_lo, p_hi = plus_segs[j - 1], plus_segs[j]
-        m_hi = minus_segs[j - 1]
-        m_lo = minus_segs[j - 2] if j > 1 else m_out
+    for j in range(1, abs(twists) + 1):
+        p_hi, m_hi = ("tw-p", j), ("tw-m", j)
         mp, mm = ("twmid-p", j), ("twmid-m", j)
-        if twist_sign > 0:
-            new.append(Crossing(mm, mp, m_lo, p_lo, 1))
-            new.append(Crossing(mp, mm, p_hi, m_hi, 1))
-        else:
-            new.append(Crossing(p_lo, mm, mp, m_lo, -1))
-            new.append(Crossing(m_hi, mp, mm, p_hi, -1))
+        add_pair((((mm, q_edge), (p_edge, mp)), ((mp, p_hi), (m_hi, mm))), twist_sign)
+        p_edge, q_edge = p_hi, m_hi
 
-    p_edge = plus_segs[-1]
-    q_edge = minus_segs[k_tw - 1] if k_tw else m_out
-    t_edge, r_edge = p_out, m_in
     c1, c2 = ("clasp", 1), ("clasp", 2)
-    if clasp_sign > 0:
-        new.append(Crossing(p_edge, t_edge, c1, c2, 1))
-        new.append(Crossing(r_edge, q_edge, c2, c1, 1))
-    else:
-        new.append(Crossing(c2, p_edge, t_edge, c1, -1))
-        new.append(Crossing(c1, r_edge, q_edge, c2, -1))
-
+    add_pair((((p_edge, c1), (c2, p_out)), ((m_in, c2), (c1, q_edge))), clasp_sign)
     return _renumber(new, 0)

@@ -266,10 +266,8 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
         bound = 2 * gc_claimed - 1 + n
         report.rows.append(FamilyRow(n=n, c=len(d.crossings), s=s, genus=genus,
                                      m=m, bound=bound, strict=m < bound))
-
-    for r in report.rows:
-        if r.n == 1:
-            report.base_defect = knot_level_defect(gc_claimed, r.m)
+        if n == 1:
+            report.base_defect = knot_level_defect(gc_claimed, m)
     return report
 
 

@@ -28,7 +28,7 @@ __all__ = [
 class LaurentPoly2:
     """Immutable Laurent polynomial in v and z with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         t = {}
@@ -42,9 +42,15 @@ class LaurentPoly2:
                     elif k in t:
                         del t[k]
         self._terms = t
-        self._hash = None
 
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms):
+        """Wrap a term map with no zero coefficients, without copying it."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        return p
 
     @classmethod
     def zero(cls):
@@ -70,9 +76,7 @@ class LaurentPoly2:
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __len__(self):
         return len(self._terms)
@@ -93,16 +97,10 @@ class LaurentPoly2:
                 out[k] = nc
             elif k in out:
                 del out[k]
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p._terms = out
-        p._hash = None
-        return p
+        return LaurentPoly2._of(out)
 
     def __neg__(self):
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p._terms = {k: -c for k, c in self._terms.items()}
-        p._hash = None
-        return p
+        return LaurentPoly2._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -117,19 +115,13 @@ class LaurentPoly2:
                     out[k] = nc
                 elif k in out:
                     del out[k]
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p._terms = out
-        p._hash = None
-        return p
+        return LaurentPoly2._of(out)
 
     def mono_mul(self, coeff, ev=0, ez=0):
         """Fast multiply by a single term coeff * v^ev * z^ez."""
         if coeff == 0:
             return LaurentPoly2.zero()
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p._terms = {(a + ev, b + ez): c * coeff for (a, b), c in self._terms.items()}
-        p._hash = None
-        return p
+        return LaurentPoly2._of({(a + ev, b + ez): c * coeff for (a, b), c in self._terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -155,10 +147,8 @@ class LaurentPoly2:
         """Substitute v -> v^-1, z -> -z: P(D*)(v, z) = P(D)(v^-1, -z) for the
         mirror image D* under this skein convention (an involution; z-degrees
         untouched).  On knots every z-exponent is even and only v flips."""
-        p = LaurentPoly2.__new__(LaurentPoly2)
-        p._terms = {(-ev, ez): -c if ez % 2 else c for (ev, ez), c in self._terms.items()}
-        p._hash = None
-        return p
+        return LaurentPoly2._of({(-ev, ez): -c if ez % 2 else c
+                                 for (ev, ez), c in self._terms.items()})
 
     # -- serialization -------------------------------------------------
 
@@ -247,32 +237,12 @@ class LaurentPoly1:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
-        return LaurentPoly1(out)
-
-    def __neg__(self):
-        return LaurentPoly1({e: -c for e, c in self._terms.items()})
-
     def __repr__(self):
         return f"LaurentPoly1({self.pretty()!r})"
 
     def evaluate_at_one(self):
         """Value at t = 1 (every t^(e/2) becomes 1)."""
         return sum(self._terms.values())
-
-    def invert_variable(self):
-        """Substitute t -> t^-1."""
-        return LaurentPoly1({-e: c for e, c in self._terms.items()})
 
     def half_degree_span(self):
         """(min e, max e) over stored doubled exponents; None if zero."""
@@ -298,11 +268,9 @@ class LaurentPoly1:
         """True if p(t^-1) = ±t^(k/2) * p(t) for some integer k."""
         if not self._terms:
             return True
-        flipped = self.invert_variable()
-        span_a = self.half_degree_span()
-        span_b = flipped.half_degree_span()
-        shift = span_a[1] - span_b[1]
-        shifted = {e + shift: c for e, c in flipped._terms.items()}
+        lo, hi = self.half_degree_span()
+        # p(t^-1) has the exponents -e; shift its top degree -lo onto hi
+        shifted = {hi + lo - e: c for e, c in self._terms.items()}
         if shifted == self._terms:
             return True
         return {e: -c for e, c in shifted.items()} == self._terms

@@ -27,7 +27,6 @@ __all__ = [
     "seifert_circles",
     "diagram_genus",
     "classify_crossing",
-    "seifert_csv_row",
 ]
 
 
@@ -73,15 +72,10 @@ def seifert_circles(d: Diagram) -> SeifertDecomposition:
     )
     s = len(circles)
     mu = d.num_components()
-    genus = _genus_from_counts(n, s, mu)
-    return SeifertDecomposition(s, genus, joins)
-
-
-def _genus_from_counts(c, s, mu):
-    chi_defect = 2 - mu - s + c
+    chi_defect = 2 - mu - s + n
     if chi_defect % 2:
-        raise RuntimeError(f"parity violation: c={c} s={s} mu={mu}")
-    return chi_defect // 2
+        raise RuntimeError(f"parity violation: c={n} s={s} mu={mu}")
+    return SeifertDecomposition(s, chi_defect // 2, joins)
 
 
 def diagram_genus(d: Diagram) -> int:
@@ -97,17 +91,3 @@ def classify_crossing(dec: SeifertDecomposition, i: int) -> CrossingClass:
         raise IndexError(f"crossing index {i} out of range")
     p, q = dec.crossing_joins[i]
     return CrossingClass.JOINS_DISTINCT if p != q else CrossingClass.SAME_CIRCLE
-
-
-def seifert_csv_row(name: str, d: Diagram) -> str:
-    dec = seifert_circles(d)
-    return ",".join(
-        str(v)
-        for v in (
-            name,
-            len(d.crossings),
-            dec.num_circles,
-            d.num_components(),
-            dec.diagram_genus,
-        )
-    )

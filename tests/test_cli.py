@@ -55,6 +55,25 @@ class TestTable:
         with pytest.raises(DuplicateNameError):
             load_knot_table(p)
 
+    def test_duplicate_name_after_invalid_pd(self, tmp_path, capsys):
+        # names are checked on every well-formed row before any PD is parsed
+        p = tmp_path / "t.csv"
+        p.write_text('name,pd\na,"X[1,2,3]"\na,"X[1,1,2,2]"\n')
+        with pytest.raises(DuplicateNameError):
+            load_knot_table(p)
+        assert run_command(["homfly", "--table", str(p), "--name", "a"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("DUPLICATE_NAME:")
+
+    def test_lookup_parses_only_the_named_row(self, tmp_path, capsys):
+        p = tmp_path / "t.csv"
+        p.write_text(f'name,pd\nbad,"X[1,2,3]"\nok,"{TREFOIL_PD}"\nshort\n')
+        assert run_command(["homfly", "--table", str(p), "--name", "ok"]) == 0
+        assert "skipping" not in capsys.readouterr().err
+        assert run_command(["homfly", "--table", str(p), "--name", "bad"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("PARSE_ERROR:")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TableError):
             load_knot_table(tmp_path / "absent.csv")
@@ -131,6 +150,14 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "name,c,s,mu,genus"
         assert len(lines) == 15
+
+    def test_seifert_quotes_names(self, tmp_path, capsys):
+        p = tmp_path / "t.csv"
+        with open(p, "w", newline="") as fh:
+            csv.writer(fh).writerows([["name", "pd"], ['knot, "left"', TREFOIL_PD]])
+        assert run_command(["seifert", "--table", str(p)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [["name", "c", "s", "mu", "genus"], ['knot, "left"', "3", "2", "1", "1"]]
 
     def test_homfly_from_table(self, capsys):
         assert run_command(["homfly", "--table", SMALL, "--name", "5_1"]) == 0
@@ -239,6 +266,23 @@ class TestCommands:
     ])
     def test_unread_options_are_usage_errors(self, argv, capsys):
         assert run_command(argv) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--pd", TREFOIL_PD, "--out", "{missing}"],
+        ["family", "--pd", TREFOIL_PD, "--ns", "1,-1"],
+        ["family", "--pd", TREFOIL_PD, "--ns", "1,a"],
+        ["family", "--pd", TREFOIL_PD, "--crossing", "abc"],
+        ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--crossing", "x"],
+        ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--nmax", "-1"],
+    ], ids=["out-missing-dir", "ns-negative", "ns-not-int", "crossing-abc", "crossing-x",
+            "nmax-negative"])
+    def test_bad_value_or_unwritable_out_exit2(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x"
+        assert run_command([a.format(missing=missing) for a in argv]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and not missing.exists()
+        if "--out" in argv:
+            assert cap.err.startswith("IO_ERROR: ")
 
     def test_seifert_has_no_format(self, capsys):
         # the report is always CSV; --format json used to print CSV anyway

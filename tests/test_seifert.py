@@ -5,6 +5,7 @@ import pytest
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams
 
+from mortonlab.cli import run_command
 from mortonlab.diagram import Diagram, parse_pd
 from mortonlab.errors import DisconnectedError
 from mortonlab.seifert import (
@@ -12,7 +13,6 @@ from mortonlab.seifert import (
     classify_crossing,
     diagram_genus,
     seifert_circles,
-    seifert_csv_row,
 )
 
 
@@ -122,6 +122,8 @@ class TestClassification:
                 assert 0 <= p < dec.num_circles and 0 <= q < dec.num_circles
 
 
-def test_csv_row():
-    row = seifert_csv_row("3_1", parse_pd(TREFOIL_PD))
-    assert row == "3_1,3,2,1,1"
+def test_csv_row(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text(f'name,pd\n3_1,"{TREFOIL_PD}"\n')
+    assert run_command(["seifert", "--table", str(table)]) == 0
+    assert capsys.readouterr().out == "name,c,s,mu,genus\n3_1,3,2,1,1\n"

@@ -1,9 +1,9 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
-pools, the skein rule written once, a package namespace that does not
-shadow its modules, the attributes the benchmark's layer trace wraps, and
-a cold evaluation that neither validates nor walks cycles again; and over
-scripts/: nothing imported from the test tree."""
+pools, no unused imports, the skein rule written once, a package namespace
+that does not shadow its modules, the attributes the benchmark's layer
+trace wraps, and a cold evaluation that neither validates nor walks cycles
+again; and over scripts/: nothing imported from the test tree."""
 
 import ast
 import importlib
@@ -47,6 +47,19 @@ def test_no_thread_imports(path):
         elif isinstance(n, ast.ImportFrom) and n.module and n.module.split(".")[0] in banned:
             found.append(n.module)
     assert not found, f"{path.name}: imports {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    # this also keeps every name the layer trace rebinds in a module by
+    # import (TRACED_MODULE_NAMES below) called through that module
+    tree = _tree(path)
+    imported = {(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom))
+                and getattr(n, "module", None) != "__future__" for a in n.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - used) == [], f"{path.name}: unused imports"
 
 
 SCRIPTS = sorted((Path(__file__).parent.parent / "scripts").glob("*.py"))
