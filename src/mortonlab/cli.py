@@ -18,6 +18,7 @@ from functools import cache
 
 from .diagram import Diagram, parse_pd
 from .errors import (
+    DisconnectedError,
     DuplicateNameError,
     EmptyTableError,
     MortonLabError,
@@ -197,7 +198,8 @@ def _build_parser():
 
     p = command("skein-tree", "materialize the resolution tree", "--pd --table --name --out",
                 ("dot", "json"))
-    p.add_argument("--trace-limit", type=int, default=DEFAULT_TRACE_LIMIT)
+    p.add_argument("--trace-limit", type=int, default=DEFAULT_TRACE_LIMIT,
+                   help="max crossings; bounds crossing count, not tree size (s1^9: 500k nodes)")
 
     p = command("double", "blackboard-framed Whitehead double", "--pd --table --name --out",
                 ("json", "csv"))
@@ -206,7 +208,8 @@ def _build_parser():
 
     p = command("oracle-check", "homfly vs naive oracle over a table", "--table --cache --out",
                 ("json", "csv"))
-    p.add_argument("--limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    p.add_argument("--limit", type=int, default=DEFAULT_ORACLE_LIMIT,
+                   help="max crossings; bounds crossing count, not time (18 s CPU at 10 crossings)")
 
     return top
 
@@ -324,15 +327,20 @@ def _dispatch(args):
 
     if cmd == "seifert":
         if args.table and not args.name:
-            named = [(e.name, e.diagram) for e in load_knot_table(args.table)]
+            named = []
+            for e in load_knot_table(args.table):
+                try:
+                    named.append((e.name, e.diagram, seifert_circles(e.diagram)))
+                except DisconnectedError as exc:
+                    print(f"{e.source}: skipping {e.name!r}: {exc}", file=sys.stderr)
+            if not named:
+                raise EmptyTableError(f"{args.table}: no connected entries")
         else:
             d, name = _diagram_from_args(args)
-            named = [(name, d)]
-        rows = []
-        for name, d in named:
-            dec = seifert_circles(d)
-            rows.append({"name": name, "c": len(d.crossings), "s": dec.num_circles,
-                         "mu": d.num_components(), "genus": dec.diagram_genus})
+            named = [(name, d, seifert_circles(d))]
+        rows = [{"name": name, "c": len(d.crossings), "s": dec.num_circles,
+                 "mu": d.num_components(), "genus": dec.diagram_genus}
+                for name, d, dec in named]
         _emit(export_report(rows, "csv"), args)
         return 0
 
@@ -407,7 +415,7 @@ def _dispatch(args):
     if cmd == "oracle-check":
         if not args.table:
             raise UsageError("oracle-check needs --table")
-        engine, _ = _engine_from_args(args)
+        engine, cache_path = _engine_from_args(args)
         checked = skipped = 0
         for e in load_knot_table(args.table):
             if len(e.diagram.crossings) > args.limit:
@@ -427,6 +435,8 @@ def _dispatch(args):
                       file=sys.stderr)
                 return 1
             checked += 1
+        if cache_path:
+            engine.flush_cache(cache_path)
         _emit(export_report({"checked": checked, "skipped": skipped, "agree": True}, args.fmt),
               args)
         return 0

@@ -238,11 +238,11 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
     def over_budget():
         return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
 
+    # built first, so that a bad crossing is rejected before any engine work
+    diagrams = [insert_parallel_bands(spec.base, spec.crossing, n) for n in range(n_max + 1)]
     report = FamilyReport(base_name=base_name, crossing=spec.crossing,
                           gc_claimed=gc_claimed)
     _hypothesis_certificates(spec.base, engine, report, over_budget)
-
-    diagrams = [insert_parallel_bands(spec.base, spec.crossing, n) for n in range(n_max + 1)]
     polys = []
     for n, d in enumerate(diagrams):
         if over_budget():

@@ -1,13 +1,12 @@
 """Exact two-variable integer Laurent arithmetic for skein calculations.
 
-Polynomials live in Z[v, v^-1, z, z^-1] and are stored as a map from
-exponent pairs (e_v, e_z) to nonzero integer coefficients; the zero
-polynomial is the empty map.  Coefficients are plain Python ints, so
-intermediate skein sums never overflow silently.
-
-The one-variable type holds Alexander polynomials in t^(1/2): exponents
-are stored doubled (the key e stands for t^(e/2)) so arithmetic stays in
-integers.
+Both polynomial types are one private term-map base class: a map from
+exponent keys to nonzero integer coefficients, the zero polynomial being
+the empty map.  Coefficients are plain Python ints, so intermediate skein
+sums never overflow silently.  LaurentPoly2 lives in Z[v, v^-1, z, z^-1]
+with keys (e_v, e_z) and does the skein arithmetic.  LaurentPoly1 holds
+Alexander polynomials in t^(1/2): exponents are stored doubled (the key
+e stands for t^(e/2)) so they stay integers.
 """
 
 from __future__ import annotations
@@ -25,17 +24,17 @@ __all__ = [
 ]
 
 
-class LaurentPoly2:
-    """Immutable Laurent polynomial in v and z with integer coefficients."""
+class _TermMap:
+    """Immutable map from exponent keys to nonzero int coefficients, built from
+    a dict or (key, coefficient) pairs: repeated keys add up, zero sums drop."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         t = {}
         if terms:
-            for (ev, ez), c in (terms.items() if isinstance(terms, dict) else terms):
+            for k, c in (terms.items() if isinstance(terms, dict) else terms):
                 if c:
-                    k = (ev, ez)
                     nc = t.get(k, 0) + c
                     if nc:
                         t[k] = nc
@@ -43,14 +42,34 @@ class LaurentPoly2:
                         del t[k]
         self._terms = t
 
-    # -- constructors ------------------------------------------------
-
     @classmethod
     def _of(cls, terms):
         """Wrap a term map with no zero coefficients, without copying it."""
         p = cls.__new__(cls)
         p._terms = terms
         return p
+
+    @property
+    def terms(self):
+        """Term map copy; values nonzero ints."""
+        return dict(self._terms)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._terms!r})"
+
+
+class LaurentPoly2(_TermMap):
+    """Immutable integer Laurent polynomial in v and z; keys (e_v, e_z)."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls):
@@ -61,19 +80,6 @@ class LaurentPoly2:
         return cls({(0, 0): 1})
 
     # -- basic protocol ----------------------------------------------
-
-    @property
-    def terms(self):
-        """Term map copy; keys (e_v, e_z), values nonzero ints."""
-        return dict(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -208,37 +214,10 @@ class LaurentPoly2:
         return " + ".join(chunks)
 
 
-class LaurentPoly1:
+class LaurentPoly1(_TermMap):
     """Integer Laurent polynomial in t^(1/2); key e means t^(e/2)."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    nc = t.get(e, 0) + c
-                    if nc:
-                        t[e] = nc
-                    elif e in t:
-                        del t[e]
-        self._terms = t
-
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly1):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self):
-        return f"LaurentPoly1({self.pretty()!r})"
+    __slots__ = ()
 
     def evaluate_at_one(self):
         """Value at t = 1 (every t^(e/2) becomes 1)."""
@@ -275,27 +254,6 @@ class LaurentPoly1:
             return True
         return {e: -c for e, c in shifted.items()} == self._terms
 
-    def pretty(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                if e % 2:
-                    ts = f"t^({e}/2)"
-                elif e == 2:
-                    ts = "t"
-                else:
-                    ts = f"t^{e // 2}"
-                body = ts if mag == 1 else f"{mag}{ts}"
-            parts.append(f"{sign}{body}")
-        return "".join(parts)
-
 
 # -- module-level operation surface -----------------------------------
 
@@ -311,19 +269,11 @@ def alexander_specialize(p: LaurentPoly2) -> LaurentPoly1:
     Rejects negative z-exponents: z^-1 has no Laurent expansion in t^(1/2),
     and a HOMFLY with z^-1 terms belongs to a link, not a knot.
     """
-    out = {}
-    for (_, ez), c in p._terms.items():
+    for _, ez in p._terms:
         if ez < 0:
             raise NegativeZDegreeError(
                 f"z-exponent {ez} < 0: not a knot polynomial, cannot specialize"
             )
-        # (s - s^-1)^b expands to sum_k (-1)^k C(b,k) s^(b-2k), s = t^(1/2)
-        for k in range(ez + 1):
-            e = ez - 2 * k
-            coeff = c * ((-1) ** k) * comb(ez, k)
-            nc = out.get(e, 0) + coeff
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
-    return LaurentPoly1(out)
+    # (s - s^-1)^b expands to sum_k (-1)^k C(b,k) s^(b-2k), s = t^(1/2)
+    return LaurentPoly1((ez - 2 * k, c * (-1) ** k * comb(ez, k))
+                        for (_, ez), c in p._terms.items() for k in range(ez + 1))

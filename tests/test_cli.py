@@ -159,6 +159,26 @@ class TestCommands:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows == [["name", "c", "s", "mu", "genus"], ['knot, "left"', "3", "2", "1", "1"]]
 
+    def test_seifert_table_skips_split_rows(self, tmp_path, capsys):
+        p = tmp_path / "t.csv"
+        p.write_text(f'name,pd\n3_1,"{TREFOIL_PD}"\nsplit,O O\n')
+        assert run_command(["seifert", "--table", str(p)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "name,c,s,mu,genus\n3_1,3,2,1,1\n"
+        assert err == (f"{p}:3: skipping 'split': "
+                       "Seifert decomposition requires a connected diagram\n")
+
+    def test_seifert_split_only_exit2(self, tmp_path, capsys):
+        p = tmp_path / "t.csv"
+        p.write_text("name,pd\nsplit,O O\n")
+        assert run_command(["seifert", "--table", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == f"EMPTY_TABLE: {p}: no connected entries"
+        for argv in (["--pd", "O O"], ["--table", str(p), "--name", "split"]):
+            assert run_command(["seifert", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("DISCONNECTED: ")
+
     def test_homfly_from_table(self, capsys):
         assert run_command(["homfly", "--table", SMALL, "--name", "5_1"]) == 0
         assert json.loads(capsys.readouterr().out)["maxdeg_z"] == 4
@@ -469,6 +489,19 @@ class TestCacheFlag:
         cap = capsys.readouterr()
         assert cap.out == ""
         assert cap.err.startswith(f"IO_ERROR: cannot write cache {cache}")
+
+    def test_oracle_check_appends_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        argv = ["oracle-check", "--table", SMALL, "--limit", "5", "--cache", str(cache)]
+        assert run_command(argv) == 0
+        written = cache.read_bytes()
+        assert written
+        assert run_command(argv) == 0
+        assert cache.read_bytes() == written
+        capsys.readouterr()
+        assert run_command(["homfly", "--table", SMALL, "--name", "3_1",
+                            "--cache", str(cache)]) == 0
+        assert "expansions: 0" in capsys.readouterr().err.splitlines()
 
     def test_skein_tree_never_reads_cache(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache.jsonl"

@@ -11,7 +11,7 @@ from conftest import TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams
 
 from mortonlab.diagram import parse_pd
-from mortonlab.errors import DisconnectedError
+from mortonlab.errors import DisconnectedError, NotEligibleError
 from mortonlab.family import FamilySpec, insert_parallel_bands, whitehead_double
 from mortonlab.homfly import HomflyEngine
 from mortonlab.morton import (
@@ -104,6 +104,15 @@ class TestSkeinInequalities:
         assert count == 60
 
 
+# W(3_1) with the two-crossing curl X[1,4,2,3] X[2,4,3,1] spliced into its
+# edge 1: crossing 14 joins a Seifert circle to itself, and the hypothesis
+# certificates of W(3_1) need the engine
+CURLED_W31 = ("X[1,9,2,8] X[2,19,3,20] X[26,7,27,8] X[25,21,26,20] X[5,13,6,12] "
+              "X[6,15,7,16] X[22,11,23,12] X[21,17,22,16] X[9,5,10,4] X[10,23,11,24] "
+              "X[18,3,19,4] X[17,25,18,24] X[13,29,14,28] X[27,15,28,14] "
+              "X[29,32,30,31] X[30,32,31,1]")
+
+
 class TestTheoremFamily:
     def test_trefoil_rows_not_strict(self, engine):
         # the trefoil fails the strictness hypothesis (M = 2 gc), and
@@ -154,6 +163,15 @@ class TestTheoremFamily:
                                        budget_seconds=0.0)
         assert (fresh.expansions, report.rows, report.incomplete) == (0, [], True)
         assert not report.all_strict()
+
+    @pytest.mark.parametrize("crossing, error", [(14, NotEligibleError), (16, IndexError),
+                                                 (10**6, IndexError)])
+    def test_bad_crossing_rejected_before_engine_work(self, crossing, error):
+        fresh = HomflyEngine()
+        with pytest.raises(error):
+            verify_theorem_family(FamilySpec(parse_pd(CURLED_W31), crossing, []),
+                                  gc_claimed=3, n_max=2, engine=fresh)
+        assert fresh.expansions == 0
 
     def test_v_degree_violation_raises(self):
         class FixedEngine:

@@ -2,7 +2,7 @@
 specialization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mortonlab.errors import NegativeZDegreeError, ParseError
@@ -157,6 +157,33 @@ class TestAlexander:
     def test_negative_z_degree_rejected(self):
         with pytest.raises(NegativeZDegreeError):
             alexander_specialize(delta_factor())
+
+    @given(st.lists(st.tuples(st.tuples(exponents, st.integers(min_value=-2, max_value=7)),
+                              coeffs), max_size=8))
+    @example([((1, 2), 1), ((-1, 2), -1)])  # v = 1 cancels the terms outright
+    @example([((0, 2), 1), ((0, 0), 2)])  # z^2 + 2 = t + t^-1: the t^0 terms cancel
+    @example([((0, 2), 1), ((3, -1), 4), ((0, -2), 1)])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_term_expansion(self, pairs):
+        p = P(pairs)
+        negative = [ez for _, ez in p.terms if ez < 0]
+        if negative:
+            with pytest.raises(NegativeZDegreeError, match=f"z-exponent {negative[0]} < 0"):
+                alexander_specialize(p)
+            return
+        expected = {}
+        for (_, ez), c in p.terms.items():
+            # multiply out (s - s^-1)^ez one factor at a time, s = t^(1/2)
+            power = {0: 1}
+            for _ in range(ez):
+                step = {}
+                for e, a in power.items():
+                    step[e + 1] = step.get(e + 1, 0) + a
+                    step[e - 1] = step.get(e - 1, 0) - a
+                power = step
+            for e, a in power.items():
+                expected[e] = expected.get(e, 0) + c * a
+        assert alexander_specialize(p).terms == {e: a for e, a in expected.items() if a}
 
     def test_paper_polynomial_specializes_within_degree_bound(self):
         delta = alexander_specialize(PAPER_15N100154)

@@ -1,6 +1,7 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
-pools, no unused imports, the skein rule written once, a package namespace
+pools, no unused imports, the skein rule and the polynomial term-map
+code written once, a package namespace
 that does not shadow its modules, the attributes the benchmark's layer
 trace wraps, and a cold evaluation that neither validates nor walks cycles
 again; and over scripts/: nothing imported from the test tree."""
@@ -15,7 +16,7 @@ import mortonlab
 from mortonlab.diagram import Diagram, parse_pd
 from mortonlab.family import braid_closure
 from mortonlab.homfly import HomflyEngine
-from mortonlab.poly import LaurentPoly2
+from mortonlab.poly import LaurentPoly1, LaurentPoly2
 
 SOURCES = sorted(Path(mortonlab.__file__).parent.glob("*.py"))
 
@@ -90,6 +91,15 @@ def test_family_audit_reuses_the_skein_rule():
                 if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "homfly"
                 for a in n.names]
     assert "_skein_terms" in imported
+
+
+def test_polynomial_term_map_written_once():
+    # both polynomial types inherit the term-map code; without __slots__ = ()
+    # on each, every polynomial would carry a __dict__ as well
+    shared = ("__init__", "_of", "terms", "__bool__", "__eq__")
+    assert [(cls.__name__, m) for cls in (LaurentPoly1, LaurentPoly2) for m in shared
+            if m in cls.__dict__] == []
+    assert [p for p in (LaurentPoly1({0: 1}), LaurentPoly2.one()) if hasattr(p, "__dict__")] == []
 
 
 def test_homfly_module_not_shadowed():
