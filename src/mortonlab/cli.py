@@ -116,16 +116,21 @@ def export_report(payload, fmt) -> bytes:
     if fmt == "json":
         obj = payload.to_json_obj() if isinstance(payload, (FamilyReport, SkeinTrace)) else payload
         return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
-    if isinstance(payload, FamilyReport) and fmt == "csv":
-        return payload.to_csv().encode()
     if isinstance(payload, FamilyReport) and fmt == "table":
         return payload.to_text_table().encode()
     if isinstance(payload, SkeinTrace) and fmt == "dot":
         return trace_to_dot(payload).encode()
-    if isinstance(payload, (dict, list)) and fmt == "csv":
-        rows = [payload] if isinstance(payload, dict) else payload
+    if isinstance(payload, (dict, list, FamilyReport)) and fmt == "csv":
+        if isinstance(payload, FamilyReport):
+            # a split row's s and genus (None) are written as empty cells
+            header = FamilyReport.COLUMNS
+            rows = [{**row, "strict": str(row["strict"]).lower()}
+                    for row in payload.to_json_obj()["rows"]]
+        else:
+            rows = [payload] if isinstance(payload, dict) else payload
+            header = rows[0]
         out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([rows[0], *(r.values() for r in rows)])
+        csv.writer(out, lineterminator="\n").writerows([header, *(r.values() for r in rows)])
         return out.getvalue().encode()
     raise UnsupportedFormatError(f"cannot export {type(payload).__name__} as {fmt}")
 
@@ -141,6 +146,16 @@ def _count(text):
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
+def _seconds(text):
+    """argparse type of a number of seconds >= 0 (NaN is not one)."""
+    try:
+        if float(text) >= 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
 
 
 _SHARED_OPTIONS = {
@@ -191,14 +206,14 @@ def _build_parser():
     p = command("verify", "audit M(L_n) < 2*gc - 1 + n over a family",
                 "--pd --table --name --cache --out --crossing", ("table", "json", "csv"),
                 ("auto", "off"))
-    p.add_argument("--gc", type=int, required=True, help="knot-level canonical genus (given)")
+    p.add_argument("--gc", type=_count, required=True, help="knot-level canonical genus (given)")
     p.add_argument("--nmax", type=_count, default=5)
-    p.add_argument("--budget", type=float, default=None, help="seconds")
+    p.add_argument("--budget", type=_seconds, default=None, help="seconds")
     p.add_argument("--expect", help="expected base polynomial as JSON term records")
 
     p = command("skein-tree", "materialize the resolution tree", "--pd --table --name --out",
                 ("dot", "json"))
-    p.add_argument("--trace-limit", type=int, default=DEFAULT_TRACE_LIMIT,
+    p.add_argument("--trace-limit", type=_count, default=DEFAULT_TRACE_LIMIT,
                    help="max crossings; bounds crossing count, not tree size (s1^9: 500k nodes)")
 
     p = command("double", "blackboard-framed Whitehead double", "--pd --table --name --out",
@@ -208,7 +223,7 @@ def _build_parser():
 
     p = command("oracle-check", "homfly vs naive oracle over a table", "--table --cache --out",
                 ("json", "csv"))
-    p.add_argument("--limit", type=int, default=DEFAULT_ORACLE_LIMIT,
+    p.add_argument("--limit", type=_count, default=DEFAULT_ORACLE_LIMIT,
                    help="max crossings; bounds crossing count, not time (18 s CPU at 10 crossings)")
 
     return top

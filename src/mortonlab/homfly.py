@@ -29,6 +29,7 @@ routes can be compared exactly on small diagrams.
 
 from __future__ import annotations
 
+import binascii
 import json
 import os
 import re
@@ -46,14 +47,11 @@ __all__ = [
     "skein_trace",
     "choose_skein_crossing",
     "trace_to_dot",
-    "load_cache_file",
     "append_cache_file",
 ]
 
 DEFAULT_ORACLE_LIMIT = 10
 DEFAULT_TRACE_LIMIT = 12
-
-_ONE = LaurentPoly2.one()
 
 
 def choose_skein_crossing(d: Diagram):
@@ -159,7 +157,7 @@ class HomflyEngine:
 
     The cache maps canonical codes of simplified diagrams to polynomials;
     lookups are exact-key only (never up to mirror) to keep chirality
-    honest.  Records read by load_cache wait as polynomial JSON text in a
+    honest.  Records read by load_cache wait as polynomial JSON bytes in a
     map of this engine's own and enter the cache on their code's first
     lookup.  Recursion depth grows with the crossing count; a diagram too
     deep for the interpreter's recursion limit raises TooLargeError.
@@ -213,7 +211,7 @@ class HomflyEngine:
 
     def load_cache(self, path):
         """Check every record of a cache file and return the record count;
-        a record that does not decode raises ParseError naming path:line.
+        a line not in the written form raises ParseError naming path:line.
         A record's polynomial is decoded on its code's first lookup, and
         only when the cache holds no entry for that code: entries already
         in memory take precedence over the file's."""
@@ -365,54 +363,39 @@ def trace_to_dot(trace: SkeinTrace) -> str:
 
 # -- persistent cache file format: one JSON record per line ----------------
 
-# A record as append_cache_file writes it.  A line that fully matches
-# needs no JSON decode at load: json.loads and LaurentPoly2.from_json_obj
-# accept every such line, and bytes.fromhex every one whose code has even
-# length (an odd one raises the error the JSON path would).  Digit runs
-# stop at 640, the least limit sys.set_int_max_str_digits accepts, so
-# int() takes each one whatever the limit; longer runs take the JSON path.
+# The one record form of a cache file, as append_cache_file writes it: no
+# spaces, keys in the written order, lowercase hex, integers without leading
+# zeros, quoted coefficients.  With a code of even length (checked apart: in
+# the pattern it slows each match by a third), unhexlify and from_json take
+# every such line.  Digit runs stop at 640, the least limit accepted by
+# sys.set_int_max_str_digits, so int() takes each one whatever the limit.
 _INT = r"-?(?:0|[1-9][0-9]{0,639})"
 _TERM = rf'\{{"ev":{_INT},"ez":{_INT},"c":"-?[0-9]{{1,640}}"\}}'
 _WRITTEN_RECORD = re.compile(
-    rf'\{{"code":"([0-9a-f]*)","poly":(\[(?:{_TERM}(?:,{_TERM})*)?\])\}}')
+    rf'\{{"code":"([0-9a-f]*)","poly":(\[(?:{_TERM}(?:,{_TERM})*)?\])\}}'.encode())
 
 
 def _read_cache_records(path):
-    """Polynomial JSON text keyed by code for every record of a cache file
-    (later records win); a record that does not decode raises ParseError
-    naming path:line, and a file that cannot be read raises CacheIOError."""
+    """Polynomial JSON bytes keyed by code for every record of a cache file
+    (later records win); the first line that is neither blank nor in the
+    written form raises ParseError naming path:line, and a file that cannot
+    be read raises CacheIOError."""
     out = {}
     if not os.path.exists(path):
         return out
     try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    m = _WRITTEN_RECORD.fullmatch(line)
-                    if m is not None:
-                        out[bytes.fromhex(m[1])] = m[2]
-                        continue
-                    line.encode("utf-8")
-                    rec = json.loads(line)
-                    poly = LaurentPoly2.from_json_obj(rec["poly"])
-                    out[bytes.fromhex(rec["code"])] = poly.to_json()
-                except UnicodeEncodeError:
-                    raise ParseError(f"{path}:{lineno}: bad cache record: not UTF-8") from None
-                except (ValueError, KeyError, TypeError, ParseError) as exc:
-                    raise ParseError(f"{path}:{lineno}: bad cache record: {exc}") from exc
+                m = _WRITTEN_RECORD.fullmatch(line)
+                if m is None or len(m[1]) % 2:
+                    raise ParseError(f"{path}:{lineno}: bad cache record")
+                out[binascii.unhexlify(m[1])] = m[2]
     except OSError as exc:
         raise CacheIOError(f"cannot read cache {path}: {exc}") from exc
     return out
-
-
-def load_cache_file(path):
-    """Decoded cache records keyed by code; every record is checked as in
-    HomflyEngine.load_cache, with the same errors."""
-    return {code: LaurentPoly2.from_json(text)
-            for code, text in _read_cache_records(path).items()}
 
 
 def append_cache_file(path, entries):

@@ -30,7 +30,7 @@ rows.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .diagram import Diagram
 from .errors import DisconnectedError
@@ -134,6 +134,8 @@ class FamilyRow:
 
 @dataclass
 class FamilyReport:
+    COLUMNS = ("n", "c", "s", "genus", "M", "bound", "strict")  # FamilyRow fields as reported
+
     base_name: str
     crossing: int
     gc_claimed: int
@@ -151,31 +153,19 @@ class FamilyReport:
             "crossing": self.crossing,
             "gc_claimed_knot_level": self.gc_claimed,
             "base_defect_knot_level": self.base_defect,
-            "rows": [
-                {"n": r.n, "c": r.c, "s": r.s, "genus": r.genus,
-                 "M": r.m, "bound": r.bound, "strict": r.strict}
-                for r in self.rows
-            ],
+            "rows": [dict(zip(self.COLUMNS, astuple(r))) for r in self.rows],
             "hypothesis_certificates": self.hypothesis_certificates,
             "incomplete": self.incomplete,
             "all_strict": self.all_strict(),
         }
 
-    def to_csv(self):
-        lines = ["n,c,s,genus,M,bound,strict"]
-        for r in self.rows:
-            lines.append(f"{r.n},{r.c},{r.s},{r.genus},{r.m},{r.bound},{str(r.strict).lower()}")
-        return "\n".join(lines) + "\n"
-
     def to_text_table(self):
         head = f"base={self.base_name} crossing={self.crossing} gc(knot-level, given)={self.gc_claimed}"
-        cols = ["n", "c", "s", "genus", "M", "bound", "strict"]
-        rows = [[str(v) for v in (r.n, r.c, r.s, r.genus, r.m, r.bound, r.strict)]
-                for r in self.rows]
+        rows = [[str(v) for v in astuple(r)] for r in self.rows]
         widths = [max(len(c), *(len(row[j]) for row in rows)) if rows else len(c)
-                  for j, c in enumerate(cols)]
+                  for j, c in enumerate(self.COLUMNS)]
         out = [head]
-        out.append("  ".join(c.rjust(w) for c, w in zip(cols, widths)))
+        out.append("  ".join(c.rjust(w) for c, w in zip(self.COLUMNS, widths)))
         for row in rows:
             out.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
         for cert in self.hypothesis_certificates:

@@ -203,6 +203,23 @@ class TestCommands:
         assert code == 1  # rows are not strict for the trefoil
         capsys.readouterr()
 
+    def test_verify_csv_split_row_and_empty_report(self, capsys):
+        # crossing 3 of the closure of s1^3 s2 is a kink, so L_0 is split:
+        # its s and genus are null in JSON and empty cells in CSV
+        kinked = "X[1,5,2,4] X[5,3,6,2] X[3,7,4,6] X[8,8,1,7]"
+        argv = ["verify", "--pd", kinked, "--gc", "1", "--crossing", "3", "--nmax", "2"]
+        assert run_command(argv + ["--format", "json"]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert (rows[0]["s"], rows[0]["genus"]) == (None, None)
+        assert run_command(argv + ["--format", "csv"]) == 1
+        header = ["n", "c", "s", "genus", "M", "bound", "strict"]
+        assert capsys.readouterr().out.splitlines() == [",".join(header)] + [
+            ",".join("" if row[k] is None else str(row[k]).lower() for k in header)
+            for row in rows]
+        # a zero budget leaves no rows: the header alone
+        assert run_command(argv + ["--format", "csv", "--budget", "0"]) == 1
+        assert capsys.readouterr().out == "n,c,s,genus,M,bound,strict\n"
+
     @pytest.mark.parametrize("fmt", ["table", "csv"])
     def test_verify_expect_mismatch_on_stderr(self, fmt, capsys):
         # --gc 2 makes every row strict, so only the expectation fails
@@ -294,8 +311,15 @@ class TestCommands:
         ["family", "--pd", TREFOIL_PD, "--crossing", "abc"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--crossing", "x"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--nmax", "-1"],
+        ["verify", "--pd", TREFOIL_PD, "--gc", "-2"],
+        ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--budget", "nan"],
+        ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--budget", "-1"],
+        ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--budget", "x"],
+        ["oracle-check", "--table", SMALL, "--limit", "-3"],
+        ["skein-tree", "--pd", TREFOIL_PD, "--trace-limit", "-1"],
     ], ids=["out-missing-dir", "ns-negative", "ns-not-int", "crossing-abc", "crossing-x",
-            "nmax-negative"])
+            "nmax-negative", "gc-negative", "budget-nan", "budget-negative", "budget-not-number",
+            "limit-negative", "trace-limit-negative"])
     def test_bad_value_or_unwritable_out_exit2(self, argv, tmp_path, capsys):
         missing = tmp_path / "missing" / "x"
         assert run_command([a.format(missing=missing) for a in argv]) == 2
@@ -480,7 +504,7 @@ class TestCacheFlag:
         assert run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(cache)]) == 2
         cap = capsys.readouterr()
         assert cap.out == ""
-        assert cap.err.startswith(f"PARSE_ERROR: {cache}:2: bad cache record: not UTF-8")
+        assert cap.err == f"PARSE_ERROR: {cache}:2: bad cache record\n"
 
     @pytest.mark.parametrize("argv", [["homfly"], ["verify", "--gc", "1", "--nmax", "2"]])
     def test_cache_flush_to_missing_directory_exit2(self, argv, tmp_path, capsys):

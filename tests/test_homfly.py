@@ -5,6 +5,7 @@ depth."""
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 from unittest import mock
@@ -21,9 +22,9 @@ from mortonlab.errors import ParseError, TooLargeError
 from mortonlab.family import whitehead_double
 from mortonlab.homfly import (
     HomflyEngine,
+    _read_cache_records,
     append_cache_file,
     choose_skein_crossing,
-    load_cache_file,
     naive_homfly,
     skein_trace,
     trace_to_dot,
@@ -442,7 +443,7 @@ class TestCache:
         e2.homfly(parse_pd(FIGURE8_PD))
         n2 = e2.flush_cache(path)
         assert n2 > 0
-        merged = load_cache_file(path)
+        merged = _decoded(path)
         assert len(merged) == n1 + n2
 
     def test_exact_key_only_no_mirror_hits(self):
@@ -456,13 +457,19 @@ class TestCache:
         path = tmp_path / "c.jsonl"
         entries = {b"\x01\x02": LaurentPoly2({(1, -1): 3}), b"U1": LaurentPoly2.one()}
         append_cache_file(path, entries)
-        assert load_cache_file(path) == entries
+        assert _decoded(path) == entries
+
+
+def _decoded(path):
+    """Every record of a cache file, decoded as a lookup decodes it."""
+    return {code: LaurentPoly2.from_json(text) for code, text in _read_cache_records(path).items()}
 
 
 def _reference_load(path):
     """Reference reader: json.loads, bytes.fromhex and from_json_obj on
-    every line.  The cache loader must accept, decode and reject exactly
-    as this does."""
+    every line.  Every file the cache loader accepts, this accepts with the
+    same polynomials; the loader also rejects lines that this decodes but
+    append_cache_file never writes."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -564,15 +571,20 @@ _RECORD_MUTATIONS = [
 
 
 _T1, _T2 = '{"ev":2,"ez":0,"c":"-1"}', '{"ev":0,"ez":0,"c":"1"}'
-_SPELLINGS = [
-    '{"code":"3b7c","poly":[%s,%s]}' % (_T1, _T2),
-    '{"code":"","poly":[]}',
+# spellings of a record that append_cache_file never writes
+_NOT_WRITTEN = [
     '{"code": "3b7c", "poly": [%s]}' % _T1,
     '{"poly":[%s],"code":"3b7c"}' % _T1,
     '{"code":"3b7c","poly":[{"c":"-1","ev":2,"ez":0}]}',
     '{"code":"3B7C","poly":[%s]}' % _T1,
     '{"code":"3b7","poly":[%s]}' % _T1,
     '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":-1}]}',
+    '{"code":"3b7c","poly":[%s]} x' % _T1,
+    '{"code":"3b7c","poly":[%s' % _T1,
+]
+_SPELLINGS = [
+    '{"code":"3b7c","poly":[%s,%s]}' % (_T1, _T2),
+    '{"code":"","poly":[]}',
     '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":"01"}]}',
     '{"code":"3b7c","poly":[{"ev":02,"ez":0,"c":"1"}]}',
     '{"code":"3b7c","poly":[{"ev":-0,"ez":00,"c":"1"}]}',
@@ -586,29 +598,42 @@ _SPELLINGS = [
     '{"code":3,"poly":[]}',
     '{"code":"3b7","poly":5}',
     '{"poly":[]}',
-    '{"code":"3b7c","poly":[%s]} x' % _T1,
-    '{"code":"3b7c","poly":[%s' % _T1,
     '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":"%s"}]}' % ("9" * 641),
     '{"code":"3b7c","poly":[{"ev":2,"ez":0,"c":"%s"}]}' % ("9" * 4301),
     '{"code":"3b7c","poly":[{"ev":%s,"ez":0,"c":"1"}]}' % ("9" * 641),
+    *_NOT_WRITTEN,
 ]
+
+
+def _assert_loads_as_reference(loaded, path):
+    expected = _reference_load(path)
+    assert loaded == len(expected)
+    assert _decoded(path) == expected
 
 
 class TestCacheLoader:
     @pytest.mark.parametrize("spelling", _SPELLINGS)
-    def test_spelling_matches_json_per_line_reference(self, spelling, tmp_path):
+    def test_spelling_loads_as_reference_or_is_rejected(self, spelling, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"code":"3b7c","poly":[%s]}\n%s\n' % (_T2, spelling), encoding="utf-8")
-        expected = _outcome(_reference_load, path)
-        assert _outcome(load_cache_file, path) == expected
         loaded = _outcome(HomflyEngine().load_cache, path)
-        assert loaded == (expected if isinstance(expected, str) else len(expected))
+        if isinstance(loaded, str) or spelling in _NOT_WRITTEN:
+            assert loaded == f"{path}:2: bad cache record"
+        else:
+            _assert_loads_as_reference(loaded, path)
 
     @settings(max_examples=300, deadline=None)
     @given(entries=_cache_entries, data=st.data())
-    def test_matches_json_per_line_reference(self, entries, data, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / "differential.jsonl"
+    def test_loads_written_form_as_reference_and_names_first_bad_line(
+            self, entries, data, tmp_path_factory):
+        base = tmp_path_factory.getbasetemp()
+        path = base / "differential.jsonl"
         written = _write_entries(path, entries)
+        # (a) what the writer wrote loads, each polynomial as a lookup decodes it
+        engine = HomflyEngine()
+        assert engine.load_cache(path) == len(entries)
+        assert {code: LaurentPoly2.from_json(text)
+                for code, text in engine._undecoded.items()} == entries
         lines = list(written)
         for _ in range(data.draw(st.integers(0, 3))):
             line = data.draw(st.sampled_from(written))
@@ -625,18 +650,29 @@ class TestCacheLoader:
         if data.draw(st.booleans()):  # a torn last line
             lines[-1] = lines[-1][: data.draw(st.integers(0, max(len(lines[-1]) - 1, 0)))]
         path.write_text("".join(lines), encoding="utf-8")
-        expected = _outcome(_reference_load, path)
-        event("rejected" if isinstance(expected, str) else "accepted")
-        assert _outcome(load_cache_file, path) == expected
-        engine = HomflyEngine()
-        loaded = _outcome(engine.load_cache, path)
-        assert loaded == (expected if isinstance(expected, str) else len(expected))
+        loaded = _outcome(HomflyEngine().load_cache, path)
+        event("rejected" if isinstance(loaded, str) else "accepted")
+        if not isinstance(loaded, str):
+            # (b) an accepted file decodes as the json-per-line reference decodes it
+            _assert_loads_as_reference(loaded, path)
+            return
+        # (c) the rejection names the first bad line: the lines before it
+        # load on their own, and that line alone does not
+        m = re.fullmatch(rf"{re.escape(str(path))}:([0-9]+): bad cache record", loaded)
+        assert m is not None
+        n = int(m[1])
+        raw = path.read_bytes().split(b"\n")
+        head, bad = base / "head.jsonl", base / "bad.jsonl"
+        head.write_bytes(b"\n".join(raw[:n - 1]))
+        bad.write_bytes(raw[n - 1])
+        assert isinstance(HomflyEngine().load_cache(head), int)
+        assert _outcome(HomflyEngine().load_cache, bad) == f"{bad}:1: bad cache record"
 
     @settings(max_examples=200, deadline=None)
     @given(entries=_cache_entries)
     def test_written_records_load_without_json_decode(self, entries, tmp_path_factory):
-        """Every line the writer emits takes the fast check, so a change to
-        the written form cannot send every load back through json.loads."""
+        """Loading checks every written line by the pattern alone; no
+        polynomial is decoded before its code's first lookup."""
         path = tmp_path_factory.getbasetemp() / "written.jsonl"
         _write_entries(path, entries)
 
@@ -645,7 +681,7 @@ class TestCacheLoader:
 
         with mock.patch.object(json, "loads", no_decode):
             assert HomflyEngine().load_cache(path) == len(entries)
-        assert load_cache_file(path) == entries
+        assert _decoded(path) == entries
 
     @staticmethod
     def _counting_decoder(monkeypatch):
@@ -683,7 +719,7 @@ class TestCacheLoader:
         cold = HomflyEngine()
         cold.homfly(braid_closure([1, 1, 1], 2))
         cold.flush_cache(path)
-        old_codes = set(load_cache_file(path))
+        old_codes = set(_read_cache_records(path))
         decoded = self._counting_decoder(monkeypatch)
 
         warm = HomflyEngine()
@@ -707,7 +743,7 @@ class TestCacheLoader:
         append_cache_file(path, {code: LaurentPoly2.one()})
         engine.load_cache(path)
         assert engine.homfly(d) == p
-        assert load_cache_file(path) == {code: LaurentPoly2.one()}
+        assert _decoded(path) == {code: LaurentPoly2.one()}
 
 
 class TestThreads:

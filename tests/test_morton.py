@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams
 
+from mortonlab.cli import export_report
 from mortonlab.diagram import parse_pd
 from mortonlab.errors import DisconnectedError, NotEligibleError
 from mortonlab.family import FamilySpec, insert_parallel_bands, whitehead_double
@@ -187,7 +188,7 @@ class TestTheoremFamily:
     def test_report_serialization(self, engine):
         spec = FamilySpec(parse_pd(TREFOIL_PD), 0, [])
         report = verify_theorem_family(spec, gc_claimed=1, n_max=2, engine=engine)
-        csv_text = report.to_csv()
+        csv_text = export_report(report, "csv").decode()
         assert csv_text.splitlines()[0] == "n,c,s,genus,M,bound,strict"
         obj = report.to_json_obj()
         assert obj["rows"][1]["M"] == 2

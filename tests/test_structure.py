@@ -1,10 +1,10 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
-pools, no unused imports, the skein rule and the polynomial term-map
-code written once, a package namespace
-that does not shadow its modules, the attributes the benchmark's layer
-trace wraps, and a cold evaluation that neither validates nor walks cycles
-again; and over scripts/: nothing imported from the test tree."""
+pools, no unused imports or unread private names, the skein rule and the
+polynomial term-map code written once, a package namespace that does not
+shadow its modules, the attributes the benchmark's layer trace wraps, and
+a cold evaluation that neither validates nor walks cycles again; and over
+scripts/: nothing imported from the test tree."""
 
 import ast
 import importlib
@@ -79,6 +79,33 @@ def test_scripts_do_not_import_tests(path):
               and isinstance(n.value, ast.Attribute) and n.value.attr == "path"):
             found.append(f"sys.path.{n.attr} on line {n.lineno}")
     assert not found, f"{path.name}: imports {found}"
+
+
+def test_private_module_names_are_read():
+    # a module-level _name that nothing loads, reads as an attribute or
+    # imports is dead code
+    trees = [_tree(path) for path in SOURCES]
+    read = set()
+    for n in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read.update(a.name for a in n.names)
+    unread = []
+    for path, tree in zip(SOURCES, trees):
+        for n in tree.body:
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                names = [n.name]
+            elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                names = [e.id for t in targets for e in ast.walk(t) if isinstance(e, ast.Name)]
+            else:
+                names = []
+            unread += [f"{path.stem}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []
 
 
 def test_family_audit_reuses_the_skein_rule():
