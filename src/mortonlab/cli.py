@@ -364,7 +364,7 @@ def _dispatch(args):
         crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
         members = [(n, insert_parallel_bands(d, crossing, n)) for n in args.ns]
         if args.fmt == "table":
-            _emit(("\n".join(dn.serialize() for _, dn in members) + "\n").encode(), args)
+            _emit("".join(dn.serialize() + "\n" for _, dn in members).encode(), args)
             return 0
         manifest = []
         for n, dn in members:

@@ -1,16 +1,17 @@
 """Oriented link diagrams in PD notation.
 
 A diagram is a list of crossings plus a count of crossing-free unknotted
-circles.  Each crossing X[a,b,c,d] lists its four edge labels
-counterclockwise starting at the incoming under-strand edge a, so a is
-incoming under and c is outgoing under.  The crossing is positive when
-the over-strand runs d -> b and negative when it runs b -> d; signs are
-derived from global orientation consistency at parse/build time and then
-carried explicitly.
+circles.  Each crossing holds its two oriented strands and its sign: the
+under-strand a -> c passes under the over-strand over_in -> over_out.
+Edge labels are 1..2c, each appearing exactly twice, and the successor
+relation (a -> c and over_in -> over_out at every crossing) must
+partition the labels into closed oriented cycles.
 
-Edge labels are 1..2c, each appearing exactly twice.  The edge-successor
-relation (a -> c under; d -> b over at positive crossings, b -> d at
-negative ones) must partition the labels into closed oriented cycles.
+PD text X[a,b,c,d] lists the four edge labels counterclockwise from the
+incoming under-strand edge a, so c is outgoing under; the over-strand
+runs d -> b at a positive crossing and b -> d at a negative one.  Only
+parse_pd (which infers the signs from orientation consistency),
+Crossing.pd (for serialize) and _renumber's label order use that order.
 """
 
 from __future__ import annotations
@@ -26,31 +27,20 @@ __all__ = ["Crossing", "Diagram", "parse_pd"]
 
 
 class Crossing(NamedTuple):
+    """The under-strand a -> c passes under over_in -> over_out."""
+
     a: int
-    b: int
     c: int
-    d: int
+    over_in: int
+    over_out: int
     sign: int
 
-    @classmethod
-    def from_strands(cls, under_in, under_out, over_in, over_out, sign):
-        """The crossing where under_in -> under_out passes under over_in ->
-        over_out: the over-strand takes slots d -> b when positive and
-        b -> d when negative."""
-        if sign > 0:
-            return cls(under_in, over_out, under_out, over_in, sign)
-        return cls(under_in, over_in, under_out, over_out, sign)
-
-    @property
-    def over_in(self):
-        return self.d if self.sign > 0 else self.b
-
-    @property
-    def over_out(self):
-        return self.b if self.sign > 0 else self.d
-
-    def edges(self):
-        return (self.a, self.b, self.c, self.d)
+    def pd(self):
+        """PD slots (a, b, c, d): the over-strand enters by d when positive
+        and by b when negative."""
+        if self.sign > 0:
+            return (self.a, self.over_out, self.c, self.over_in)
+        return (self.a, self.over_in, self.c, self.over_out)
 
 
 class Diagram:
@@ -150,7 +140,7 @@ class Diagram:
                 return k
 
             for x in self.crossings:
-                ra, rb = find(comp[x.a]), find(comp[x.b])
+                ra, rb = find(comp[x.a]), find(comp[x.over_in])
                 if ra != rb:
                     root[ra] = rb
             pieces = {}
@@ -180,7 +170,7 @@ class Diagram:
         """Swap the over- and under-strands of crossing i."""
         x = self._crossing(i)
         xs = list(self.crossings)
-        xs[i] = Crossing.from_strands(x.over_in, x.over_out, x.a, x.c, -x.sign)
+        xs[i] = Crossing(x.over_in, x.over_out, x.a, x.c, -x.sign)
         out = Diagram(xs, self.free_loops, _validated=True)
         # every strand and the projection are kept
         out._cycles, out._comp, out._pieces = self._cycles, self._comp, self._pieces
@@ -215,7 +205,7 @@ class Diagram:
         ):
             raise InvalidPDError("relabeling must be a bijection on 1..2c")
         xs = [
-            Crossing(mapping[x.a], mapping[x.b], mapping[x.c], mapping[x.d], x.sign)
+            Crossing(mapping[x.a], mapping[x.c], mapping[x.over_in], mapping[x.over_out], x.sign)
             for x in self.crossings
         ]
         return Diagram(xs, self.free_loops, _validated=True)
@@ -257,7 +247,7 @@ class Diagram:
     # -- serialization ------------------------------------------------------
 
     def serialize(self):
-        parts = [f"X[{x.a},{x.b},{x.c},{x.d}]" for x in self.crossings]
+        parts = ["X[%d,%d,%d,%d]" % x.pd() for x in self.crossings]
         if self.free_loops:
             parts.append(f"free_loops={self.free_loops}")
         return " ".join(parts)
@@ -281,8 +271,8 @@ def _least_tokens(crossings, ncomp, comp):
     n = len(crossings)
     size = 2 * n + 1
     nxt, cross, low, pout = [0] * size, [0] * size, [0] * size, [0] * size
-    for i, (a, b, c, d, s) in enumerate(crossings):
-        o_in, o_out, neg = (d, b, 0) if s > 0 else (b, d, 1)
+    for i, (a, c, o_in, o_out, s) in enumerate(crossings):
+        neg = 0 if s > 0 else 1
         nxt[a], nxt[o_in] = c, o_out
         cross[a] = cross[o_in] = i
         low[a], low[o_in] = 2 + neg, neg
@@ -363,13 +353,14 @@ def _first_move(xs, ins):
     """Indices of the first R1 move in the working list, else of the first R2."""
     for i, x in enumerate(xs):
         if x is not None:
-            a, b, c, d, _ = x
-            if a == b or b == c or c == d or d == a:
+            a, c, o_in, o_out, _ = x
+            # a kink: an edge leaves one strand here and enters the other
+            if a == o_in or a == o_out or c == o_in or c == o_out:
                 return (i,)
     for i, x in enumerate(xs):
         if x is not None:
-            a, b, c, d, s = x
-            j, under = ins[b if s > 0 else d]
+            a, c, _, o_out, s = x
+            j, under = ins[o_out]
             # the same strand passes over both; the under strand must also
             # run directly between the two crossings (either direction)
             if j != i and not under and xs[j].sign != s and (c == xs[j].a or xs[j].c == a):
@@ -385,8 +376,7 @@ def _stitch(xs, ins, removed, smooth):
     crossing that its last edge enters; returns how many chains close up."""
     glue = {}
     for i in removed:
-        a, b, c, d, s = xs[i]
-        o_in, o_out = (d, b) if s > 0 else (b, d)
+        a, c, o_in, o_out, _ = xs[i]
         glue[a], glue[o_in] = (o_out, c) if smooth else (c, o_out)
         del ins[a], ins[o_in]
         xs[i] = None
@@ -399,14 +389,8 @@ def _stitch(xs, ins, removed, smooth):
             closed.discard(f)
             f = glue[f]
         j, under = ins[e] = ins.pop(f)
-        a, b, c, d, s = xs[j]
-        if under:
-            a = e
-        elif s > 0:
-            d = e
-        else:
-            b = e
-        xs[j] = Crossing(a, b, c, d, s)
+        a, c, o_in, o_out, s = xs[j]
+        xs[j] = Crossing(e, c, o_in, o_out, s) if under else Crossing(a, c, e, o_out, s)
     loops = 0
     while closed:
         e = closed.pop()
@@ -421,8 +405,8 @@ def _renumber(crossings, free_loops, _validated=False):
     """Relabel arbitrary hashable edge labels to 1..2c by traversal order.
 
     Components are taken in order of first appearance scanning the crossing
-    list slotwise; each is walked from its first-seen edge, so component k
-    takes one run of labels lo_k..hi_k in walking order.  The new diagram
+    list by PD slot; each is walked from its first-seen edge, so component
+    k takes one run of labels lo_k..hi_k in walking order.  The new diagram
     records those runs as its component cycles instead of walking them
     again.
     """
@@ -431,15 +415,17 @@ def _renumber(crossings, free_loops, _validated=False):
     nxt = 1
     starts = []
     for x in crossings:
-        for e in x[:4]:
+        # slots a then b: c and d lie on the strands walked from a and b,
+        # so this labels as a scan of all four slots does
+        for e in (x.a, x.over_out if x.sign > 0 else x.over_in):
             if e not in label:
                 starts.append(nxt)
                 while e not in label:
                     label[e] = nxt
                     nxt += 1
                     e = succ[e]
-    out = Diagram([Crossing(label[a], label[b], label[c], label[d], s)
-                   for a, b, c, d, s in crossings], free_loops, _validated)
+    out = Diagram([Crossing(label[a], label[c], label[o_in], label[o_out], s)
+                   for a, c, o_in, o_out, s in crossings], free_loops, _validated)
     starts.append(nxt)
     cycles, comp = [], [0]
     for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
@@ -453,20 +439,16 @@ def _renumber(crossings, free_loops, _validated=False):
 def _entries(crossings):
     """Edge -> (index of the crossing it enters, whether it enters under)."""
     ins = {}
-    for i, (a, b, c, d, s) in enumerate(crossings):
-        ins[a], ins[d if s > 0 else b] = (i, True), (i, False)
+    for i, (a, _, o_in, _, _) in enumerate(crossings):
+        ins[a], ins[o_in] = (i, True), (i, False)
     return ins
 
 
 def _successors(crossings):
     """Edge -> next edge along its oriented strand."""
     succ = {}
-    for a, b, c, d, s in crossings:
-        succ[a] = c
-        if s > 0:
-            succ[d] = b
-        else:
-            succ[b] = d
+    for a, c, o_in, o_out, _ in crossings:
+        succ[a], succ[o_in] = c, o_out
     return succ
 
 
@@ -483,8 +465,9 @@ def _check_labels(quads):
 
 # -- parsing ------------------------------------------------------------------
 
+# a term, after whitespace and at most one comma that follows a term
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    r"""(?:(?<=\S)\s*,)?\s*(?:
         (?P<x>X\[\s*(?P<t>\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+)\s*\])
       | (?P<o>O)
       | (?P<fl>free_loops=(?P<k>\d+))
@@ -498,7 +481,6 @@ def _tokenize(text):
     body = text.strip()
     if body.startswith("PD[") and body.endswith("]"):
         body = body[3:-1]
-    body = body.replace(",X[", " X[").replace(", X[", " X[")
     tuples = []
     loops = 0
     pos = 0
@@ -529,7 +511,8 @@ def parse_pd(text: str) -> Diagram:
 
     _check_labels(tuples)
     signs = _derive_signs(tuples)
-    xs = [Crossing(a, b, c, d, s) for (a, b, c, d), s in zip(tuples, signs)]
+    xs = [Crossing(a, c, d, b, s) if s > 0 else Crossing(a, c, b, d, s)
+          for (a, b, c, d), s in zip(tuples, signs)]
     # labels are checked above, and a strand walk that completes gives every
     # edge one head and one tail, so _validate would only repeat both checks
     return Diagram(xs, loops, _validated=True)

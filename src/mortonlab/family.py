@@ -53,9 +53,9 @@ def braid_closure(word, strands) -> Diagram:
         x, y = cur[p], cur[p + 1]
         u, v = ("e", t, 0), ("e", t, 1)  # u continues x at p+1, v continues y at p
         if w > 0:
-            crossings.append(Crossing.from_strands(y, v, x, u, 1))
+            crossings.append(Crossing(y, v, x, u, 1))
         else:
-            crossings.append(Crossing.from_strands(x, u, y, v, -1))
+            crossings.append(Crossing(x, u, y, v, -1))
         cur[p], cur[p + 1] = v, u
     free = 0
     rename = {}
@@ -110,9 +110,10 @@ def _orient(crossings) -> Diagram:
                 break
     out = []
     for x, (ends, od) in enumerate(crossings):
-        a = next(s for s in ((1, 3) if od == 0 else (0, 2)) if enters[(x, s)])
-        sign = 1 if enters[(x, (a + 3) % 4)] else -1
-        out.append(Crossing(*(ends[(a + k) % 4] for k in range(4)), sign))
+        # the under- and the over-strand each enter by one of two opposite ends
+        u, o = (s if enters[(x, s)] else s + 2 for s in ((1, 0) if od == 0 else (0, 1)))
+        sign = 1 if o == (u + 3) % 4 else -1
+        out.append(Crossing(ends[u], ends[(u + 2) % 4], ends[o], ends[(o + 2) % 4], sign))
     return _renumber(out, 0)
 
 
@@ -155,7 +156,7 @@ def insert_parallel_bands(d: Diagram, i: int, n: int) -> Diagram:
     for j in range(1, n + 1):
         # the original under-strand goes under at odd j
         under, over = (xs, ys) if j % 2 else (ys, xs)
-        new.append(Crossing.from_strands(under[j - 1], under[j], over[j - 1], over[j], s))
+        new.append(Crossing(under[j - 1], under[j], over[j - 1], over[j], s))
     out = _renumber(new, d.free_loops)
     if len(out.crossings) != len(d.crossings) + n - 1:
         raise RuntimeError(f"band insertion lost crossings: {len(out.crossings)} for n={n}")
@@ -212,15 +213,15 @@ def whitehead_double(d: Diagram, clasp_sign: int = 1, twists: int = 0) -> Diagra
         # under: (P, a) -> u1 -> (P, c) and (M, c) -> u2 -> (M, a);
         # over: (P, oi) -> o1 -> (P, oo) and (M, oo) -> o2 -> (M, oi)
         if x.sign > 0:
-            new.append(Crossing.from_strands((P, a), u1, o1, (P, oo), 1))
-            new.append(Crossing.from_strands(u1, (P, c), (M, oo), o2, -1))
-            new.append(Crossing.from_strands(u2, (M, a), (P, oi), o1, -1))
-            new.append(Crossing.from_strands((M, c), u2, o2, (M, oi), 1))
+            new.append(Crossing((P, a), u1, o1, (P, oo), 1))
+            new.append(Crossing(u1, (P, c), (M, oo), o2, -1))
+            new.append(Crossing(u2, (M, a), (P, oi), o1, -1))
+            new.append(Crossing((M, c), u2, o2, (M, oi), 1))
         else:
-            new.append(Crossing.from_strands((P, a), u1, o2, (M, oi), 1))
-            new.append(Crossing.from_strands(u1, (P, c), (P, oi), o1, -1))
-            new.append(Crossing.from_strands((M, c), u2, o1, (P, oo), 1))
-            new.append(Crossing.from_strands(u2, (M, a), (M, oo), o2, -1))
+            new.append(Crossing((P, a), u1, o2, (M, oi), 1))
+            new.append(Crossing(u1, (P, c), (P, oi), o1, -1))
+            new.append(Crossing((M, c), u2, o1, (P, oo), 1))
+            new.append(Crossing(u2, (M, a), (M, oo), o2, -1))
 
     # cut the doubled copies of the anchor edge and route them through
     # twists (nearest the strand's tail block) and then the clasp
@@ -231,7 +232,7 @@ def whitehead_double(d: Diagram, clasp_sign: int = 1, twists: int = 0) -> Diagra
     def rename_head(old, fresh):
         def head(e):
             return fresh if e == old else e
-        new[:] = [Crossing.from_strands(head(x.a), x.c, head(x.over_in), x.over_out, x.sign)
+        new[:] = [Crossing(head(x.a), x.c, head(x.over_in), x.over_out, x.sign)
                   for x in new]
 
     def add_pair(strands, sign):
@@ -240,7 +241,7 @@ def whitehead_double(d: Diagram, clasp_sign: int = 1, twists: int = 0) -> Diagra
         for under, over in strands:
             if sign < 0:
                 under, over = over, under
-            new.append(Crossing.from_strands(*under, *over, sign))
+            new.append(Crossing(*under, *over, sign))
 
     # the incoming-to-a-block occurrence of each cut edge becomes the
     # "post" label; the outgoing occurrence keeps the original label

@@ -244,6 +244,12 @@ class TestCommands:
         assert len(out) == 3
         assert all(parse_pd(line) for line in out)
 
+    def test_family_with_no_members_writes_no_table(self, capsys):
+        assert run_command(["family", "--pd", TREFOIL_PD, "--ns", ""]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert run_command(["family", "--pd", TREFOIL_PD, "--ns", "", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["members"] == []
+
     def test_family_json_manifest(self, capsys):
         assert run_command(["family", "--pd", TREFOIL_PD, "--crossing", "auto",
                             "--ns", "1,3", "--format", "json"]) == 0

@@ -2,9 +2,10 @@
 cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, no unused imports or unread private names, the skein rule and the
 polynomial term-map code written once, a package namespace that does not
-shadow its modules, the attributes the benchmark's layer trace wraps, and
-a cold evaluation that neither validates nor walks cycles again; and over
-scripts/: nothing imported from the test tree."""
+shadow its modules, the attributes the benchmark's layer trace wraps,
+crossing strands stored as fields, and a cold evaluation that neither
+validates nor walks cycles again; and over scripts/: nothing imported
+from the test tree."""
 
 import ast
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import mortonlab
-from mortonlab.diagram import Diagram, parse_pd
+from mortonlab.diagram import Crossing, Diagram, parse_pd
 from mortonlab.family import braid_closure
 from mortonlab.homfly import HomflyEngine
 from mortonlab.poly import LaurentPoly1, LaurentPoly2
@@ -127,6 +128,11 @@ def test_polynomial_term_map_written_once():
     assert [(cls.__name__, m) for cls in (LaurentPoly1, LaurentPoly2) for m in shared
             if m in cls.__dict__] == []
     assert [p for p in (LaurentPoly1({0: 1}), LaurentPoly2.one()) if hasattr(p, "__dict__")] == []
+
+
+def test_crossing_strands_are_fields():
+    # a crossing stores its strands, so no read works out a PD slot again
+    assert [name for name, v in vars(Crossing).items() if isinstance(v, property)] == []
 
 
 def test_homfly_module_not_shadowed():
