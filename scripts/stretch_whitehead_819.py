@@ -5,7 +5,7 @@ blackboard Whitehead double of 8_19 = T(3,4).
 The double's canonical surface gives g_c(W) <= 8, and the degree bound
 gives g_c(W) >= M/2.  If M < 2 * c(8_19) = 16 then at least one of
 "degree bound strict for W" / "g_c(W) < c(K)" must hold; this run pins
-the computed M so the dichotomy is explicit.  Takes about 0.6 s of CPU
+the computed M so the dichotomy is explicit.  Takes about 0.55 s of CPU
 and 1,943 skein expansions on a 2-vCPU host; pass a cache path to make
 reruns instant.
 

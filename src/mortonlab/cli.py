@@ -21,6 +21,7 @@ from .errors import (
     DisconnectedError,
     DuplicateNameError,
     EmptyTableError,
+    MFWViolationError,
     MortonLabError,
     TableError,
     UnsupportedFormatError,
@@ -386,10 +387,14 @@ def _dispatch(args):
         engine, cache_path = _engine_from_args(args)
         crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
         spec = FamilySpec(d, crossing, [])
-        report = verify_theorem_family(
-            spec, gc_claimed=args.gc, n_max=args.nmax, engine=engine,
-            budget_seconds=args.budget, base_name=name,
-        )
+        try:
+            report = verify_theorem_family(
+                spec, gc_claimed=args.gc, n_max=args.nmax, engine=engine,
+                budget_seconds=args.budget, base_name=name,
+            )
+        except MFWViolationError as exc:
+            print(f"MFW_VIOLATION {name}: {exc}", file=sys.stderr)
+            return 1
         match = None
         if args.expect:
             p = engine.homfly(d)
@@ -438,7 +443,7 @@ def _dispatch(args):
                     try:
                         check_v_degree_bound(e.diagram, engine.homfly(e.diagram),
                                              "the engine's polynomial")
-                    except RuntimeError as exc:
+                    except MFWViolationError as exc:
                         print(f"MFW_VIOLATION {e.name}: {exc}", file=sys.stderr)
                         return 1
                 skipped += 1

@@ -12,6 +12,12 @@ incoming under-strand edge a, so c is outgoing under; the over-strand
 runs d -> b at a positive crossing and b -> d at a negative one.  Only
 parse_pd (which infers the signs from orientation consistency),
 Crossing.pd (for serialize) and _renumber's label order use that order.
+
+Derived structure is computed once per diagram: the component cycles,
+the edge table (the crossing each label enters, and whether under) and
+the connected pieces.  _renumber and switch_crossing hand their results
+cycles and a table, and the canonical code's first walk records the
+pieces of a diagram whose crossings form one piece.
 """
 
 from __future__ import annotations
@@ -46,13 +52,15 @@ class Crossing(NamedTuple):
 class Diagram:
     """Immutable oriented link diagram."""
 
-    __slots__ = ("crossings", "free_loops", "_cycles", "_comp", "_pieces", "_split", "_code")
+    __slots__ = ("crossings", "free_loops", "_cycles", "_comp", "_ins", "_pieces", "_split",
+                 "_code")
 
     def __init__(self, crossings, free_loops=0, _validated=False):
         self.crossings = tuple(crossings)
         self.free_loops = int(free_loops)
         self._cycles = None
         self._comp = None
+        self._ins = None
         self._pieces = None
         self._split = None
         self._code = None
@@ -110,6 +118,13 @@ class Diagram:
             self._cycles = tuple(cycles)
             self._comp = comp
         return self._cycles
+
+    def _edge_table(self):
+        """The list _entries(crossings), built once: renumbered and switched
+        diagrams are made with theirs."""
+        if self._ins is None:
+            self._ins = _entries(self.crossings)
+        return self._ins
 
     def num_components(self):
         return len(self.component_cycles())
@@ -172,15 +187,18 @@ class Diagram:
         xs = list(self.crossings)
         xs[i] = Crossing(x.over_in, x.over_out, x.a, x.c, -x.sign)
         out = Diagram(xs, self.free_loops, _validated=True)
-        # every strand and the projection are kept
+        # every strand and the projection are kept; the strands entering i
+        # trade under for over
         out._cycles, out._comp, out._pieces = self._cycles, self._comp, self._pieces
+        out._ins = ins = self._edge_table()[:]
+        ins[x.a], ins[x.over_in] = (i, False), (i, True)
         return out
 
     def smooth_crossing(self, i):
         """Remove crossing i by the oriented smoothing and renumber, with no
         Reidemeister moves (the engine reduces its smoothed child in _reduce)."""
         self._crossing(i)
-        return _reduce(self.crossings, self.free_loops, i, moves=False)
+        return _reduce(self, i, moves=False)
 
     def _crossing(self, i):
         if not isinstance(i, int) or not 0 <= i < len(self.crossings):
@@ -192,7 +210,7 @@ class Diagram:
         the first R1 move by crossing order, otherwise the first R2 move by
         crossing order.  The result is renumbered once, and is this diagram
         when no move applies."""
-        out = _reduce(self.crossings, self.free_loops)
+        out = _reduce(self)
         return self if out is None else out
 
     # -- relabeling and canonical form ------------------------------------
@@ -213,18 +231,25 @@ class Diagram:
     def canonical_code(self):
         """Byte string invariant under edge relabeling and crossing reordering.
 
-        Split diagrams combine the sorted codes of their connected pieces.
         A connected projection takes the lexicographically least traversal
         code over all starting edges: passages emit (crossing number by
         first visit, over/under, sign), later link components are attached
         at their first-contact crossing in passage order, and the free-loop
-        count is appended.
+        count is appended.  Split diagrams, and diagrams with free loops
+        beside their crossings, combine the sorted codes of their connected
+        pieces.
 
         The walk reads flat per-edge lists indexed by label 1..2c: the next
         edge on its cycle, its component, the crossing it enters, the
         token's low bits (2 * under + negative) and the other strand's
         outgoing edge there.  A start's first token is its low bits, so
         only starts whose low bits are least can give the least code.
+
+        The first walk attaches every component of its piece, so it also
+        decides connectivity: it has 2c + (components with crossings)
+        tokens exactly when the crossings form one piece, which is then
+        recorded, and with free loops beside it that piece's code is this
+        walk's.  Only a shorter walk finds the pieces by union-find.
         """
         if self._code is None:
             self._code = self._compute_code()
@@ -233,16 +258,26 @@ class Diagram:
     def _compute_code(self):
         n = len(self.crossings)
         if n == 0:
+            self._pieces = []
             return b"U%d" % self.free_loops
-        if not self.is_connected():
+        ncomp = len(self.component_cycles()) - self.free_loops
+        best = _least_tokens(self.crossings, ncomp, self._comp)
+        if best is None:
             parts = sorted(p.canonical_code() for p in self.split_pieces() if p.crossings)
             return b"S" + b";".join(parts) + b"|%d" % self.free_loops
-        best = _least_tokens(self.crossings, self.num_components(), self._comp)
+        self._pieces = [list(range(n))]
         if n > 62:
             body = b"".join(b"\xfe\xfe" if t == -1 else t.to_bytes(2, "big") for t in best)
         else:
-            body = bytes(254 if t == -1 else t for t in best)
-        return body + b"|%d" % self.free_loops
+            body = bytes(map(_TOKEN_BYTE.__getitem__, best))
+        code = body + b"|0"
+        if not self.free_loops:
+            return code
+        # the split form of one piece and free loops; the piece keeps its
+        # crossing order, so the walk above is its own
+        piece = self.split_pieces()[0]
+        piece._code, piece._pieces = code, self._pieces
+        return b"S" + code + b"|%d" % self.free_loops
 
     # -- serialization ------------------------------------------------------
 
@@ -264,10 +299,16 @@ class Diagram:
         return hash((self.crossings, self.free_loops))
 
 
+# the code byte of a token of a diagram of at most 62 crossings: tokens
+# 0..247 stand for themselves and the component end -1 reads entry 255
+_TOKEN_BYTE = bytes(range(255)) + b"\xfe"
+
+
 def _least_tokens(crossings, ncomp, comp):
-    """Least token list over the candidate starts of a connected diagram
-    with labels 1..2c and ncomp components, comp giving each label's
-    component; -1 ends each component."""
+    """Least token list over the candidate starts of crossings labelled
+    1..2c on ncomp components, comp giving each label's component; -1 ends
+    each component.  None when the first walk misses a component: the
+    crossings form more than one piece."""
     n = len(crossings)
     size = 2 * n + 1
     nxt, cross, low, pout = [0] * size, [0] * size, [0] * size, [0] * size
@@ -324,22 +365,26 @@ def _least_tokens(crossings, ncomp, comp):
         return None if tied else toks
 
     first = min(low[1:])
-    best = None
-    for start in range(1, size):
+    start = low.index(first, 1)
+    best = walk(start, None)
+    if len(best) < 2 * n + ncomp:
+        return None
+    for start in range(start + 1, size):
         if low[start] == first:
             best = walk(start, best) or best
     return best
 
 
-def _reduce(crossings, free_loops, smooth=None, moves=True):
-    """Stitch out crossing `smooth` by the oriented smoothing, if given,
-    then take Reidemeister moves to a fixpoint if `moves`: each time the
-    first R1 by crossing order, else the first R2.  All of it works on one
-    list in crossing order (None for a removed crossing) and one _entries
-    map; the result is renumbered once, or None when nothing changed."""
-    xs = list(crossings)
-    ins = _entries(xs)
-    loops = free_loops
+def _reduce(d, smooth=None, moves=True):
+    """Stitch out crossing `smooth` of diagram d by the oriented smoothing,
+    if given, then take Reidemeister moves to a fixpoint if `moves`: each
+    time the first R1 by crossing order, else the first R2.  All of it
+    works on one list in crossing order (None for a removed crossing) and a
+    copy of d's edge table; the result is renumbered once, or None when
+    nothing changed."""
+    xs = list(d.crossings)
+    ins = d._edge_table()[:]
+    loops = d.free_loops
     if smooth is not None:
         loops += _stitch(xs, ins, (smooth,), True)
     while moves and (found := _first_move(xs, ins)):
@@ -350,35 +395,36 @@ def _reduce(crossings, free_loops, smooth=None, moves=True):
 
 
 def _first_move(xs, ins):
-    """Indices of the first R1 move in the working list, else of the first R2."""
+    """Indices of the first R1 move in the working list, else of the first
+    R2, found in one scan."""
+    r2 = None
     for i, x in enumerate(xs):
         if x is not None:
-            a, c, o_in, o_out, _ = x
+            a, c, o_in, o_out, s = x
             # a kink: an edge leaves one strand here and enters the other
             if a == o_in or a == o_out or c == o_in or c == o_out:
                 return (i,)
-    for i, x in enumerate(xs):
-        if x is not None:
-            a, c, _, o_out, s = x
-            j, under = ins[o_out]
-            # the same strand passes over both; the under strand must also
-            # run directly between the two crossings (either direction)
-            if j != i and not under and xs[j].sign != s and (c == xs[j].a or xs[j].c == a):
-                return (i, j)
-    return None
+            if r2 is None:
+                j, under = ins[o_out]
+                # the same strand passes over both; the under strand must
+                # also run directly between the two crossings (either way)
+                if j != i and not under and xs[j].sign != s and (c == xs[j].a or xs[j].c == a):
+                    r2 = (i, j)
+    return r2
 
 
 def _stitch(xs, ins, removed, smooth):
-    """Remove crossings from the working list and its edge map, gluing the
-    edges through each: the smoothing joins under-in to over-out and
-    over-in to under-out, deletion runs each strand straight through.  A
-    glued chain keeps its first edge's label, written into the surviving
-    crossing that its last edge enters; returns how many chains close up."""
+    """Remove crossings from the working list, gluing the edges through
+    each: the smoothing joins under-in to over-out and over-in to
+    under-out, deletion runs each strand straight through.  A glued chain
+    keeps its first edge's label, written into the surviving crossing that
+    its last edge enters and into that edge's entry of the edge table;
+    entries of labels that vanish are left stale.  Returns how many chains
+    close up."""
     glue = {}
     for i in removed:
         a, c, o_in, o_out, _ = xs[i]
         glue[a], glue[o_in] = (o_out, c) if smooth else (c, o_out)
-        del ins[a], ins[o_in]
         xs[i] = None
     closed, heads = set(glue), set(glue.values())
     for e in glue:
@@ -388,9 +434,9 @@ def _stitch(xs, ins, removed, smooth):
         while f in glue:
             closed.discard(f)
             f = glue[f]
-        j, under = ins[e] = ins.pop(f)
+        j, under = ins[e] = ins[f]
         a, c, o_in, o_out, s = xs[j]
-        xs[j] = Crossing(e, c, o_in, o_out, s) if under else Crossing(a, c, e, o_out, s)
+        xs[j] = tuple.__new__(Crossing, (e, c, o_in, o_out, s) if under else (a, c, e, o_out, s))
     loops = 0
     while closed:
         e = closed.pop()
@@ -408,7 +454,7 @@ def _renumber(crossings, free_loops, _validated=False):
     list by PD slot; each is walked from its first-seen edge, so component
     k takes one run of labels lo_k..hi_k in walking order.  The new diagram
     records those runs as its component cycles instead of walking them
-    again.
+    again, and the edge table filled while its crossings are built.
     """
     succ = _successors(crossings)
     label = {}
@@ -424,8 +470,14 @@ def _renumber(crossings, free_loops, _validated=False):
                     label[e] = nxt
                     nxt += 1
                     e = succ[e]
-    out = Diagram([Crossing(label[a], label[c], label[o_in], label[o_out], s)
-                   for a, c, o_in, o_out, s in crossings], free_loops, _validated)
+    xs, ins = [], [None] * nxt
+    new = tuple.__new__
+    for i, (a, c, o_in, o_out, s) in enumerate(crossings):
+        a, o_in = label[a], label[o_in]
+        xs.append(new(Crossing, (a, label[c], o_in, label[o_out], s)))
+        ins[a], ins[o_in] = (i, True), (i, False)
+    out = Diagram(xs, free_loops, _validated)
+    out._ins = ins
     starts.append(nxt)
     cycles, comp = [], [0]
     for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
@@ -437,8 +489,9 @@ def _renumber(crossings, free_loops, _validated=False):
 
 
 def _entries(crossings):
-    """Edge -> (index of the crossing it enters, whether it enters under)."""
-    ins = {}
+    """Edge table of crossings labelled 1..2c, as a list indexed by label:
+    the index of the crossing the edge enters, and whether it enters under."""
+    ins = [None] * (2 * len(crossings) + 1)
     for i, (a, _, o_in, _, _) in enumerate(crossings):
         ins[a], ins[o_in] = (i, True), (i, False)
     return ins

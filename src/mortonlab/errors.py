@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
-Index errors reuse the builtin IndexError; everything else derives from
-MortonLabError so the CLI can map failures to exit codes uniformly.
+Index errors reuse the builtin IndexError; input and usage errors derive
+from MortonLabError so the CLI can map them to exit code 2 uniformly.  A
+polynomial that breaks the Morton-Franks-Williams bound is a failed
+verification (exit 1), so MFWViolationError is a RuntimeError instead.
 """
 
 
@@ -81,3 +83,8 @@ class CacheIOError(MortonLabError):
     """A polynomial cache file that cannot be read or written."""
 
     code = "IO_ERROR"
+
+
+class MFWViolationError(RuntimeError):
+    """A polynomial outside the Morton-Franks-Williams v-degree bound of
+    its diagram."""

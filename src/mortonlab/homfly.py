@@ -35,7 +35,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, _entries, _reduce
+from .diagram import Diagram, _reduce
 from .errors import CacheIOError, ParseError, TooLargeError
 from .poly import LaurentPoly2, delta_factor
 
@@ -76,7 +76,7 @@ def choose_skein_crossing(d: Diagram):
     applies to the switched diagram.
     """
     xs = d.crossings
-    ins = _entries(xs)
+    ins = d._edge_table()
     seen = [False] * len(xs)
     first_bad = None
     for cyc in d.component_cycles():
@@ -124,7 +124,7 @@ def _least_label_crossing(d: Diagram):
     """Like choose_skein_crossing, with every basepoint at its component's
     least label: the resolution tree of the oracle and of skein traces."""
     first = set()
-    ins = _entries(d.crossings)
+    ins = d._edge_table()
     for cyc in d.component_cycles():
         for e in cyc:
             i, under = ins[e]
@@ -203,7 +203,7 @@ class HomflyEngine:
             return _descending_value(d)
         self.expansions += 1
         switched = self._eval(d.switch_crossing(i).simplify())
-        smoothed = self._eval(_reduce(d.crossings, d.free_loops, i))
+        smoothed = self._eval(_reduce(d, i))
         contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
         return contrib_sw + contrib_sm
 

@@ -33,7 +33,7 @@ import time
 from dataclasses import astuple, dataclass, field
 
 from .diagram import Diagram
-from .errors import DisconnectedError
+from .errors import DisconnectedError, MFWViolationError
 from .family import FamilySpec, crossing_change_candidates, insert_parallel_bands
 from .homfly import HomflyEngine, _skein_terms
 from .poly import LaurentPoly2
@@ -75,16 +75,17 @@ def morton_defect(d: Diagram, engine: HomflyEngine | None = None) -> int:
 
 
 def check_v_degree_bound(d: Diagram, p: LaurentPoly2, what: str, s: int | None = None):
-    """Raise RuntimeError naming `what` unless P = p of the connected diagram
-    d meets the Morton-Franks-Williams bound w - s + 1 <= min deg_v P <=
-    max deg_v P <= w + s - 1 (writhe w, s Seifert circles, found if not given)."""
+    """Raise MFWViolationError naming `what` unless P = p of the connected
+    diagram d meets the Morton-Franks-Williams bound w - s + 1 <= min deg_v
+    P <= max deg_v P <= w + s - 1 (writhe w, s Seifert circles, found if
+    not given)."""
     if s is None:
         s = seifert_circles(d).num_circles
     w = d.writhe()
     evs = [ev for ev, _ in p.terms]
     if not w - s + 1 <= min(evs) <= max(evs) <= w + s - 1:
-        raise RuntimeError(f"v-degree bound violated for {what}: "
-                           f"deg_v in [{min(evs)}, {max(evs)}], w={w}, s={s}")
+        raise MFWViolationError(f"v-degree bound violated for {what}: "
+                                f"deg_v in [{min(evs)}, {max(evs)}], w={w}, s={s}")
 
 
 def knot_level_defect(gc_claimed: int, m: int) -> int:
@@ -217,8 +218,8 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
     n over one engine cache.  The engine evaluates L_0 and L_1; each later
     row is P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the sign s
     of the base crossing.  Every row with a Seifert decomposition must
-    meet the Morton-Franks-Williams v-degree bound (RuntimeError naming
-    n otherwise).  A budget overrun, checked before each certificate
+    meet the Morton-Franks-Williams v-degree bound (MFWViolationError
+    naming n otherwise).  A budget overrun, checked before each certificate
     candidate's evaluation and before each row, marks the report
     incomplete and keeps the certificates and rows finished so far.
     """

@@ -287,6 +287,15 @@ class TestCommands:
         assert out == ""
         assert err.startswith("MFW_VIOLATION 3_1: v-degree bound violated")
 
+    def test_verify_v_degree_violation_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(HomflyEngine, "homfly", lambda self, d: LaurentPoly2({(99, 0): 1}))
+        argv = ["verify", "--table", SMALL, "--name", "3_1", "--gc", "1", "--nmax", "2"]
+        assert run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("MFW_VIOLATION 3_1: v-degree bound violated for family row n=0")
+        assert err.count("\n") == 1
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_command(["homfly", "--pd", TREFOIL_PD, "--out", str(out)]) == 0

@@ -628,26 +628,34 @@ class TestAgainstReferences:
             smoothed = d.smooth_crossing(i)
             ref = _renumber(*_remove(d, {i: _SMOOTH}))
             assert (smoothed.crossings, smoothed.free_loops) == (ref.crossings, ref.free_loops)
-            s, r = _reduce(d.crossings, d.free_loops, i), smoothed.simplify()
+            s, r = _reduce(d, i), smoothed.simplify()
             assert (s.crossings, s.free_loops) == (r.crossings, r.free_loops)
 
     @given(_diagrams())
     @example(braid_closure([1, 1, 3, 3, 3], 5))
+    @example(braid_closure([1, 2, 1, -4, -4, -4], 6))
     @settings(max_examples=150, deadline=None)
     def test_carried_cycles_match_a_fresh_walk(self, d):
+        # renumbered, reduced, split and switched diagrams carry their
+        # cycles and edge table; a computed code records the pieces
         def assert_carried(x):
             fresh = Diagram(x.crossings, x.free_loops)  # runs _validate
             assert x._cycles is not None
             assert x._cycles == fresh.component_cycles()
             assert x._comp == fresh._comp
+            assert x._ins is not None and x._ins == _entries(x.crossings)
 
         renumbered = [d, d.simplify(), *(p for p in d.split_pieces() if p.crossings)]
-        renumbered += [_reduce(d.crossings, d.free_loops, i) for i in range(len(d.crossings))]
+        renumbered += [_reduce(d, i) for i in range(len(d.crossings))]
         for x in renumbered:
             assert_carried(x)
         d.is_connected()
-        for i in range(len(d.crossings)):
-            switched = d.switch_crossing(i)
-            assert_carried(switched)
-            fresh = Diagram(switched.crossings, switched.free_loops)
-            assert switched._pieces == fresh._crossing_graph_pieces()
+        switched = [d.switch_crossing(i) for i in range(len(d.crossings))]
+        for x in switched:
+            assert_carried(x)
+            fresh = Diagram(x.crossings, x.free_loops)
+            assert x._pieces == fresh._crossing_graph_pieces()
+        for x in renumbered + [y.simplify() for y in switched]:
+            x.canonical_code()
+            fresh = Diagram(x.crossings, x.free_loops)
+            assert x._pieces == fresh._crossing_graph_pieces()

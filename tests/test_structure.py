@@ -4,7 +4,8 @@ pools, no unused imports or unread private names, the skein rule and the
 polynomial term-map code written once, a package namespace that does not
 shadow its modules, the attributes the benchmark's layer trace wraps,
 crossing strands stored as fields, and a cold evaluation that neither
-validates nor walks cycles again; and over scripts/: nothing imported
+validates nor walks cycles again, builds one edge table, and leaves
+connectivity to the canonical walk; and over scripts/: nothing imported
 from the test tree."""
 
 import ast
@@ -249,3 +250,37 @@ def test_engine_neither_revalidates_nor_rewalks_cycles(monkeypatch):
     assert engine.expansions > 0 and len(made) > engine.expansions
     assert validations == []
     assert walks and [w for w in walks if id(w) in made] == []
+
+
+def test_engine_builds_one_edge_table_and_codes_without_union_find(monkeypatch):
+    # renumbered and switched diagrams carry their edge tables, and the
+    # first canonical walk records a diagram's pieces when its crossings
+    # form one, so a cold evaluation builds a table only for the parsed
+    # root and runs the union-find for no diagram whose code it computed
+    module = importlib.import_module("mortonlab.diagram")
+    d = parse_pd(braid_closure([1, 2, 3] * 5, 4).serialize())
+    tables, union_finds, coded = [], [], []
+
+    def counted_entries(crossings):
+        tables.append(crossings)
+        return entries(crossings)
+
+    def counted_pieces(self):
+        if self._pieces is None:
+            union_finds.append(self)
+        return pieces(self)
+
+    def counted_code(self):
+        coded.append(self)
+        return code(self)
+
+    entries, pieces, code = module._entries, Diagram._crossing_graph_pieces, Diagram._compute_code
+    monkeypatch.setattr(module, "_entries", counted_entries)
+    monkeypatch.setattr(Diagram, "_crossing_graph_pieces", counted_pieces)
+    monkeypatch.setattr(Diagram, "_compute_code", counted_code)
+    engine = HomflyEngine()
+    engine.homfly(d)
+    assert engine.expansions > 0 and len(coded) > engine.expansions
+    assert any(x.crossings and x.free_loops for x in coded)  # free loops beside crossings
+    assert tables == [d.crossings]
+    assert {id(x) for x in union_finds} & {id(x) for x in coded} == set()
