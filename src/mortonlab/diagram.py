@@ -198,7 +198,7 @@ class Diagram:
         """Remove crossing i by the oriented smoothing and renumber, with no
         Reidemeister moves (the engine reduces its smoothed child in _reduce)."""
         self._crossing(i)
-        return _reduce(self, i, moves=False)
+        return _reduce(self, (i,), moves=False)
 
     def _crossing(self, i):
         if not isinstance(i, int) or not 0 <= i < len(self.crossings):
@@ -375,18 +375,18 @@ def _least_tokens(crossings, ncomp, comp):
     return best
 
 
-def _reduce(d, smooth=None, moves=True):
-    """Stitch out crossing `smooth` of diagram d by the oriented smoothing,
-    if given, then take Reidemeister moves to a fixpoint if `moves`: each
-    time the first R1 by crossing order, else the first R2.  All of it
-    works on one list in crossing order (None for a removed crossing) and a
-    copy of d's edge table; the result is renumbered once, or None when
-    nothing changed."""
+def _reduce(d, cut=(), smooth=True, moves=True):
+    """Stitch the crossings `cut` out of diagram d, by the oriented
+    smoothing if `smooth`, else running each strand straight through, then
+    take Reidemeister moves to a fixpoint if `moves`: each time the first R1
+    by crossing order, else the first R2.  All of it works on one list in
+    crossing order (None for a removed crossing) and a copy of d's edge
+    table; the result is renumbered once, or None when nothing changed."""
     xs = list(d.crossings)
     ins = d._edge_table()[:]
     loops = d.free_loops
-    if smooth is not None:
-        loops += _stitch(xs, ins, (smooth,), True)
+    if cut:
+        loops += _stitch(xs, ins, cut, smooth)
     while moves and (found := _first_move(xs, ins)):
         loops += _stitch(xs, ins, found, False)
     if None not in xs:

@@ -8,23 +8,35 @@ step progress toward a descending diagram:
     positive crossing:  P(D) = v^2 P(switched) + v z P(smoothed)
     negative crossing:  P(D) = v^-2 P(switched) - v^-1 z P(smoothed)
 
-A diagram that is descending with respect to some basepoints (components
-in least-label order, each walked from its basepoint, every crossing met
-first on its over-strand) is an unlink of k components with
-P = delta^(k-1), delta = (v^-1 - v) z^-1.  The engine chooses each
-component's basepoint to leave the fewest of its self-crossings met under
-first, and switches a crossing met under first: the first whose switch
-opens an R2 move, else the first.  For those basepoints switching any
-such crossing lowers the count of badly met crossings by one, so the
-least count drops by at least one; smoothing and Reidemeister moves lower
-the crossing count, so the recursion terminates.
+A diagram that is descending with respect to some component order and
+basepoints (each component walked in turn from its basepoint, every
+crossing met first on its over-strand) is an unlink of k components with
+P = delta^(k-1), delta = (v^-1 - v) z^-1.  A component that passes over
+(or under) the others at all of their shared crossings lifts off: with
+those crossings deleted the diagram is split, and P = delta P(X) P(rest)
+with no skein step.  Otherwise the engine takes the components in
+ascending order of their balance u - o (shared crossings passed under
+less those passed over), chooses each one's basepoint to leave the
+fewest of its self-crossings met under first, and switches a crossing
+met under first: the first whose switch opens an R2 move, else the
+first.
+
+The recursion terminates.  Switching a self-crossing lowers its
+component's least count of self-crossings met under first by one and
+leaves every balance unchanged.  Switching a shared crossing, which the
+earlier component p passes under, moves bal[p] down by 2 and bal[q] up by
+2 with bal[p] <= bal[q], so the sum of squared balances rises by at least
+8; it is bounded, and no switch raises a self count.  Smoothing, the
+deletion of a lifted component's crossings and Reidemeister moves lower
+the crossing count.
 
 The cached engine simplifies first, multiplies split unions by delta, and
-memoizes on canonical codes, which do not depend on the basepoints.  The
-naive oracle and skein traces keep every basepoint at its component's
-least label, with no cache, no simplification and no split shortcut, so
-the oracle walks a different resolution tree from the engine and the two
-routes can be compared exactly on small diagrams.
+memoizes on canonical codes, which depend on neither the component
+order nor the basepoints.  The naive oracle and skein traces take the
+components in least-label order, each from its least label, with no
+cache, no simplification, no lift and no split shortcut, so the oracle
+walks a different resolution tree from the engine and the two routes can
+be compared exactly on small diagrams.
 """
 
 from __future__ import annotations
@@ -55,17 +67,24 @@ DEFAULT_TRACE_LIMIT = 12
 
 
 def choose_skein_crossing(d: Diagram):
-    """Index of a crossing met first on its under-strand when the
-    components are traversed in least-label order, each from the basepoint
-    that leaves the fewest of its self-crossings met under first (the last
-    such basepoint along the cycle from its least label); None when the
-    diagram is descending (an unlink).
+    """The engine's skein step: the index of a crossing to switch and
+    smooth, None when the diagram is descending (an unlink), or the tuple
+    of crossings that a layered component shares with the others.
 
-    A self-crossing passed at cycle positions p < q is met at q first
-    exactly for basepoints p+1..q, so one walk fills a difference array
-    from which the count for every basepoint is read in order.  Crossings
-    with other components are met first by the earlier component whatever
-    the basepoints, so they do not enter the choice.
+    A component is layered when it passes under the other components at
+    all of their shared crossings, or over at all of them, and shares at
+    least one; the first such by least label is taken.  Deleting those
+    crossings, each strand running straight through, lifts it off.
+
+    Otherwise the components are taken in ascending order of the balance
+    u - o, where u counts the crossings with other components that the
+    component passes under and o those it passes over (ties in least-label
+    order).  A knot is its one component.  Two components read their
+    counts off the first cycle's walk; more scan the crossings once.  Each
+    component is walked from the basepoint that leaves the fewest of its
+    self-crossings met under first (the last such basepoint along the
+    cycle from its least label), and the crossing returned is met first on
+    its under-strand.
 
     Among the crossings met under first, in meeting order, the first one
     whose switch forms an R2 pair is chosen, else the first one.  After the
@@ -77,27 +96,37 @@ def choose_skein_crossing(d: Diagram):
     """
     xs = d.crossings
     ins = d._edge_table()
+    cycles = d.component_cycles()
+    ncomp = len(cycles) - d.free_loops
+    if not ncomp:
+        return None
+    bases = [None] * ncomp
+    order = range(ncomp)
+    if ncomp == 2:
+        bases[0] = _basepoint(cycles[0], ins, len(xs))
+        _, u, o = bases[0]
+        if (u == 0) != (o == 0):
+            return _shared_crossings(d, 0)
+        if u > o:
+            order = (1, 0)
+    elif ncomp > 2:
+        comp = d._comp
+        u, o = [0] * ncomp, [0] * ncomp
+        for a, _, o_in, _, _ in xs:
+            cu, co = comp[a], comp[o_in]
+            if cu != co:
+                u[cu] += 1
+                o[co] += 1
+        for c in range(ncomp):
+            if (u[c] == 0) != (o[c] == 0):
+                return _shared_crossings(d, c)
+        order = sorted(order, key=lambda c: u[c] - o[c])
     seen = [False] * len(xs)
     first_bad = None
-    for cyc in d.component_cycles():
+    for c in order:
+        cyc = cycles[c]
         n = len(cyc)
-        diff = [0] * (n + 1)
-        first = {}
-        bad = 0
-        for q, e in enumerate(cyc):
-            i, under = ins[e]
-            p = first.setdefault(i, q)
-            if p != q:
-                # met under first from basepoint 0 iff passed over at q
-                step = 1 if under else -1
-                bad += step < 0
-                diff[p + 1] += step
-                diff[q + 1] -= step
-        start, least = 0, bad
-        for s in range(1, n):
-            bad += diff[s]
-            if bad <= least:
-                start, least = s, bad
+        start = (bases[c] or _basepoint(cyc, ins, len(xs)))[0]
         for k in range(n):
             q = (start + k) % n
             i, under = ins[cyc[q]]
@@ -120,9 +149,58 @@ def choose_skein_crossing(d: Diagram):
     return first_bad
 
 
+def _basepoint(cyc, ins, nx):
+    """(start, u, o) for a component cycle of a diagram of nx crossings:
+    the basepoint that leaves the fewest self-crossings met under first
+    (the last such from the least label), and the crossings with other
+    components that the cycle passes under (u) and over (o).
+
+    A self-crossing passed at cycle positions p < q is met at q first
+    exactly for basepoints p+1..q, so one walk fills a difference array
+    from which the count for every basepoint is read in order.  Counting
+    the crossings entered under when first met from position 0 gives u
+    plus the self-crossings met under first from there.
+    """
+    n = len(cyc)
+    diff = [0] * (n + 1)
+    first = [-1] * nx
+    bad = selfs = unders = 0
+    for q, e in enumerate(cyc):
+        i, under = ins[e]
+        p = first[i]
+        if p < 0:
+            first[i] = q
+            unders += under
+        elif under:
+            selfs += 1
+            diff[p + 1] += 1
+            diff[q + 1] -= 1
+        else:
+            # met under first from position 0
+            selfs += 1
+            bad += 1
+            diff[p + 1] -= 1
+            diff[q + 1] += 1
+    u = unders - bad
+    start, least = 0, bad
+    for s in range(1, n):
+        bad += diff[s]
+        if bad <= least:
+            start, least = s, bad
+    return start, u, n - 2 * selfs - u
+
+
+def _shared_crossings(d: Diagram, c):
+    """Indices of the crossings between component c and the others."""
+    comp = d._comp
+    return tuple(i for i, x in enumerate(d.crossings)
+                 if (comp[x.a] == c) != (comp[x.over_in] == c))
+
+
 def _least_label_crossing(d: Diagram):
-    """Like choose_skein_crossing, with every basepoint at its component's
-    least label: the resolution tree of the oracle and of skein traces."""
+    """The first crossing met under first with the components in
+    least-label order, each walked from its least label, or None: the
+    resolution tree of the oracle and of skein traces."""
     first = set()
     ins = d._edge_table()
     for cyc in d.component_cycles():
@@ -201,9 +279,12 @@ class HomflyEngine:
         i = choose_skein_crossing(d)
         if i is None:
             return _descending_value(d)
+        if isinstance(i, tuple):
+            # a layered component lifts off: the split branch gives delta
+            return self._eval(_reduce(d, i, smooth=False))
         self.expansions += 1
         switched = self._eval(d.switch_crossing(i).simplify())
-        smoothed = self._eval(_reduce(d, i))
+        smoothed = self._eval(_reduce(d, (i,)))
         contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
         return contrib_sw + contrib_sm
 

@@ -78,11 +78,14 @@ def check_v_degree_bound(d: Diagram, p: LaurentPoly2, what: str, s: int | None =
     """Raise MFWViolationError naming `what` unless P = p of the connected
     diagram d meets the Morton-Franks-Williams bound w - s + 1 <= min deg_v
     P <= max deg_v P <= w + s - 1 (writhe w, s Seifert circles, found if
-    not given)."""
+    not given); the zero polynomial has no v-degrees and fails it."""
     if s is None:
         s = seifert_circles(d).num_circles
     w = d.writhe()
     evs = [ev for ev, _ in p.terms]
+    if not evs:
+        raise MFWViolationError(f"v-degree bound violated for {what}: zero polynomial, "
+                                f"w={w}, s={s}")
     if not w - s + 1 <= min(evs) <= max(evs) <= w + s - 1:
         raise MFWViolationError(f"v-degree bound violated for {what}: "
                                 f"deg_v in [{min(evs)}, {max(evs)}], w={w}, s={s}")
@@ -218,10 +221,11 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
     n over one engine cache.  The engine evaluates L_0 and L_1; each later
     row is P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the sign s
     of the base crossing.  Every row with a Seifert decomposition must
-    meet the Morton-Franks-Williams v-degree bound (MFWViolationError
-    naming n otherwise).  A budget overrun, checked before each certificate
-    candidate's evaluation and before each row, marks the report
-    incomplete and keeps the certificates and rows finished so far.
+    meet the Morton-Franks-Williams v-degree bound, and no row may be the
+    zero polynomial (MFWViolationError naming n otherwise).  A budget
+    overrun, checked before each certificate candidate's evaluation and
+    before each row, marks the report incomplete and keeps the
+    certificates and rows finished so far.
     """
     engine = engine or HomflyEngine()
     t0 = time.monotonic()
@@ -248,7 +252,7 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
         polys.append(p)
         m = p.maxdeg_z()
         if m is None:
-            raise RuntimeError(f"zero polynomial for family row n={n}")
+            raise MFWViolationError(f"zero polynomial for family row n={n}")
         s = genus = None
         if d.is_connected():
             dec = seifert_circles(d)

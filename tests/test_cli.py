@@ -296,6 +296,22 @@ class TestCommands:
         assert err.startswith("MFW_VIOLATION 3_1: v-degree bound violated for family row n=0")
         assert err.count("\n") == 1
 
+    def test_oracle_check_zero_polynomial_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(HomflyEngine, "homfly", lambda self, d: LaurentPoly2({}))
+        assert run_command(["oracle-check", "--table", SMALL, "--limit", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("MFW_VIOLATION 3_1: v-degree bound violated for the engine's "
+                       "polynomial: zero polynomial, w=3, s=2\n")
+
+    def test_verify_zero_polynomial_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(HomflyEngine, "homfly", lambda self, d: LaurentPoly2({}))
+        argv = ["verify", "--table", SMALL, "--name", "3_1", "--gc", "1", "--nmax", "2"]
+        assert run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "MFW_VIOLATION 3_1: zero polynomial for family row n=0\n"
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_command(["homfly", "--pd", TREFOIL_PD, "--out", str(out)]) == 0

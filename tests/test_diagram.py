@@ -628,7 +628,7 @@ class TestAgainstReferences:
             smoothed = d.smooth_crossing(i)
             ref = _renumber(*_remove(d, {i: _SMOOTH}))
             assert (smoothed.crossings, smoothed.free_loops) == (ref.crossings, ref.free_loops)
-            s, r = _reduce(d, i), smoothed.simplify()
+            s, r = _reduce(d, (i,)), smoothed.simplify()
             assert (s.crossings, s.free_loops) == (r.crossings, r.free_loops)
 
     @given(_diagrams())
@@ -646,7 +646,7 @@ class TestAgainstReferences:
             assert x._ins is not None and x._ins == _entries(x.crossings)
 
         renumbered = [d, d.simplify(), *(p for p in d.split_pieces() if p.crossings)]
-        renumbered += [_reduce(d, i) for i in range(len(d.crossings))]
+        renumbered += [_reduce(d, (i,)) for i in range(len(d.crossings))]
         for x in renumbered:
             assert_carried(x)
         d.is_connected()

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
-from mortonlab.diagram import parse_pd
+from mortonlab.diagram import _reduce, parse_pd
 from mortonlab.errors import ParseError, TooLargeError
 from mortonlab.family import whitehead_double
 from mortonlab.homfly import (
@@ -134,15 +135,20 @@ class TestChosenBasepoints:
     @example((5, [1, -1, 3, 3, -3]))
     @settings(max_examples=40, deadline=None)
     def test_switching_reaches_an_unlink(self, braid):
+        # switches, and deletions that lift a layered component off, keep
+        # the component count and end at a descending diagram
         strands, word = braid
         d = braid_closure(word, strands)
-        for _ in range(len(d.crossings)):
+        k, n = d.num_components(), len(d.crossings)
+        # between two lifts: at most n self switches and n * n / 2 shared ones
+        for _ in range((k + 1) * (n * n + 1)):
             i = choose_skein_crossing(d)
             if i is None:
                 break
-            d = d.switch_crossing(i)
+            d = _reduce(d, i, smooth=False, moves=False) if isinstance(i, tuple) else d.switch_crossing(i)
         assert choose_skein_crossing(d) is None
-        assert naive_homfly(d) == delta_factor() ** (d.num_components() - 1)
+        assert d.num_components() == k
+        assert naive_homfly(d) == delta_factor() ** (k - 1)
 
     @given(_braids(5, 7))
     @example((8, [1, 2, 3, 4, -3, -2, -1, 5, 6, 7]))
@@ -167,14 +173,17 @@ class TestChosenBasepoints:
         assert w - s + 1 <= min(evs) and max(evs) <= w + s - 1
 
 
-def _reference_bad(d):
-    """Brute force over every basepoint of every component.  Returns the
-    least total of crossings met first on their under-strand, as the sum
-    over components of the fewest self-crossings met under first from any
-    basepoint plus the crossings between components that the earlier one
-    passes under; and, in meeting order, the crossings met under first
-    when each component starts at the last basepoint from its least label
-    that leaves the fewest, as the engine's do."""
+def _reference_choice(d):
+    """Brute force of the engine's skein step from the crossings alone, over
+    the components with crossings in least-label order: each one's index
+    by edge label (comp); its balance u - o, the crossings with other
+    components it passes under less those it passes over (bal); the fewest
+    of its self-crossings met under first from any basepoint (least); the
+    crossings shared by the first component with exactly one of u, o zero
+    (layered, else None); and, in meeting order, the crossings met under
+    first when the components run in ascending balance, ties by least
+    label, each from the last basepoint from its least label that leaves
+    the fewest (bad)."""
     cycles = [cyc for cyc in d.component_cycles() if cyc]
     comp = {e: k for k, cyc in enumerate(cycles) for e in cyc}
 
@@ -195,21 +204,28 @@ def _reference_bad(d):
                     bad.append(i)
         return bad
 
-    total = sum(comp[x.a] < comp[x.over_in] for x in d.crossings)
-    starts = []
+    ks = range(len(cycles))
+    u = [sum(comp[x.a] == k != comp[x.over_in] for x in d.crossings) for k in ks]
+    o = [sum(comp[x.over_in] == k != comp[x.a] for x in d.crossings) for k in ks]
+    least, starts = [], []
     for k, cyc in enumerate(cycles):
         counts = [len(under_first(k, s)) for s in range(len(cyc))]
-        total += min(counts)
+        least.append(min(counts))
         starts.append(max(s for s, n in enumerate(counts) if n == min(counts)))
+    layered = next((tuple(i for i, x in enumerate(d.crossings)
+                          if (comp[x.a] == k) != (comp[x.over_in] == k))
+                    for k in ks if (u[k] == 0) != (o[k] == 0)), None)
+    bal = [a - b for a, b in zip(u, o)]
     seen, bad = set(), []
-    for cyc, s in zip(cycles, starts):
+    for k in sorted(ks, key=lambda k: bal[k]):
+        cyc, s = cycles[k], starts[k]
         for e in cyc[s:] + cyc[:s]:
             i, under = enters(e)
             if i not in seen:
                 seen.add(i)
                 if under:
                     bad.append(i)
-    return total, bad
+    return SimpleNamespace(comp=comp, bal=bal, least=least, layered=layered, bad=bad)
 
 
 def _opens_r2(d, i):
@@ -225,30 +241,52 @@ def _opens_r2(d, i):
 
 
 class TestSkeinChoiceTerminates:
-    """The engine may switch any crossing met under first for its
-    basepoints: the switch lowers the least count of such crossings, so the
-    recursion terminates.  Checked against _reference_bad, with no oracle,
-    so words run longer than the oracle can take."""
+    """The engine lifts off a layered component, or switches a crossing met
+    under first for its component order and basepoints.  A switched
+    self-crossing lowers its component's least count of self-crossings met
+    under first; a switched crossing between components, passed under by
+    the earlier one p, moves bal[p] down by 2 and bal[q] up by 2 with
+    bal[p] <= bal[q], so the sum of squared balances rises by at least 8.
+    Both measures are bounded, so the recursion terminates.  Checked
+    against _reference_choice, with no oracle, so words run longer than the
+    oracle can take."""
 
     @given(_braids(5, 14))
     @example((3, [1, -2, 1, 1, 1, -2]))
+    @example((4, [1, 1, 1, 3, 3, 3, 2, 3, 2, 2, -3, -2]))
+    # three components met in the order 1, 2, 0; a shared crossing is switched
+    @example((3, [1, 2, -1, 2, 2, 1, -2, 1]))
     @settings(max_examples=150, deadline=None)
-    def test_choice_lowers_least_total(self, braid):
+    def test_switch_lowers_a_self_count_or_raises_balance(self, braid):
         strands, word = braid
         d = braid_closure(word, strands)
-        total, bad = _reference_bad(d)
+        ref = _reference_choice(d)
         i = choose_skein_crossing(d)
-        if i is None:
-            assert (total, bad) == (0, [])
+        if ref.layered is not None:
+            event("layered component")
+            assert i == ref.layered
             return
-        assert i in bad
-        assert _reference_bad(d.switch_crossing(i))[0] <= total - 1
-        assert i == next((k for k in bad if _opens_r2(d, k)), bad[0])
+        if i is None:
+            assert ref.bad == [] and sum(ref.least) == 0
+            return
+        assert i == next((k for k in ref.bad if _opens_r2(d, k)), ref.bad[0])
+        after = _reference_choice(d.switch_crossing(i))
+        x = d.crossings[i]
+        p, q = ref.comp[x.a], ref.comp[x.over_in]
+        if p == q:
+            assert after.bal == ref.bal
+            assert after.least == [m - (k == p) for k, m in enumerate(ref.least)]
+        else:
+            event("shared crossing switched")
+            assert ref.bal[p] <= ref.bal[q]
+            assert after.least == ref.least
+            assert after.bal == [b - 2 * (k == p) + 2 * (k == q) for k, b in enumerate(ref.bal)]
+            assert sum(b * b for b in after.bal) >= sum(b * b for b in ref.bal) + 8
         # on a reduced diagram a crossing other than the first one met under
         # is preferred only when its switch opens an R2 move
         s = d.simplify()
         j = choose_skein_crossing(s)
-        if j is not None and j != _reference_bad(s)[1][0]:
+        if isinstance(j, int) and j != _reference_choice(s).bad[0]:
             event("preferred crossing is not the first met under")
             assert len(s.switch_crossing(j).simplify().crossings) <= len(s.crossings) - 2
 
@@ -259,10 +297,32 @@ class TestSkeinChoiceTerminates:
     def test_prefers_a_switch_that_opens_r2(self, word):
         d = braid_closure(word, 3)
         assert d.simplify() == d
-        _, bad = _reference_bad(d)
+        bad = _reference_choice(d).bad
         i = choose_skein_crossing(d)
         assert bad[0] != i and i in bad and _opens_r2(d, i)
         assert len(d.switch_crossing(i).simplify().crossings) <= len(d.crossings) - 2
+
+
+class TestLayeredComponent:
+    # the trefoil closed from the first two strands meets the T(2,5) on the
+    # last two at four crossings (indices 6, 7, 10 and 11), passing over at
+    # all of them in the first word and under in the second; no R1 or R2
+    # move applies
+    @pytest.mark.parametrize("word", [[1, 1, 1, 3, 3, 3, 2, 3, 2, 2, -3, -2],
+                                      [1, 1, 1, 3, 3, 3, -2, -3, 2, 2, 3, 2]])
+    def test_lifts_off_without_expansion(self, word):
+        d = braid_closure(word, 4)
+        assert d.simplify() == d and d.is_connected()
+        assert choose_skein_crossing(d) == (6, 7, 10, 11)
+        trefoil, cinquefoil = braid_closure([1] * 3, 2), braid_closure([1] * 5, 2)
+        engine = HomflyEngine()
+        p = engine.homfly(d)
+        assert p == delta_factor() * naive_homfly(trefoil) * naive_homfly(cinquefoil)
+        # the expansions are those of the two knots alone
+        apart = HomflyEngine()
+        apart.homfly(trefoil)
+        apart.homfly(cinquefoil)
+        assert engine.expansions == apart.expansions
 
 
 class TestMirrorLaw:
@@ -820,20 +880,31 @@ class TestEngineCounterPins:
         return engine.expansions, len(engine.cache)
 
     def test_torus_4_5(self):
-        assert self.counters(braid_closure([1, 2, 3] * 5, 4)) == (195, 248)
+        assert self.counters(braid_closure([1, 2, 3] * 5, 4)) == (105, 147)
 
     def test_whitehead_double_4_1(self, small_knots):
         knot = next(e.diagram for e in small_knots if e.name == "4_1")
-        assert self.counters(whitehead_double(knot, 1, 0)) == (52, 58)
+        assert self.counters(whitehead_double(knot, 1, 0)) == (51, 57)
 
     def test_whitehead_double_8_19(self):
-        # least-label basepoints took 153,849 expansions and the first
-        # crossing met under for chosen basepoints 7,551; the polynomial's
-        # digest was recorded with the first
+        # least-label basepoints took 153,849 expansions, the first crossing
+        # met under for chosen basepoints 7,551 and the R2-opening switch
+        # 1,943; the polynomial's digest was recorded with the first
         w = whitehead_double(braid_closure([1, 2] * 4, 3), clasp_sign=1)
         engine = HomflyEngine()
         p = engine.homfly(w)
         assert p.maxdeg_z() == 14
-        assert engine.expansions <= 2_500
+        assert engine.expansions <= 1_000
         assert hashlib.sha256(p.to_json().encode()).hexdigest() == (
             "3572ade8f5d37a66c4a2f2ece0bb724e5e244bbc02fae079a60977f40469f117")
+
+    def test_whitehead_double_torus_3_5(self):
+        # components in least-label order with no layered split took 72,635
+        # expansions; the polynomial's digest was recorded with that route
+        w = whitehead_double(braid_closure([1, 2] * 5, 3), clasp_sign=1)
+        engine = HomflyEngine()
+        p = engine.homfly(w)
+        assert p.maxdeg_z() == 18
+        assert engine.expansions <= 10_000
+        assert hashlib.sha256(p.to_json().encode()).hexdigest() == (
+            "4a77c4a1c81d92f4a56b4da2da80ed5e7f812a1e002408475bfdd84a474643f8")

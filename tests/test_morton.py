@@ -236,14 +236,14 @@ class TestFamilyRecurrence:
                         == polys[n - 1].mono_mul(1, ez=1))
 
     def test_counter_pin_whitehead_double_3_1(self, small_knots):
-        # the certificates take 54 of these expansions and L_0, L_1 the
+        # the certificates take 61 of these expansions and L_0, L_1 the
         # other 8; the rows n >= 2 take none
         knot = next(e.diagram for e in small_knots if e.name == "3_1")
         engine = HomflyEngine()
         report = verify_theorem_family(FamilySpec(whitehead_double(knot, 1, 0), 0, []),
                                        gc_claimed=3, n_max=10, engine=engine)
         assert [r.m for r in report.rows] == list(range(5, 16))
-        assert (engine.expansions, len(engine.cache)) == (62, 68)
+        assert (engine.expansions, len(engine.cache)) == (69, 75)
 
 
 class TestAlexanderDegree:
