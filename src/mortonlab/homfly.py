@@ -42,8 +42,6 @@ be compared exactly on small diagrams.
 from __future__ import annotations
 
 import binascii
-import json
-import os
 import re
 from dataclasses import dataclass, field
 
@@ -291,8 +289,11 @@ class HomflyEngine:
     # -- persistent cache ----------------------------------------------------
 
     def load_cache(self, path):
-        """Check every record of a cache file and return the record count;
-        a line not in the written form raises ParseError naming path:line.
+        """Check every record of a cache file and return the record count.
+        The file is read whole and checked in one pass; only when that
+        fails is the first line not in the written form located, and it
+        raises ParseError naming path:line.  A missing file holds no
+        records; one that cannot be opened or read raises CacheIOError.
         A record's polynomial is decoded on its code's first lookup, and
         only when the cache holds no entry for that code: entries already
         in memory take precedence over the file's."""
@@ -444,48 +445,61 @@ def trace_to_dot(trace: SkeinTrace) -> str:
 
 # -- persistent cache file format: one JSON record per line ----------------
 
-# The one record form of a cache file, as append_cache_file writes it: no
-# spaces, keys in the written order, lowercase hex, integers without leading
-# zeros, quoted coefficients.  With a code of even length (checked apart: in
-# the pattern it slows each match by a third), unhexlify and from_json take
-# every such line.  Digit runs stop at 640, the least limit accepted by
-# sys.set_int_max_str_digits, so int() takes each one whatever the limit.
-_INT = r"-?(?:0|[1-9][0-9]{0,639})"
-_TERM = rf'\{{"ev":{_INT},"ez":{_INT},"c":"-?[0-9]{{1,640}}"\}}'
-_WRITTEN_RECORD = re.compile(
-    rf'\{{"code":"([0-9a-f]*)","poly":(\[(?:{_TERM}(?:,{_TERM})*)?\])\}}'.encode())
+# The one record form of a cache file: no spaces, keys in the written
+# order, lowercase hex, integers without leading zeros, quoted coefficients.
+# _RECORD reads it and _RECORD_FORM writes it.  The pattern matches a whole
+# line, with the ASCII whitespace that bytes.strip removes allowed around the
+# record, so one findall checks a whole file.  Its quantifiers are
+# possessive (Python 3.11, the floor pyproject.toml declares): each run is
+# followed by a byte it cannot take, so no verdict changes, and a findall
+# over a file takes about two thirds of the time of plain quantifiers.
+# An odd-length code passes the pattern and fails unhexlify.  Digit runs
+# stop at 640, the least limit accepted by sys.set_int_max_str_digits, so
+# int() takes each one whatever the limit.
+_INT = r"-?+(?:0|[1-9][0-9]{0,639}+)"
+_TERM = rf'\{{"ev":{_INT},"ez":{_INT},"c":"-?+[0-9]{{1,640}}+"\}}'
+_RECORD = re.compile(
+    rf'^[ \t\r\v\f]*+\{{"code":"([0-9a-f]*+)","poly":(\[(?:{_TERM}(?:,{_TERM})*+)?\])\}}'
+    rf'[ \t\r\v\f]*+$'.encode(), re.MULTILINE)
+_RECORD_FORM = '{"code":"%s","poly":%s}\n'
 
 
 def _read_cache_records(path):
     """Polynomial JSON bytes keyed by code for every record of a cache file
-    (later records win); the first line that is neither blank nor in the
-    written form raises ParseError naming path:line, and a file that cannot
-    be read raises CacheIOError."""
-    out = {}
-    if not os.path.exists(path):
-        return out
+    (later records win); a missing file has none.  The file is read whole
+    and checked in one pass: it is valid when every non-blank line is a
+    record, that is when the records found are as many as its
+    whitespace-separated words, since a record holds no whitespace.  Only
+    otherwise are the lines scanned one by one, and the first that is
+    neither blank nor in the written form raises ParseError naming
+    path:line.  A file that cannot be opened or read raises CacheIOError."""
     try:
         with open(path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                m = _WRITTEN_RECORD.fullmatch(line)
-                if m is None or len(m[1]) % 2:
-                    raise ParseError(f"{path}:{lineno}: bad cache record")
-                out[binascii.unhexlify(m[1])] = m[2]
+            data = fh.read()
+    except FileNotFoundError:
+        return {}
     except OSError as exc:
         raise CacheIOError(f"cannot read cache {path}: {exc}") from exc
-    return out
+    words = len(data.split())  # before findall: the word list is freed first
+    records = _RECORD.findall(data)
+    if len(records) == words:
+        try:
+            return {binascii.unhexlify(code): poly for code, poly in records}
+        except binascii.Error:  # a code of odd length
+            pass
+    # some line is bad: name the first
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        m = _RECORD.fullmatch(line)
+        if line.strip() and (m is None or len(m[1]) % 2):
+            raise ParseError(f"{path}:{lineno}: bad cache record")
 
 
 def append_cache_file(path, entries):
-    """Append one record per entry; a file that cannot be written raises
-    CacheIOError."""
+    """Append one record per entry, in one write; a file that cannot be
+    written raises CacheIOError."""
     try:
         with open(path, "a", encoding="utf-8") as fh:
-            for code, poly in entries.items():
-                fh.write(json.dumps({"code": code.hex(), "poly": poly.to_json_obj()},
-                                    separators=(",", ":")) + "\n")
+            fh.write("".join([_RECORD_FORM % (code.hex(), poly.to_json())
+                              for code, poly in entries.items()]))
     except OSError as exc:
         raise CacheIOError(f"cannot write cache {path}: {exc}") from exc

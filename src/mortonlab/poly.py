@@ -158,13 +158,19 @@ class LaurentPoly2(_TermMap):
 
     # -- serialization -------------------------------------------------
 
+    def _json_order(self):
+        return sorted(self._terms, key=lambda k: (-k[1], -k[0]))
+
     def to_json_obj(self):
         """Array of term records ordered by (e_z desc, e_v desc)."""
-        keys = sorted(self._terms, key=lambda k: (-k[1], -k[0]))
-        return [{"ev": ev, "ez": ez, "c": str(self._terms[(ev, ez)])} for ev, ez in keys]
+        return [{"ev": ev, "ez": ez, "c": str(self._terms[(ev, ez)])}
+                for ev, ez in self._json_order()]
 
     def to_json(self):
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """to_json_obj as compact JSON text, formatted term by term."""
+        terms = self._terms
+        return "[%s]" % ",".join(['{"ev":%d,"ez":%d,"c":"%d"}' % (ev, ez, terms[ev, ez])
+                                  for ev, ez in self._json_order()])
 
     @classmethod
     def from_json_obj(cls, obj):

@@ -526,6 +526,25 @@ class TestCacheFlag:
         assert cap.out == ""
         assert cap.err.startswith(f"IO_ERROR: cannot read cache {tmp_path}")
 
+    @pytest.mark.parametrize("argv", [["homfly"], ["verify", "--gc", "1", "--nmax", "2"]])
+    def test_cache_under_regular_file_exit2_before_engine_work(
+            self, argv, tmp_path, capsys, monkeypatch):
+        """Only a missing file is an empty cache: a path that cannot be
+        opened for another reason stops the run at load."""
+        (tmp_path / "plain").write_text("")
+        cache, out = tmp_path / "plain" / "c.jsonl", tmp_path / "out.json"
+
+        def no_engine_work(self, d):
+            raise AssertionError("engine work before the cache was read")
+
+        monkeypatch.setattr(HomflyEngine, "homfly", no_engine_work)
+        assert run_command(argv + ["--pd", TREFOIL_PD, "--cache", str(cache),
+                                   "--out", str(out)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(f"IO_ERROR: cannot read cache {cache}")
+        assert not out.exists()
+
     def test_cache_not_utf8_exit2(self, tmp_path, capsys):
         cache = tmp_path / "cache.jsonl"
         assert run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(cache)]) == 0

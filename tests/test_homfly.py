@@ -665,10 +665,43 @@ _SPELLINGS = [
 ]
 
 
+_R1 = ('{"code":"3b7c","poly":[%s]}' % _T2).encode()
+_R2 = ('{"code":"01","poly":[%s,%s]}' % (_T1, _T2)).encode()
+_ASCII_SPACE = [bytes([b]) for b in b" \t\r\x0b\x0c"]  # what bytes.strip removes
+_KEPT_BY_STRIP = [b"\x1c", b"\xa0", "\u0085".encode()]
+# (file bytes, the first bad line, or None for a file that loads)
+_EDGE_FILES = [
+    (_R1 + b"\r\n" + _R2 + b"\r\n", None),
+    *[(_R1 + b"\n" + ws * 3 + b"\n" + _R2 + b"\n", None) for ws in _ASCII_SPACE],
+    *[(ws + _R1 + ws + b"\n" + _R2 + b"\n", None) for ws in _ASCII_SPACE],
+    (_R1 + b"\n" + _R2, None),
+    (b"", None),
+    (b"\n \n\t\r\n\n", None),
+    *[(_R1 + b"\n" + ws + _R2 + b"\n", 2) for ws in _KEPT_BY_STRIP],
+    *[(_R1 + b"\n" + _R2 + ws + b"\n", 2) for ws in _KEPT_BY_STRIP],
+    (_R2 + b"\n" + _R1 + b"\r" + _R2 + b"\n", 2),
+    (_R2 + b"\n" + _R1 + b" " + _R2 + b"\n", 2),
+]
+
+
 def _assert_loads_as_reference(loaded, path):
     expected = _reference_load(path)
     assert loaded == len(expected)
     assert _decoded(path) == expected
+
+
+class TestCacheWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(entries=_cache_entries)
+    def test_writes_compact_json_of_each_entry_in_order(self, entries, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "writer.jsonl"
+        path.write_bytes(b"")
+        append_cache_file(path, entries)
+        assert path.read_bytes() == "".join(
+            json.dumps({"code": code.hex(), "poly": p.to_json_obj()}, separators=(",", ":")) + "\n"
+            for code, p in entries.items()).encode()
+        for p in entries.values():
+            assert p.to_json() == json.dumps(p.to_json_obj(), separators=(",", ":"))
 
 
 class TestCacheLoader:
@@ -681,6 +714,26 @@ class TestCacheLoader:
             assert loaded == f"{path}:2: bad cache record"
         else:
             _assert_loads_as_reference(loaded, path)
+
+    @pytest.mark.parametrize("data, bad_line", _EDGE_FILES)
+    def test_edge_file_loads_as_reference_or_names_bad_line(self, data, bad_line, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(data)
+        loaded = _outcome(HomflyEngine().load_cache, path)
+        if bad_line is None:
+            _assert_loads_as_reference(loaded, path)
+        else:
+            assert loaded == f"{path}:{bad_line}: bad cache record"
+
+    def test_long_file_names_first_of_two_bad_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        lines = [b'{"code":"%04x","poly":[%s]}' % (i, _T1.encode()) for i in range(2000)]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert HomflyEngine().load_cache(path) == 2000
+        lines[1499] = lines[1499].replace(b'"c":"-1"', b'"c":-1')
+        lines[1799] = b"x"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert _outcome(HomflyEngine().load_cache, path) == f"{path}:1500: bad cache record"
 
     @settings(max_examples=300, deadline=None)
     @given(entries=_cache_entries, data=st.data())
