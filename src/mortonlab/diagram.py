@@ -98,22 +98,8 @@ class Diagram:
         ordered by least label; free loops appended as empty tuples.  Also
         records each label's cycle index in the list _comp."""
         if self._cycles is None:
-            succ = _successors(self.crossings)
-            comp = [0] * (2 * len(self.crossings) + 1)
-            cycles = []
-            # labels are scanned upward, so each cycle is entered at its least label
-            for start in range(1, len(comp)):
-                if start not in succ:
-                    continue
-                ci = len(cycles)
-                cyc = [start]
-                comp[start] = ci
-                e = succ.pop(start)
-                while e != start:
-                    cyc.append(e)
-                    comp[e] = ci
-                    e = succ.pop(e)
-                cycles.append(tuple(cyc))
+            cycles, comp = _permutation_cycles(_successors(self.crossings),
+                                               2 * len(self.crossings))
             cycles.extend(() for _ in range(self.free_loops))
             self._cycles = tuple(cycles)
             self._comp = comp
@@ -495,6 +481,28 @@ def _entries(crossings):
     for i, (a, _, o_in, _, _) in enumerate(crossings):
         ins[a], ins[o_in] = (i, True), (i, False)
     return ins
+
+
+def _permutation_cycles(succ, size):
+    """The cycles of a permutation succ of the labels 1..size, each entered
+    at its least label and ordered by it, and the list indexed by label of
+    each label's cycle index.  Empties succ."""
+    index = [0] * (size + 1)
+    cycles = []
+    # labels are scanned upward, so each cycle is entered at its least label
+    for start in range(1, size + 1):
+        if start not in succ:
+            continue
+        ci = len(cycles)
+        cyc = [start]
+        index[start] = ci
+        e = succ.pop(start)
+        while e != start:
+            cyc.append(e)
+            index[e] = ci
+            e = succ.pop(e)
+        cycles.append(tuple(cyc))
+    return cycles, index
 
 
 def _successors(crossings):

@@ -42,6 +42,7 @@ be compared exactly on small diagrams.
 from __future__ import annotations
 
 import binascii
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -77,12 +78,10 @@ def choose_skein_crossing(d: Diagram):
     Otherwise the components are taken in ascending order of the balance
     u - o, where u counts the crossings with other components that the
     component passes under and o those it passes over (ties in least-label
-    order).  A knot is its one component.  Two components read their
-    counts off the first cycle's walk; more scan the crossings once.  Each
-    component is walked from the basepoint that leaves the fewest of its
-    self-crossings met under first (the last such basepoint along the
-    cycle from its least label), and the crossing returned is met first on
-    its under-strand.
+    order).  A knot is its one component.  Each component is walked from
+    the basepoint that leaves the fewest of its self-crossings met under
+    first (the last such basepoint along the cycle from its least label),
+    and the crossing returned is met first on its under-strand.
 
     Among the crossings met under first, in meeting order, the first one
     whose switch forms an R2 pair is chosen, else the first one.  After the
@@ -96,18 +95,8 @@ def choose_skein_crossing(d: Diagram):
     ins = d._edge_table()
     cycles = d.component_cycles()
     ncomp = len(cycles) - d.free_loops
-    if not ncomp:
-        return None
-    bases = [None] * ncomp
     order = range(ncomp)
-    if ncomp == 2:
-        bases[0] = _basepoint(cycles[0], ins, len(xs))
-        _, u, o = bases[0]
-        if (u == 0) != (o == 0):
-            return _shared_crossings(d, 0)
-        if u > o:
-            order = (1, 0)
-    elif ncomp > 2:
+    if ncomp > 1:
         comp = d._comp
         u, o = [0] * ncomp, [0] * ncomp
         for a, _, o_in, _, _ in xs:
@@ -124,7 +113,7 @@ def choose_skein_crossing(d: Diagram):
     for c in order:
         cyc = cycles[c]
         n = len(cyc)
-        start = (bases[c] or _basepoint(cyc, ins, len(xs)))[0]
+        start = _basepoint(cyc, ins, len(xs))
         for k in range(n):
             q = (start + k) % n
             i, under = ins[cyc[q]]
@@ -148,44 +137,37 @@ def choose_skein_crossing(d: Diagram):
 
 
 def _basepoint(cyc, ins, nx):
-    """(start, u, o) for a component cycle of a diagram of nx crossings:
-    the basepoint that leaves the fewest self-crossings met under first
-    (the last such from the least label), and the crossings with other
-    components that the cycle passes under (u) and over (o).
+    """The basepoint of a component cycle of a diagram of nx crossings
+    that leaves the fewest self-crossings met under first, the last such
+    from the least label.
 
     A self-crossing passed at cycle positions p < q is met at q first
     exactly for basepoints p+1..q, so one walk fills a difference array
-    from which the count for every basepoint is read in order.  Counting
-    the crossings entered under when first met from position 0 gives u
-    plus the self-crossings met under first from there.
+    from which the count for every basepoint is read in order.
     """
     n = len(cyc)
     diff = [0] * (n + 1)
     first = [-1] * nx
-    bad = selfs = unders = 0
+    bad = 0
     for q, e in enumerate(cyc):
         i, under = ins[e]
         p = first[i]
         if p < 0:
             first[i] = q
-            unders += under
         elif under:
-            selfs += 1
             diff[p + 1] += 1
             diff[q + 1] -= 1
         else:
             # met under first from position 0
-            selfs += 1
             bad += 1
             diff[p + 1] -= 1
             diff[q + 1] += 1
-    u = unders - bad
     start, least = 0, bad
     for s in range(1, n):
         bad += diff[s]
         if bad <= least:
             start, least = s, bad
-    return start, u, n - 2 * selfs - u
+    return start
 
 
 def _shared_crossings(d: Diagram, c):
@@ -292,8 +274,9 @@ class HomflyEngine:
         """Check every record of a cache file and return the record count.
         The file is read whole and checked in one pass; only when that
         fails is the first line not in the written form located, and it
-        raises ParseError naming path:line.  A missing file holds no
-        records; one that cannot be opened or read raises CacheIOError.
+        raises ParseError naming path:line.  A missing file in an existing
+        directory holds no records; one that cannot be opened or read,
+        such as a file in a missing directory, raises CacheIOError.
         A record's polynomial is decoded on its code's first lookup, and
         only when the cache holds no entry for that code: entries already
         in memory take precedence over the file's."""
@@ -466,19 +449,21 @@ _RECORD_FORM = '{"code":"%s","poly":%s}\n'
 
 def _read_cache_records(path):
     """Polynomial JSON bytes keyed by code for every record of a cache file
-    (later records win); a missing file has none.  The file is read whole
-    and checked in one pass: it is valid when every non-blank line is a
-    record, that is when the records found are as many as its
-    whitespace-separated words, since a record holds no whitespace.  Only
-    otherwise are the lines scanned one by one, and the first that is
+    (later records win); a missing file in an existing directory has none.
+    The file is read whole and checked in one pass: it is valid when every
+    non-blank line is a record, that is when the records found are as many
+    as its whitespace-separated words, since a record holds no whitespace.
+    Only otherwise are the lines scanned one by one, and the first that is
     neither blank nor in the written form raises ParseError naming
-    path:line.  A file that cannot be opened or read raises CacheIOError."""
+    path:line.  A file that cannot be opened or read, a missing one in a
+    missing directory included, raises CacheIOError: a flush could not
+    create it, so the run stops before its engine work."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except FileNotFoundError:
-        return {}
     except OSError as exc:
+        if isinstance(exc, FileNotFoundError) and os.path.isdir(os.path.dirname(path) or "."):
+            return {}
         raise CacheIOError(f"cannot read cache {path}: {exc}") from exc
     words = len(data.split())  # before findall: the word list is freed first
     records = _RECORD.findall(data)

@@ -24,6 +24,18 @@ __all__ = [
 ]
 
 
+def _fold(out, pairs):
+    """Add (key, coefficient) pairs into the term map out, dropping zero
+    sums; returns out."""
+    for k, c in pairs:
+        nc = out.get(k, 0) + c
+        if nc:
+            out[k] = nc
+        elif k in out:
+            del out[k]
+    return out
+
+
 class _TermMap:
     """Immutable map from exponent keys to nonzero int coefficients, built from
     a dict or (key, coefficient) pairs: repeated keys add up, zero sums drop."""
@@ -33,13 +45,7 @@ class _TermMap:
     def __init__(self, terms=None):
         t = {}
         if terms:
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    nc = t.get(k, 0) + c
-                    if nc:
-                        t[k] = nc
-                    elif k in t:
-                        del t[k]
+            _fold(t, terms.items() if isinstance(terms, dict) else terms)
         self._terms = t
 
     @classmethod
@@ -96,14 +102,7 @@ class LaurentPoly2(_TermMap):
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        out = dict(a)
-        for k, c in b.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            elif k in out:
-                del out[k]
-        return LaurentPoly2._of(out)
+        return LaurentPoly2._of(_fold(dict(a), b.items()))
 
     def __neg__(self):
         return LaurentPoly2._of({k: -c for k, c in self._terms.items()})
@@ -112,16 +111,9 @@ class LaurentPoly2(_TermMap):
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for (ev1, ez1), c1 in self._terms.items():
-            for (ev2, ez2), c2 in other._terms.items():
-                k = (ev1 + ev2, ez1 + ez2)
-                nc = out.get(k, 0) + c1 * c2
-                if nc:
-                    out[k] = nc
-                elif k in out:
-                    del out[k]
-        return LaurentPoly2._of(out)
+        a, b = self._terms.items(), other._terms.items()
+        return LaurentPoly2._of(_fold({}, (((ev1 + ev2, ez1 + ez2), c1 * c2)
+                                           for (ev1, ez1), c1 in a for (ev2, ez2), c2 in b)))
 
     def mono_mul(self, coeff, ev=0, ez=0):
         """Fast multiply by a single term coeff * v^ev * z^ez."""

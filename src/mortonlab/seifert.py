@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .diagram import Diagram
+from .diagram import Diagram, _permutation_cycles
 from .errors import DisconnectedError
 
 __all__ = [
@@ -54,18 +54,7 @@ def seifert_circles(d: Diagram) -> SeifertDecomposition:
     for x in d.crossings:
         succ[x.a] = x.over_out
         succ[x.over_in] = x.c
-
-    circle_of = {}
-    circles = []
-    for start in range(1, 2 * n + 1):
-        if start in circle_of:
-            continue
-        cid = len(circles)
-        e = start
-        while e not in circle_of:
-            circle_of[e] = cid
-            e = succ[e]
-        circles.append(start)
+    circles, circle_of = _permutation_cycles(succ, 2 * n)
 
     joins = tuple(
         tuple(sorted((circle_of[x.a], circle_of[x.c]))) for x in d.crossings

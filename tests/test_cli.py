@@ -556,9 +556,33 @@ class TestCacheFlag:
         assert cap.out == ""
         assert cap.err == f"PARSE_ERROR: {cache}:2: bad cache record\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["homfly", "--pd", TREFOIL_PD],
+        ["verify", "--gc", "1", "--nmax", "2", "--pd", TREFOIL_PD],
+        ["oracle-check", "--table", SMALL, "--limit", "5"],
+    ])
+    def test_cache_in_missing_directory_exit2_before_engine_work(self, argv, tmp_path, capsys):
+        # a flush could not create the file, so the load refuses it
+        cache, out = tmp_path / "missing" / "cache.jsonl", tmp_path / "out.json"
+        assert run_command(argv + ["--cache", str(cache), "--out", str(out)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(f"IO_ERROR: cannot read cache {cache}")
+        assert "expansions:" not in cap.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["homfly"], ["verify", "--gc", "1", "--nmax", "2"]])
-    def test_cache_flush_to_missing_directory_exit2(self, argv, tmp_path, capsys):
-        cache = tmp_path / "missing" / "cache.jsonl"
+    def test_cache_flush_failure_exit2(self, argv, tmp_path, capsys, monkeypatch):
+        # the cache's directory goes away between the load and the flush
+        cache = tmp_path / "gone" / "cache.jsonl"
+        cache.parent.mkdir()
+        flush = HomflyEngine.flush_cache
+
+        def flush_after_rmdir(engine, path):
+            cache.parent.rmdir()
+            return flush(engine, path)
+
+        monkeypatch.setattr(HomflyEngine, "flush_cache", flush_after_rmdir)
         assert run_command(argv + ["--pd", TREFOIL_PD, "--cache", str(cache)]) == 2
         cap = capsys.readouterr()
         assert cap.out == ""

@@ -173,6 +173,25 @@ class TestChosenBasepoints:
         assert w - s + 1 <= min(evs) and max(evs) <= w + s - 1
 
 
+class TestSeifertCircles:
+    """seifert_circles counts the cycles of the smoothing successor map with
+    the walk that component_cycles uses; smoothing one crossing at a time
+    counts closed loops in _stitch and relabels by _renumber's own walk."""
+
+    @given(_braids(5, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_circles_are_the_loops_left_by_smoothing(self, braid):
+        # the Seifert circles of a connected braid closure are its strands
+        strands, word = braid
+        d = braid_closure(word, strands)
+        assume(d.is_connected())
+        s = seifert_circles(d).num_circles
+        assert s == strands
+        while d.crossings:
+            d = d.smooth_crossing(0)
+        assert d.free_loops == s
+
+
 def _reference_choice(d):
     """Brute force of the engine's skein step from the crossings alone, over
     the components with crossings in least-label order: each one's index
@@ -925,7 +944,9 @@ class TestEngineCounterPins:
     """Expansions and cache entries of a fresh engine depend only on the
     skein choices, simplification and canonical codes.  Making those
     routines faster leaves them in place; a new skein choice moves them on
-    purpose and re-pins them."""
+    purpose and re-pins them.  The Whitehead doubles resolve through
+    two-component links, the closures of (s1^2 s2^2)^3 and T(5,5) are links
+    of three and five components, so the balance order is pinned on both."""
 
     def counters(self, d):
         engine = HomflyEngine()
@@ -939,6 +960,16 @@ class TestEngineCounterPins:
         knot = next(e.diagram for e in small_knots if e.name == "4_1")
         assert self.counters(whitehead_double(knot, 1, 0)) == (51, 57)
 
+    def test_three_component_closure(self):
+        d = braid_closure([1, 1, 2, 2] * 3, 3)
+        assert d.num_components() == 3
+        assert self.counters(d) == (31, 35)
+
+    def test_torus_5_5(self):
+        d = braid_closure([1, 2, 3, 4] * 5, 5)
+        assert d.num_components() == 5
+        assert self.counters(d) == (562, 767)
+
     def test_whitehead_double_8_19(self):
         # least-label basepoints took 153,849 expansions, the first crossing
         # met under for chosen basepoints 7,551 and the R2-opening switch
@@ -947,7 +978,7 @@ class TestEngineCounterPins:
         engine = HomflyEngine()
         p = engine.homfly(w)
         assert p.maxdeg_z() == 14
-        assert engine.expansions <= 1_000
+        assert (engine.expansions, len(engine.cache)) == (894, 1157)
         assert hashlib.sha256(p.to_json().encode()).hexdigest() == (
             "3572ade8f5d37a66c4a2f2ece0bb724e5e244bbc02fae079a60977f40469f117")
 
@@ -958,6 +989,6 @@ class TestEngineCounterPins:
         engine = HomflyEngine()
         p = engine.homfly(w)
         assert p.maxdeg_z() == 18
-        assert engine.expansions <= 10_000
+        assert (engine.expansions, len(engine.cache)) == (7508, 10218)
         assert hashlib.sha256(p.to_json().encode()).hexdigest() == (
             "4a77c4a1c81d92f4a56b4da2da80ed5e7f812a1e002408475bfdd84a474643f8")

@@ -1,7 +1,8 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
-pools, no unused imports or unread private names, the skein rule and the
-polynomial term-map code written once, a package namespace that does not
+pools, no unused imports or unread private names, the skein rule, the
+zero-dropping term fold, the permutation-cycle walk and the polynomial
+term-map code written once, a package namespace that does not
 shadow its modules, the attributes the benchmark's layer trace wraps,
 crossing strands stored as fields, and a cold evaluation that neither
 validates nor walks cycles again, builds one edge table, and leaves
@@ -120,6 +121,33 @@ def test_family_audit_reuses_the_skein_rule():
                 if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "homfly"
                 for a in n.names]
     assert "_skein_terms" in imported
+
+
+def _functions(tree):
+    return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
+def test_term_fold_written_once():
+    # every zero-dropping term sum goes through poly._fold
+    functions = _functions(_tree(Path(mortonlab.__file__).parent / "poly.py"))
+    owners = sorted(name for name, f in functions.items()
+                    if any(isinstance(n, ast.Delete) for n in ast.walk(f)))
+    assert owners == ["_fold"]
+
+
+def test_permutation_cycle_walk_written_once():
+    # component cycles and Seifert circles are both read off
+    # diagram._permutation_cycles
+    src = Path(mortonlab.__file__).parent
+    seifert = _tree(src / "seifert.py")
+    walks = [f.name for f in (_functions(seifert)["seifert_circles"],
+                              _functions(_tree(src / "diagram.py"))["component_cycles"])
+             if any(isinstance(n, ast.While) for n in ast.walk(f))]
+    assert walks == []
+    imported = [a.name for n in ast.walk(seifert)
+                if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "diagram"
+                for a in n.names]
+    assert "_permutation_cycles" in imported
 
 
 def test_polynomial_term_map_written_once():
