@@ -36,7 +36,8 @@ order nor the basepoints.  The naive oracle and skein traces take the
 components in least-label order, each from its least label, with no
 cache, no simplification, no lift and no split shortcut, so the oracle
 walks a different resolution tree from the engine and the two routes can
-be compared exactly on small diagrams.
+be compared exactly on small diagrams.  On all three routes a tree deeper
+than the interpreter's recursion limit allows raises TooLargeError.
 """
 
 from __future__ import annotations
@@ -204,10 +205,18 @@ def _skein_terms(sign, p_sw, p_sm):
     return p_sw.mono_mul(1, ev=2 * sign), p_sm.mono_mul(sign, ev=sign, ez=1)
 
 
-def _too_deep(d: Diagram) -> TooLargeError:
-    return TooLargeError(
-        f"{len(d.crossings)} crossings: skein recursion exceeds the interpreter's recursion limit"
-    )
+def _guarded(d: Diagram, run, limit=None, route=None):
+    """run(), one route's skein recursion over d, or TooLargeError when d
+    has more than limit crossings (if given) or the recursion passes the
+    interpreter's recursion limit, which is never changed."""
+    n = len(d.crossings)
+    if limit is not None and n > limit:
+        raise TooLargeError(f"{n} crossings exceeds {route} limit {limit}")
+    try:
+        return run()
+    except RecursionError:
+        raise TooLargeError(f"{n} crossings: skein recursion exceeds the interpreter's "
+                            "recursion limit") from None
 
 
 class HomflyEngine:
@@ -217,8 +226,10 @@ class HomflyEngine:
     lookups are exact-key only (never up to mirror) to keep chirality
     honest.  Records read by load_cache wait as polynomial JSON bytes in a
     map of this engine's own and enter the cache on their code's first
-    lookup.  Recursion depth grows with the crossing count; a diagram too
-    deep for the interpreter's recursion limit raises TooLargeError.
+    lookup.  One method, _eval, holds the whole route (look up, split
+    product, layered lift, skein step, store) and takes one frame per
+    level of the resolution tree; a diagram too deep for the interpreter's
+    recursion limit raises TooLargeError.
     """
 
     def __init__(self, cache=None):
@@ -228,10 +239,7 @@ class HomflyEngine:
         self._undecoded = {}
 
     def homfly(self, d: Diagram) -> LaurentPoly2:
-        try:
-            return self._eval(d.simplify())
-        except RecursionError:
-            raise _too_deep(d) from None
+        return _guarded(d, lambda: self._eval(d.simplify()))
 
     def _eval(self, d: Diagram) -> LaurentPoly2:
         """P of a diagram that admits no R1 or R2 move; so do the connected
@@ -244,29 +252,25 @@ class HomflyEngine:
                 hit = self.cache[code] = LaurentPoly2.from_json(text)
         if hit is not None:
             return hit
-        if d.is_connected():
-            p = self._eval_connected(d)
-        else:
+        if not d.is_connected():
             pieces = d.split_pieces()
             p = delta_factor() ** (len(pieces) - 1)
             for piece in pieces:
                 if piece.crossings:
                     p = p * self._eval(piece)
+        elif (i := choose_skein_crossing(d)) is None:
+            p = _descending_value(d)
+        elif isinstance(i, tuple):
+            # a layered component lifts off: the split branch gives delta
+            p = self._eval(_reduce(d, i, smooth=False))
+        else:
+            self.expansions += 1
+            switched = self._eval(d.switch_crossing(i).simplify())
+            smoothed = self._eval(_reduce(d, (i,)))
+            contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
+            p = contrib_sw + contrib_sm
         self.cache[code] = p
         return p
-
-    def _eval_connected(self, d: Diagram) -> LaurentPoly2:
-        i = choose_skein_crossing(d)
-        if i is None:
-            return _descending_value(d)
-        if isinstance(i, tuple):
-            # a layered component lifts off: the split branch gives delta
-            return self._eval(_reduce(d, i, smooth=False))
-        self.expansions += 1
-        switched = self._eval(d.switch_crossing(i).simplify())
-        smoothed = self._eval(_reduce(d, (i,)))
-        contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
-        return contrib_sw + contrib_sm
 
     # -- persistent cache ----------------------------------------------------
 
@@ -301,13 +305,8 @@ class HomflyEngine:
 def naive_homfly(d: Diagram, limit=DEFAULT_ORACLE_LIMIT) -> LaurentPoly2:
     """Same value as HomflyEngine.homfly, computed with no cache, no
     simplification and no split shortcut; diagrams of more than limit
-    crossings raise TooLargeError."""
-    if len(d.crossings) > limit:
-        raise TooLargeError(f"{len(d.crossings)} crossings exceeds oracle limit {limit}")
-    try:
-        return _naive(d)
-    except RecursionError:
-        raise _too_deep(d) from None
+    crossings, or too deep for the recursion limit, raise TooLargeError."""
+    return _guarded(d, lambda: _naive(d), limit, "oracle")
 
 
 def _naive(d: Diagram) -> LaurentPoly2:
@@ -323,11 +322,10 @@ def _naive(d: Diagram) -> LaurentPoly2:
 def skein_trace(d: Diagram, limit=DEFAULT_TRACE_LIMIT) -> "SkeinTrace":
     """Materialized resolution tree (uncached, unsimplified), with the
     polynomial and its z-degree recorded at every node; diagrams of more
-    than limit crossings raise TooLargeError."""
-    if len(d.crossings) > limit:
-        raise TooLargeError(f"{len(d.crossings)} crossings exceeds trace limit {limit}")
+    than limit crossings, or too deep for the recursion limit, raise
+    TooLargeError."""
     trace = SkeinTrace()
-    trace.root = _trace(d, "ROOT", 0, trace)
+    trace.root = _guarded(d, lambda: _trace(d, "ROOT", 0, trace), limit, "trace")
     trace.stats = {
         "nodes": len(trace.nodes),
         "cancellations": sum(1 for n in trace.nodes if n.cancellation),

@@ -21,10 +21,10 @@ L_(n-1), so the skein rule gives
 
 The engine therefore evaluates only L_0, L_1 and the switched base
 diagrams of the hypothesis certificates; every later row is two
-polynomial terms.  Each row with a Seifert decomposition is checked
-against the Morton-Franks-Williams v-degree bound w - s + 1 <= deg_v P
-<= w + s - 1, which holds at every size and so also checks the derived
-rows.
+polynomial terms.  Each row, and each switched base diagram the engine
+evaluates, with a Seifert decomposition is checked against the
+Morton-Franks-Williams v-degree bound w - s + 1 <= deg_v P <= w + s - 1,
+which holds at every size and so also checks the derived rows.
 """
 
 from __future__ import annotations
@@ -193,19 +193,22 @@ def _hypothesis_certificates(base: Diagram, engine: HomflyEngine, report: Family
     certs = report.hypothesis_certificates
     base_genus = diagram_genus(base)
     for i, switched in crossing_change_candidates(base):
-        if switched.is_connected():
-            g = diagram_genus(switched)
-            if g < base_genus:
-                certs.append({
-                    "crossing": i, "kind": "genus_drop",
-                    "switched_simplified_genus": g, "base_genus": base_genus,
-                })
-                continue
+        dec = seifert_circles(switched) if switched.is_connected() else None
+        if dec is not None and dec.diagram_genus < base_genus:
+            certs.append({
+                "crossing": i, "kind": "genus_drop",
+                "switched_simplified_genus": dec.diagram_genus, "base_genus": base_genus,
+            })
+            continue
         if over_budget():
             report.incomplete = True
             return
-        m = engine.homfly(switched).maxdeg_z()
-        m = -1 if m is None else m
+        p = engine.homfly(switched)
+        m = p.maxdeg_z()
+        if m is None:
+            raise MFWViolationError(f"zero polynomial for certificate crossing {i}")
+        if dec is not None:
+            check_v_degree_bound(switched, p, f"certificate crossing {i}", dec.num_circles)
         if m < 2 * base_genus:
             certs.append({
                 "crossing": i, "kind": "morton_degree",
@@ -220,9 +223,10 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
     """Row-by-row audit M(L_n) < 2*gc - 1 + n for n = 0..n_max, in order of
     n over one engine cache.  The engine evaluates L_0 and L_1; each later
     row is P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the sign s
-    of the base crossing.  Every row with a Seifert decomposition must
-    meet the Morton-Franks-Williams v-degree bound, and no row may be the
-    zero polynomial (MFWViolationError naming n otherwise).  A budget
+    of the base crossing.  Every row, and every certificate candidate the
+    engine evaluates, with a Seifert decomposition must meet the
+    Morton-Franks-Williams v-degree bound, and none may be the zero
+    polynomial (MFWViolationError naming n or the crossing).  A budget
     overrun, checked before each certificate candidate's evaluation and
     before each row, marks the report incomplete and keeps the
     certificates and rows finished so far.

@@ -125,12 +125,8 @@ class LaurentPoly2(_TermMap):
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial is not defined here")
         acc = LaurentPoly2.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            acc = acc * self
         return acc
 
     # -- degrees and substitutions -------------------------------------

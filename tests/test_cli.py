@@ -19,7 +19,12 @@ from mortonlab.errors import (
     TableError,
     UnsupportedFormatError,
 )
-from mortonlab.family import FamilySpec, braid_closure, whitehead_double
+from mortonlab.family import (
+    FamilySpec,
+    braid_closure,
+    crossing_change_candidates,
+    whitehead_double,
+)
 from mortonlab.homfly import HomflyEngine, skein_trace
 from mortonlab.morton import verify_theorem_family
 from mortonlab.poly import LaurentPoly2
@@ -311,6 +316,30 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "MFW_VIOLATION 3_1: zero polynomial for family row n=0\n"
+
+    @pytest.mark.parametrize("fake, message", [
+        (lambda p: LaurentPoly2.zero(), "zero polynomial for certificate crossing 3"),
+        (lambda p: p.mono_mul(1, ev=100),
+         "v-degree bound violated for certificate crossing 3: deg_v in [98, 106], w=4, s=9"),
+    ], ids=["zero", "v_shifted"])
+    def test_verify_checks_certificate_candidates(self, monkeypatch, capsys, fake, message):
+        # the engine goes wrong only on the W(3_1) candidate switched at
+        # crossing 3, which no other candidate's canonical code matches;
+        # the trefoil's candidates are all genus drops and never evaluated
+        w = whitehead_double(parse_pd(TREFOIL_PD), 1, 0)
+        codes = [switched.canonical_code() for _, switched in crossing_change_candidates(w)]
+        assert codes.count(codes[3]) == 1
+        homfly = HomflyEngine.homfly
+
+        def wrong_at_3(self, d):
+            p = homfly(self, d)
+            return fake(p) if d.canonical_code() == codes[3] else p
+
+        monkeypatch.setattr(HomflyEngine, "homfly", wrong_at_3)
+        assert run_command(["verify", "--pd", w.serialize(), "--gc", "1", "--nmax", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"MFW_VIOLATION pd: {message}\n"
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "r.json"

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
+from mortonlab.cli import run_command
 from mortonlab.diagram import _reduce, parse_pd
 from mortonlab.errors import ParseError, TooLargeError
 from mortonlab.family import whitehead_double
@@ -938,6 +939,27 @@ class TestRecursionLimit:
                 naive_homfly(d, 15)
         finally:
             sys.setrecursionlimit(saved)
+
+    def test_low_limit_trace_is_too_large(self, capsys):
+        d = braid_closure(self.T45, 4)
+        argv = ["skein-tree", "--pd", d.serialize(), "--trace-limit", "15"]
+        # a first run at the usual limit does argparse's lazy imports and
+        # pattern compiles; parsing still takes about 20 frames, so the
+        # command gets 30, still far fewer than this trace needs (over 50)
+        assert run_command(["skein-tree", "--pd", "X[1,1,2,2]", "--trace-limit", "15"]) == 0
+        capsys.readouterr()
+        saved = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(_stack_depth() + 20)
+            with pytest.raises(TooLargeError):
+                skein_trace(d, 15)
+            sys.setrecursionlimit(_stack_depth() + 30)
+            code = run_command(argv)
+        finally:
+            sys.setrecursionlimit(saved)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("TOO_LARGE: 15 crossings: skein recursion exceeds")
 
 
 class TestEngineCounterPins:

@@ -2,12 +2,13 @@
 cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, no unused imports or unread private names, the skein rule, the
 zero-dropping term fold, the permutation-cycle walk and the polynomial
-term-map code written once, a package namespace that does not
-shadow its modules, the attributes the benchmark's layer trace wraps,
-crossing strands stored as fields, and a cold evaluation that neither
-validates nor walks cycles again, builds one edge table, and leaves
-connectivity to the canonical walk; and over scripts/: nothing imported
-from the test tree."""
+term-map code written once, the cached skein route in one recursive
+engine method, RecursionError caught in one function, a package
+namespace that does not shadow its modules, the attributes the
+benchmark's layer trace wraps, crossing strands stored as fields, and a
+cold evaluation that neither validates nor walks cycles again, builds one
+edge table, and leaves connectivity to the canonical walk; and over
+scripts/: nothing imported from the test tree."""
 
 import ast
 import importlib
@@ -157,6 +158,33 @@ def test_polynomial_term_map_written_once():
     assert [(cls.__name__, m) for cls in (LaurentPoly1, LaurentPoly2) for m in shared
             if m in cls.__dict__] == []
     assert [p for p in (LaurentPoly1({0: 1}), LaurentPoly2.one()) if hasattr(p, "__dict__")] == []
+
+
+def test_engine_recursion_is_one_method():
+    # the cached skein route recurses through one method, so it takes one
+    # frame per level of the resolution tree
+    tree = _tree(Path(mortonlab.__file__).parent / "homfly.py")
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HomflyEngine")
+    methods = {f.name: f for f in engine.body if isinstance(f, ast.FunctionDef)}
+    reach = {name: {n.attr for n in ast.walk(f) if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"} & methods.keys()
+             for name, f in methods.items()}
+    for _ in methods:  # close over calls of calls
+        reach = {name: r.union(*(reach[c] for c in r)) for name, r in reach.items()}
+    assert [name for name, r in reach.items() if name in r] == ["_eval"]
+
+
+def test_recursion_error_caught_once():
+    # the engine, the oracle and the trace all map RecursionError to
+    # TooLargeError through homfly._guarded
+    catching = {"RecursionError", "RuntimeError", "Exception", "BaseException"}
+    owners = [f"{path.stem}.{f.name}" for path in SOURCES for f in ast.walk(_tree(path))
+              if isinstance(f, ast.FunctionDef)
+              and any(isinstance(h, ast.ExceptHandler)
+                      and (h.type is None
+                           or catching & {n.id for n in ast.walk(h.type) if isinstance(n, ast.Name)})
+                      for h in ast.walk(f))]
+    assert owners == ["homfly._guarded"]
 
 
 def test_crossing_strands_are_fields():
