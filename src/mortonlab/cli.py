@@ -336,6 +336,7 @@ def _dispatch(args):
             "maxdeg_z": p.maxdeg_z(),
         }
         print(f"expansions: {engine.expansions}", file=sys.stderr)
+        print(f"braid evaluations: {engine.braid_evaluations}", file=sys.stderr)
         if args.expect:
             obj["expected_match"] = match
         _emit(export_report(obj, args.fmt), args)

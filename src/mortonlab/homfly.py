@@ -32,12 +32,21 @@ the crossing count.
 
 The cached engine simplifies first, multiplies split unions by delta, and
 memoizes on canonical codes, which depend on neither the component
-order nor the basepoints.  The naive oracle and skein traces take the
-components in least-label order, each from its least label, with no
-cache, no simplification, no lift and no split shortcut, so the oracle
-walks a different resolution tree from the engine and the two routes can
-be compared exactly on small diagrams.  On all three routes a tree deeper
-than the interpreter's recursion limit allows raises TooLargeError.
+order nor the basepoints.  Before that skein route, HomflyEngine.homfly
+looks up the code of the simplified root; on a miss it reads the root as
+given, since simplify can leave braid form.  A connected root that is a
+closed braid of at most braid.MAX_STRANDS (7) strands is evaluated by its
+Markov trace in the Hecke algebra (the braid module) and stored under
+that code, and a split root goes piece by piece the same way, times
+delta^(k-1).  The engine's expansions count skein steps only, and its
+braid_evaluations count Hecke traces.
+
+The naive oracle and skein traces take the components in least-label
+order, each from its least label, with no cache, no simplification, no
+lift and no split shortcut, so the oracle walks a different resolution
+tree from the engine and the two routes can be compared exactly on small
+diagrams.  On all three routes a tree deeper than the interpreter's
+recursion limit allows raises TooLargeError.
 """
 
 from __future__ import annotations
@@ -47,9 +56,10 @@ import os
 import re
 from dataclasses import dataclass, field
 
+from .braid import hecke_homfly, read_braid
 from .diagram import Diagram, _reduce
 from .errors import CacheIOError, ParseError, TooLargeError
-from .poly import LaurentPoly2, delta_factor
+from .poly import LaurentPoly2, _skein_terms, delta_factor
 
 __all__ = [
     "HomflyEngine",
@@ -64,6 +74,10 @@ __all__ = [
 
 DEFAULT_ORACLE_LIMIT = 10
 DEFAULT_TRACE_LIMIT = 12
+# a skein trace of more nodes raises TooLargeError: its DOT export would
+# pass about 3 MB (sigma_1^10, within the default trace limit, has over a
+# million nodes)
+TRACE_NODE_LIMIT = 50_000
 
 
 def choose_skein_crossing(d: Diagram):
@@ -199,12 +213,6 @@ def _descending_value(d: Diagram) -> LaurentPoly2:
     return delta_factor() ** (k - 1)
 
 
-def _skein_terms(sign, p_sw, p_sm):
-    """The two weighted children of a skein step at a crossing of this
-    sign: (v^(2s) P(switched), s v^s z P(smoothed)); their sum is P."""
-    return p_sw.mono_mul(1, ev=2 * sign), p_sm.mono_mul(sign, ev=sign, ez=1)
-
-
 def _guarded(d: Diagram, run, limit=None, route=None):
     """run(), one route's skein recursion over d, or TooLargeError when d
     has more than limit crossings (if given) or the recursion passes the
@@ -220,36 +228,77 @@ def _guarded(d: Diagram, run, limit=None, route=None):
 
 
 class HomflyEngine:
-    """Memoized skein evaluator.
+    """Memoized evaluator: the Hecke trace for closed braids at the root,
+    the skein route for everything else.
 
     The cache maps canonical codes of simplified diagrams to polynomials;
     lookups are exact-key only (never up to mirror) to keep chirality
     honest.  Records read by load_cache wait as polynomial JSON bytes in a
     map of this engine's own and enter the cache on their code's first
-    lookup.  One method, _eval, holds the whole route (look up, split
-    product, layered lift, skein step, store) and takes one frame per
-    level of the resolution tree; a diagram too deep for the interpreter's
-    recursion limit raises TooLargeError.
+    lookup.  One method, _eval, holds the whole skein route (look up,
+    split product, layered lift, skein step, store) and takes one frame
+    per level of the resolution tree; a diagram too deep for the
+    interpreter's recursion limit raises TooLargeError.  The Hecke traces
+    of permutations are memoized per engine, so a new engine starts cold.
     """
 
     def __init__(self, cache=None):
         self.cache = {} if cache is None else cache
         self.expansions = 0
+        self.braid_evaluations = 0
         self._loaded_keys = set()
         self._undecoded = {}
+        self._traces = {}
 
     def homfly(self, d: Diagram) -> LaurentPoly2:
-        return _guarded(d, lambda: self._eval(d.simplify()))
+        return _guarded(d, lambda: self._root(d))
 
-    def _eval(self, d: Diagram) -> LaurentPoly2:
-        """P of a diagram that admits no R1 or R2 move; so do the connected
-        pieces of a split one, as each move lies within one piece."""
-        code = d.canonical_code()
+    def _root(self, d: Diagram) -> LaurentPoly2:
+        """P of a caller's diagram, stored under the code of its simplified
+        form; a split one is taken piece by piece."""
+        s = d.simplify()
+        code = s.canonical_code()
+        if d.is_connected():
+            return self._connected_root(d, s, code)
+        p = self._lookup(code)
+        if p is None:
+            pieces = d.split_pieces()
+            p = delta_factor() ** (len(pieces) - 1)
+            for piece in pieces:
+                if piece.crossings:
+                    simple = piece.simplify()
+                    p = p * self._connected_root(piece, simple, simple.canonical_code())
+            self.cache[code] = p
+        return p
+
+    def _connected_root(self, d: Diagram, s: Diagram, code) -> LaurentPoly2:
+        """P of a connected diagram d with simplified form s of this code:
+        looked up, else the Hecke trace when d itself reads as a closed
+        braid (simplify can leave braid form), else the skein route."""
+        p = self._lookup(code)
+        if p is None:
+            braid = read_braid(d)
+            if braid is None:
+                return self._eval(s)
+            self.braid_evaluations += 1
+            p = self.cache[code] = hecke_homfly(*braid, self._traces)
+        return p
+
+    def _lookup(self, code):
+        """The cached polynomial of a code, decoding a loaded record on its
+        first lookup, or None."""
         hit = self.cache.get(code)
         if hit is None and self._undecoded:
             text = self._undecoded.pop(code, None)
             if text is not None:
                 hit = self.cache[code] = LaurentPoly2.from_json(text)
+        return hit
+
+    def _eval(self, d: Diagram) -> LaurentPoly2:
+        """P of a diagram that admits no R1 or R2 move; so do the connected
+        pieces of a split one, as each move lies within one piece."""
+        code = d.canonical_code()
+        hit = self._lookup(code)
         if hit is not None:
             return hit
         if not d.is_connected():
@@ -322,8 +371,8 @@ def _naive(d: Diagram) -> LaurentPoly2:
 def skein_trace(d: Diagram, limit=DEFAULT_TRACE_LIMIT) -> "SkeinTrace":
     """Materialized resolution tree (uncached, unsimplified), with the
     polynomial and its z-degree recorded at every node; diagrams of more
-    than limit crossings, or too deep for the recursion limit, raise
-    TooLargeError."""
+    than limit crossings, too deep for the recursion limit or with a tree
+    of more than TRACE_NODE_LIMIT nodes raise TooLargeError."""
     trace = SkeinTrace()
     trace.root = _guarded(d, lambda: _trace(d, "ROOT", 0, trace), limit, "trace")
     trace.stats = {
@@ -335,8 +384,10 @@ def skein_trace(d: Diagram, limit=DEFAULT_TRACE_LIMIT) -> "SkeinTrace":
 
 
 def _trace(d, role, depth, trace):
-    i = _least_label_crossing(d)
     node_id = len(trace.nodes)
+    if node_id == TRACE_NODE_LIMIT:
+        raise TooLargeError(f"skein tree passes {TRACE_NODE_LIMIT} nodes")
+    i = _least_label_crossing(d)
     if i is None:
         node = SkeinNode(id=node_id, role="BASE_UNLINK", chosen_crossing=None,
                          poly=_descending_value(d), depth=depth)

@@ -35,8 +35,8 @@ from dataclasses import astuple, dataclass, field
 from .diagram import Diagram
 from .errors import DisconnectedError, MFWViolationError
 from .family import FamilySpec, crossing_change_candidates, insert_parallel_bands
-from .homfly import HomflyEngine, _skein_terms
-from .poly import LaurentPoly2
+from .homfly import HomflyEngine
+from .poly import LaurentPoly2, _skein_terms
 from .seifert import diagram_genus, seifert_circles
 
 __all__ = [

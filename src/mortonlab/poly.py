@@ -257,6 +257,14 @@ def delta_factor() -> LaurentPoly2:
     return LaurentPoly2({(-1, -1): 1, (1, -1): -1})
 
 
+def _skein_terms(sign, p_sw, p_sm):
+    """The two weighted children of a skein step at a crossing of this
+    sign: (v^(2s) P(switched), s v^s z P(smoothed)); their sum is P.  In
+    the Hecke algebra of closed braids the same weights multiply T_i^s
+    into the two terms of the quadratic relation."""
+    return p_sw.mono_mul(1, ev=2 * sign), p_sm.mono_mul(sign, ev=sign, ez=1)
+
+
 def alexander_specialize(p: LaurentPoly2) -> LaurentPoly1:
     """Substitute v = 1 and z = t^(1/2) - t^(-1/2).
 

@@ -50,11 +50,7 @@ def seifert_circles(d: Diagram) -> SeifertDecomposition:
     if n == 0:
         return SeifertDecomposition(1, 0, ())
 
-    succ = {}
-    for x in d.crossings:
-        succ[x.a] = x.over_out
-        succ[x.over_in] = x.c
-    circles, circle_of = _permutation_cycles(succ, 2 * n)
+    circles, circle_of = _seifert_cycles(d.crossings)
 
     joins = tuple(
         tuple(sorted((circle_of[x.a], circle_of[x.c]))) for x in d.crossings
@@ -65,6 +61,16 @@ def seifert_circles(d: Diagram) -> SeifertDecomposition:
     if chi_defect % 2:
         raise RuntimeError(f"parity violation: c={n} s={s} mu={mu}")
     return SeifertDecomposition(s, chi_defect // 2, joins)
+
+
+def _seifert_cycles(crossings):
+    """The Seifert circles of crossings labelled 1..2c, as the cycles of the
+    substitute successor map (under-in -> over-out, over-in -> under-out),
+    and the list indexed by label of each label's circle."""
+    succ = {}
+    for a, c, o_in, o_out, _ in crossings:
+        succ[a], succ[o_in] = o_out, c
+    return _permutation_cycles(succ, 2 * len(crossings))
 
 
 def diagram_genus(d: Diagram) -> int:

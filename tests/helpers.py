@@ -1,12 +1,13 @@
-"""Shared test utilities: deterministic corpora of braid closures and
-relabelled or reordered variants."""
+"""Shared test utilities: deterministic corpora of braid closures,
+relabelled, reordered or mirrored variants, and the engine's skein route."""
 
 from __future__ import annotations
 
 import random
 
-from mortonlab.diagram import Diagram
+from mortonlab.diagram import Crossing, Diagram
 from mortonlab.family import braid_closure
+from mortonlab.homfly import _guarded
 
 
 def random_braid_diagrams(count, seed, max_strands=4, max_len=7, max_crossings=7):
@@ -36,3 +37,15 @@ def shuffled_crossings(d, rng):
     xs = list(d.crossings)
     rng.shuffle(xs)
     return Diagram(xs, d.free_loops)
+
+
+def mirrored(d):
+    """The mirror image: every crossing switched."""
+    return Diagram([Crossing(x.over_in, x.over_out, x.a, x.c, -x.sign) for x in d.crossings],
+                   d.free_loops)
+
+
+def skein_homfly(engine, d):
+    """P by the engine's cached skein route alone, bypassing the Hecke
+    route that HomflyEngine.homfly takes for closed braids."""
+    return _guarded(d, lambda: engine._eval(d.simplify()))

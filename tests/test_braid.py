@@ -1,0 +1,133 @@
+"""The Hecke route for closed braids: the braid reader, the Markov trace
+against the skein route and the naive oracle, and the engine's use of
+both."""
+
+import random
+
+import pytest
+
+from helpers import mirrored, random_relabeling, shuffled_crossings, skein_homfly
+
+from mortonlab.braid import MAX_STRANDS, hecke_homfly, read_braid
+from mortonlab.diagram import parse_pd
+from mortonlab.family import braid_closure, two_bridge_plat, whitehead_double
+from mortonlab.homfly import HomflyEngine, naive_homfly
+
+# the table diagrams of small_knots.csv that are closed braids as drawn
+BRAID_TABLE_DIAGRAMS = ["3_1", "4_1", "5_1", "6_2", "6_3", "7_1"]
+
+
+def _closures(count, seed):
+    """(word, strands) of seeded random braids: 2-6 strands, 1-20 letters."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(2, 6)
+        out.append(([rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                     for _ in range(rng.randint(1, 20))], strands))
+    return out
+
+
+class TestDifferential:
+    """The public route evaluates every piece of a braid closure, however
+    its labels and crossings are ordered, by the Hecke trace; the skein
+    route and the oracle share none of that code.  The oracle is run only
+    to 7 crossings: on these words it took 285 s over the 152 closures of at
+    most 10 crossings, up to 134 s on one."""
+
+    @pytest.mark.parametrize("chunk", range(6))
+    def test_hecke_route_matches_skein_route_and_oracle(self, chunk):
+        rng = random.Random(chunk)
+        for word, strands in _closures(300, seed=67)[50 * chunk:50 * (chunk + 1)]:
+            d = braid_closure(word, strands)
+            ref = skein_homfly(HomflyEngine(), d)
+            if len(d.crossings) <= 7:
+                assert naive_homfly(d) == ref
+            # equal pieces share one evaluation
+            pieces = len({piece.simplify().canonical_code() for piece in d.split_pieces()
+                          if piece.crossings})
+            variants = [(d, ref), (random_relabeling(d, rng), ref),
+                        (shuffled_crossings(d, rng), ref), (mirrored(d), ref.mirror())]
+            for v, expected in variants:
+                engine = HomflyEngine()
+                assert engine.homfly(v) == expected, (word, strands)
+                assert (engine.expansions, engine.braid_evaluations) == (0, pieces)
+
+    def test_four_plats_that_read_as_braids(self):
+        # two-bridge diagrams with small twist regions are closed braids on
+        # two or three strands as drawn, or not braids at all
+        read = 0
+        for parts in [(a, b) for a in range(1, 5) for b in range(1, 5)] + [(2, 1, 2), (3, 1, 1)]:
+            d = two_bridge_plat(parts)
+            braid = read_braid(d)
+            if braid is not None:
+                read += 1
+                assert hecke_homfly(*braid, {}) == skein_homfly(HomflyEngine(), d)
+        assert read
+
+
+class TestReader:
+    def test_whitehead_doubles_are_not_braids(self, small_knots):
+        for e in small_knots:
+            for clasp, twists in ((1, 0), (-1, 0), (1, -e.diagram.writhe())):
+                assert read_braid(whitehead_double(e.diagram, clasp, twists)) is None, e.name
+
+    def test_table_diagrams_that_read_as_braids(self, small_knots):
+        read = {e.name: read_braid(e.diagram) for e in small_knots}
+        assert sorted(name for name, b in read.items() if b is not None) == BRAID_TABLE_DIAGRAMS
+        for e in small_knots:
+            if read[e.name] is not None:
+                assert hecke_homfly(*read[e.name], {}) == naive_homfly(e.diagram), e.name
+
+    def test_reads_the_closure_it_was_built_from(self):
+        # the circles fix the word up to rotation, commuting letters and
+        # numbering the strands from either end
+        word = (1, -2, 1, 3, -2, 3)
+        braid = read_braid(parse_pd(braid_closure(word, 4).serialize()))
+        assert braid is not None and braid[1] == 4
+        flipped = [(4 - abs(g)) * (1 if g > 0 else -1) for g in word]
+        assert sorted(braid[0]) in (sorted(word), sorted(flipped))
+
+    def test_split_crossingless_and_nonplanar_diagrams_are_not_read(self):
+        assert read_braid(parse_pd("O")) is None
+        assert read_braid(braid_closure([1, 1, 1, 3, 3, 3], 4)) is None
+        # valid PD text whose slots give 2 faces, not c + 2 = 4: no planar map
+        assert read_braid(parse_pd("X[1,3,2,4] X[4,1,3,2]")) is None
+        assert read_braid(parse_pd("X[1,3,2,4] X[3,1,4,2]")) == ((1, 1), 2)
+
+    def test_more_than_max_strands_falls_back_to_skein_route(self):
+        # a trefoil stabilized up to 8 strands: the unsimplified root has 8
+        # Seifert circles, so it is not read, and its R1-simplified form
+        # goes to the skein route
+        d = braid_closure([1, 1, 1, 2, 3, 4, 5, 6, 7], MAX_STRANDS + 1)
+        assert read_braid(d) is None
+        engine = HomflyEngine()
+        assert engine.homfly(d) == naive_homfly(braid_closure([1, 1, 1], 2))
+        assert engine.expansions > 0 and engine.braid_evaluations == 0
+        stabilized = braid_closure([1, 1, 1, 2, 3, 4, 5, 6], MAX_STRANDS)
+        assert read_braid(stabilized) is not None
+
+
+class TestEngineRoute:
+    def test_trace_memo_belongs_to_the_engine(self):
+        warm = HomflyEngine()
+        warm.homfly(braid_closure([1, 2, 3] * 5, 4))
+        assert warm._traces
+        assert HomflyEngine()._traces == {}
+
+    def test_split_root_is_evaluated_piece_by_piece(self):
+        # two braid pieces and a free strand: one entry for the root and one
+        # for each piece
+        d = braid_closure([1, 1, 1, 3, -4, 3, -4], 6)
+        assert not d.is_connected()
+        engine = HomflyEngine()
+        assert engine.homfly(d) == skein_homfly(HomflyEngine(), d)
+        assert (engine.expansions, engine.braid_evaluations, len(engine.cache)) == (0, 2, 3)
+
+    def test_cache_hit_reads_no_braid(self, monkeypatch):
+        d = braid_closure([1, 2] * 4, 3)
+        engine = HomflyEngine()
+        p = engine.homfly(d)
+        monkeypatch.setattr("mortonlab.homfly.read_braid", None)
+        assert engine.homfly(d) == p
+        assert engine.braid_evaluations == 1

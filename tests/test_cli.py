@@ -493,24 +493,38 @@ class TestFormats:
         assert not out.exists()
 
 
+def _stderr_counts(err):
+    """The engine counters that homfly prints on stderr, in their order."""
+    return [(k, int(v)) for k, v in (line.split(": ") for line in err.splitlines()
+                                      if line.startswith(("expansions:", "braid evaluations:")))]
+
+
 class TestCacheFlag:
-    def test_warm_cache_identical_output_fewer_expansions(self, tmp_path, capsys):
+    def _cold_then_warm(self, name, tmp_path, capsys):
         cache = tmp_path / "cache.jsonl"
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
-        assert run_command(["homfly", "--table", SMALL, "--name", "6_2",
+        assert run_command(["homfly", "--table", SMALL, "--name", name,
                             "--cache", str(cache), "--out", str(out1)]) == 0
         err1 = capsys.readouterr().err
-        assert run_command(["homfly", "--table", SMALL, "--name", "6_2",
+        assert run_command(["homfly", "--table", SMALL, "--name", name,
                             "--cache", str(cache), "--out", str(out2)]) == 0
         err2 = capsys.readouterr().err
         assert out1.read_bytes() == out2.read_bytes()
+        return _stderr_counts(err1), _stderr_counts(err2)
 
-        def expansions(err):
-            return int([l for l in err.splitlines() if "expansions" in l][0].split(":")[1])
+    def test_warm_cache_identical_output_fewer_expansions(self, tmp_path, capsys):
+        # 5_2's table diagram is not a closed braid, so it takes the skein route
+        cold, warm = [dict(c) for c in self._cold_then_warm("5_2", tmp_path, capsys)]
+        assert warm["expansions"] < cold["expansions"]
+        assert warm["expansions"] == 0
 
-        assert expansions(err2) < expansions(err1)
-        assert expansions(err2) == 0
+    def test_warm_cache_braid_route(self, tmp_path, capsys):
+        # 6_2's table diagram reads as a closed braid: the cold run takes
+        # one Hecke trace and no expansion, the warm one neither
+        cold, warm = self._cold_then_warm("6_2", tmp_path, capsys)
+        assert cold == [("expansions", 0), ("braid evaluations", 1)]
+        assert warm == [("expansions", 0), ("braid evaluations", 0)]
 
     def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache.jsonl"
@@ -524,13 +538,15 @@ class TestCacheFlag:
         assert engine.expansions == 0
 
     def _corrupt_cache(self, tmp_path, capsys, mangle):
+        # 5_2 takes the skein route, so its cold run writes several records
         cache = tmp_path / "cache.jsonl"
-        assert run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(cache)]) == 0
+        argv = ["homfly", "--table", SMALL, "--name", "5_2", "--cache", str(cache)]
+        assert run_command(argv) == 0
         capsys.readouterr()
         lines = cache.read_text().splitlines(keepends=True)
         assert len(lines) >= 3
         cache.write_text("".join(mangle(lines)))
-        code = run_command(["homfly", "--pd", TREFOIL_PD, "--cache", str(cache)])
+        code = run_command(argv)
         return code, capsys.readouterr(), cache
 
     def test_torn_final_line_exit2(self, tmp_path, capsys):

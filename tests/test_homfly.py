@@ -16,13 +16,20 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIGURE8_PD, TREFOIL_PD
-from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
+from helpers import (
+    braid_closure,
+    random_braid_diagrams,
+    random_relabeling,
+    shuffled_crossings,
+    skein_homfly,
+)
 
 from mortonlab.cli import run_command
 from mortonlab.diagram import _reduce, parse_pd
 from mortonlab.errors import ParseError, TooLargeError
 from mortonlab.family import whitehead_double
 from mortonlab.homfly import (
+    TRACE_NODE_LIMIT,
     HomflyEngine,
     _read_cache_records,
     append_cache_file,
@@ -156,9 +163,10 @@ class TestChosenBasepoints:
     @example((9, [1, 1, 1, 2, 3, 4, 5, 6, 7, 8]))
     @settings(max_examples=40, deadline=None)
     def test_engine_matches_oracle(self, braid):
+        # the skein route: the public one reads these closures as braids
         strands, word = braid
         d = braid_closure(word, strands)
-        assert HomflyEngine().homfly(d) == naive_homfly(d)
+        assert skein_homfly(HomflyEngine(), d) == naive_homfly(d)
 
     @given(_braids(4, 30))
     @example((3, [1, 2] * 15))
@@ -170,8 +178,12 @@ class TestChosenBasepoints:
         d = braid_closure(word, strands)
         assume(d.is_connected())
         w, s = d.writhe(), seifert_circles(d).num_circles
-        evs = [ev for ev, _ in HomflyEngine().homfly(d).terms]
+        p = HomflyEngine().homfly(d)
+        evs = [ev for ev, _ in p.terms]
         assert w - s + 1 <= min(evs) and max(evs) <= w + s - 1
+        # the Hecke route against the skein route at sizes the oracle
+        # cannot reach
+        assert skein_homfly(HomflyEngine(), d) == p
 
 
 class TestSeifertCircles:
@@ -336,13 +348,17 @@ class TestLayeredComponent:
         assert choose_skein_crossing(d) == (6, 7, 10, 11)
         trefoil, cinquefoil = braid_closure([1] * 3, 2), braid_closure([1] * 5, 2)
         engine = HomflyEngine()
-        p = engine.homfly(d)
+        p = skein_homfly(engine, d)
         assert p == delta_factor() * naive_homfly(trefoil) * naive_homfly(cinquefoil)
         # the expansions are those of the two knots alone
         apart = HomflyEngine()
-        apart.homfly(trefoil)
-        apart.homfly(cinquefoil)
-        assert engine.expansions == apart.expansions
+        skein_homfly(apart, trefoil)
+        skein_homfly(apart, cinquefoil)
+        assert engine.expansions == apart.expansions > 0
+        # the public route reads d as a closed 4-braid
+        public = HomflyEngine()
+        assert public.homfly(d) == p
+        assert (public.expansions, public.braid_evaluations) == (0, 1)
 
 
 class TestMirrorLaw:
@@ -463,6 +479,14 @@ class TestTrace:
         with pytest.raises(TooLargeError):
             skein_trace(parse_pd(TREFOIL_PD), 2)
 
+    def test_node_limit(self, capsys):
+        # sigma_1^10 is within the default crossing limit, but its tree has
+        # over a million nodes (80 MB of DOT); the trace stops at the limit
+        d = braid_closure([1] * 10, 2)
+        assert run_command(["skein-tree", "--pd", d.serialize(), "--format", "dot"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"TOO_LARGE: skein tree passes {TRACE_NODE_LIMIT} nodes\n")
+
     def test_cancellation_flags_consistent(self):
         # a node is flagged exactly when its polynomial falls below the top
         # z-degree of its two contributions: the switched child's, and the
@@ -496,8 +520,9 @@ class TestTrace:
 
 
 class TestCache:
-    def test_warm_cache_reuses(self, tmp_path):
-        d = parse_pd(FIGURE8_PD)
+    def test_warm_cache_reuses(self, tmp_path, small_knots):
+        # 5_2's table diagram is not a closed braid, so it takes the skein route
+        d = next(e.diagram for e in small_knots if e.name == "5_2")
         path = tmp_path / "cache.jsonl"
         e1 = HomflyEngine()
         p1 = e1.homfly(d)
@@ -510,6 +535,19 @@ class TestCache:
         assert p1 == p2
         assert e2.expansions < cold_expansions
         assert e2.expansions == 0
+
+    def test_warm_cache_reuses_braid_route(self, tmp_path):
+        d = parse_pd(FIGURE8_PD)
+        path = tmp_path / "cache.jsonl"
+        e1 = HomflyEngine()
+        assert e1.homfly(d) == FIG8
+        assert e1.flush_cache(path) == 1
+        assert (e1.expansions, e1.braid_evaluations) == (0, 1)
+
+        e2 = HomflyEngine()
+        e2.load_cache(path)
+        assert e2.homfly(d) == FIG8
+        assert (e2.expansions, e2.braid_evaluations) == (0, 0)
 
     def test_append_only(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -849,15 +887,17 @@ class TestCacheLoader:
 
     def test_partial_warm_run_flushes_only_new_entries(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
+        # the skein route, whose resolution trees of T(2,3) and T(2,5) share
+        # diagrams; the public route evaluates each as a braid at its root
         cold = HomflyEngine()
-        cold.homfly(braid_closure([1, 1, 1], 2))
+        skein_homfly(cold, braid_closure([1, 1, 1], 2))
         cold.flush_cache(path)
         old_codes = set(_read_cache_records(path))
         decoded = self._counting_decoder(monkeypatch)
 
         warm = HomflyEngine()
         warm.load_cache(path)
-        warm.homfly(braid_closure([1, 1, 1, 1, 1], 2))
+        skein_homfly(warm, braid_closure([1, 1, 1, 1, 1], 2))
         hit = {code for code in warm.cache if code in old_codes}
         assert hit and len(decoded) == len(hit) and len(hit) < len(old_codes)
         before = path.read_text().splitlines()
@@ -934,11 +974,16 @@ class TestRecursionLimit:
         try:
             sys.setrecursionlimit(_stack_depth() + 20)
             with pytest.raises(TooLargeError):
-                HomflyEngine().homfly(d)
+                skein_homfly(HomflyEngine(), d)
             with pytest.raises(TooLargeError):
                 naive_homfly(d, 15)
+            # the public route reads T(4,5) as a braid and needs no deep stack
+            engine = HomflyEngine()
+            p = engine.homfly(d)
         finally:
             sys.setrecursionlimit(saved)
+        assert p == skein_homfly(HomflyEngine(), d)
+        assert (engine.expansions, engine.braid_evaluations) == (0, 1)
 
     def test_low_limit_trace_is_too_large(self, capsys):
         d = braid_closure(self.T45, 4)
@@ -968,15 +1013,32 @@ class TestEngineCounterPins:
     routines faster leaves them in place; a new skein choice moves them on
     purpose and re-pins them.  The Whitehead doubles resolve through
     two-component links, the closures of (s1^2 s2^2)^3 and T(5,5) are links
-    of three and five components, so the balance order is pinned on both."""
+    of three and five components, so the balance order is pinned on both.
+    Closed braids take the Hecke route in public, so their skein pins are
+    taken on the skein route, and the public route is pinned beside them:
+    no expansion, one entry, one braid evaluation."""
 
     def counters(self, d):
         engine = HomflyEngine()
         engine.homfly(d)
         return engine.expansions, len(engine.cache)
 
+    def skein_counters(self, d):
+        engine = HomflyEngine()
+        skein_homfly(engine, d)
+        return engine.expansions, len(engine.cache)
+
+    def public_counters(self, d):
+        engine = HomflyEngine()
+        p = engine.homfly(d)
+        assert p == skein_homfly(HomflyEngine(), d)
+        return engine.expansions, len(engine.cache), engine.braid_evaluations
+
     def test_torus_4_5(self):
-        assert self.counters(braid_closure([1, 2, 3] * 5, 4)) == (105, 147)
+        assert self.skein_counters(braid_closure([1, 2, 3] * 5, 4)) == (105, 147)
+
+    def test_torus_4_5_public_route(self):
+        assert self.public_counters(braid_closure([1, 2, 3] * 5, 4)) == (0, 1, 1)
 
     def test_whitehead_double_4_1(self, small_knots):
         knot = next(e.diagram for e in small_knots if e.name == "4_1")
@@ -985,12 +1047,30 @@ class TestEngineCounterPins:
     def test_three_component_closure(self):
         d = braid_closure([1, 1, 2, 2] * 3, 3)
         assert d.num_components() == 3
-        assert self.counters(d) == (31, 35)
+        assert self.skein_counters(d) == (31, 35)
+
+    def test_three_component_closure_public_route(self):
+        assert self.public_counters(braid_closure([1, 1, 2, 2] * 3, 3)) == (0, 1, 1)
 
     def test_torus_5_5(self):
         d = braid_closure([1, 2, 3, 4] * 5, 5)
         assert d.num_components() == 5
-        assert self.counters(d) == (562, 767)
+        assert self.skein_counters(d) == (562, 767)
+
+    def test_torus_5_5_public_route(self):
+        assert self.public_counters(braid_closure([1, 2, 3, 4] * 5, 5)) == (0, 1, 1)
+
+    def test_torus_6_7_public_route(self):
+        # the skein route took 233,483 expansions, 333,854 entries and about
+        # 50 s of CPU for this digest; the Hecke trace takes no expansion
+        d = braid_closure([1, 2, 3, 4, 5] * 7, 6)
+        engine = HomflyEngine()
+        p = engine.homfly(parse_pd(random_relabeling(shuffled_crossings(d, random.Random(7)),
+                                                     random.Random(8)).serialize()))
+        assert (engine.expansions, len(engine.cache), engine.braid_evaluations) == (0, 1, 1)
+        assert p.maxdeg_z() == 30
+        assert hashlib.sha256(p.to_json().encode()).hexdigest() == (
+            "5b5255f9a49bae6509d32d75fc4b204a41be46457e6a36a872ca7e42ba11ce28")
 
     def test_whitehead_double_8_19(self):
         # least-label basepoints took 153,849 expansions, the first crossing

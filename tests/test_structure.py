@@ -1,8 +1,8 @@
 """Source-level guards over src/mortonlab: invariant checks that python -O
 cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, no unused imports or unread private names, the skein rule, the
-zero-dropping term fold, the permutation-cycle walk and the polynomial
-term-map code written once, the cached skein route in one recursive
+zero-dropping term fold, the permutation-cycle walk, the Seifert
+successor map and the polynomial term-map code written once, the cached skein route in one recursive
 engine method, RecursionError caught in one function, a package
 namespace that does not shadow its modules, the attributes the
 benchmark's layer trace wraps, crossing strands stored as fields, and a
@@ -17,8 +17,10 @@ from pathlib import Path
 import pytest
 
 import mortonlab
+from helpers import skein_homfly
+
 from mortonlab.diagram import Crossing, Diagram, parse_pd
-from mortonlab.family import braid_closure
+from mortonlab.family import braid_closure, whitehead_double
 from mortonlab.homfly import HomflyEngine
 from mortonlab.poly import LaurentPoly1, LaurentPoly2
 
@@ -112,14 +114,18 @@ def test_private_module_names_are_read():
     assert unread == []
 
 
-def test_family_audit_reuses_the_skein_rule():
-    # the family recurrence takes its weights from homfly._skein_terms,
-    # so the skein rule stays written once
-    tree = _tree(Path(mortonlab.__file__).parent / "morton.py")
-    calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "mono_mul"]
-    assert not calls, f"morton.py: mono_mul on lines {calls}"
+@pytest.mark.parametrize("module", ["morton", "braid", "homfly"])
+def test_skein_rule_written_once(module):
+    # the family recurrence and the Hecke algebra take their weights from
+    # poly._skein_terms, as the skein route does, so the skein rule stays
+    # written once
+    tree = _tree(Path(mortonlab.__file__).parent / f"{module}.py")
+    if module != "homfly":
+        calls = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr == "mono_mul"]
+        assert not calls, f"{module}.py: mono_mul on lines {calls}"
     imported = [a.name for n in ast.walk(tree)
-                if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "homfly"
+                if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "poly"
                 for a in n.names]
     assert "_skein_terms" in imported
 
@@ -149,6 +155,25 @@ def test_permutation_cycle_walk_written_once():
                 if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "diagram"
                 for a in n.names]
     assert "_permutation_cycles" in imported
+
+
+def test_seifert_successor_map_written_once():
+    # seifert_circles and the braid reader both read the circles off
+    # seifert._seifert_cycles, the one map under-in -> over-out,
+    # over-in -> under-out
+    src = Path(mortonlab.__file__).parent
+
+    def called(f):
+        return {n.func.id for n in ast.walk(f) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)}
+
+    seifert = _functions(_tree(src / "seifert.py"))
+    assert [name for name, f in seifert.items() if "_permutation_cycles" in called(f)] == \
+        ["_seifert_cycles"]
+    braid = _tree(src / "braid.py")
+    assert "_permutation_cycles" not in {n.id for n in ast.walk(braid) if isinstance(n, ast.Name)}
+    assert "_seifert_cycles" in called(seifert["seifert_circles"])
+    assert "_seifert_cycles" in called(_functions(braid)["read_braid"])
 
 
 def test_polynomial_term_map_written_once():
@@ -241,7 +266,8 @@ def test_engine_looks_up_skein_choice_on_module(monkeypatch):
         return original(d)
 
     monkeypatch.setattr(module, "choose_skein_crossing", counted)
-    HomflyEngine().homfly(parse_pd(TREFOIL))
+    # a Whitehead double is not a closed braid, so it takes the skein route
+    HomflyEngine().homfly(whitehead_double(parse_pd(TREFOIL)))
     assert calls
 
 
@@ -301,11 +327,21 @@ def test_engine_neither_revalidates_nor_rewalks_cycles(monkeypatch):
     monkeypatch.setattr(Diagram, "switch_crossing", keep(Diagram.switch_crossing))
     monkeypatch.setattr(Diagram, "_validate", counted_validate)
     monkeypatch.setattr(Diagram, "component_cycles", counted_cycles)
+    # the skein route; the public one reads T(4,5) as a closed braid
     engine = HomflyEngine()
-    engine.homfly(d)
+    skein_homfly(engine, d)
     assert engine.expansions > 0 and len(made) > engine.expansions
     assert validations == []
     assert walks and [w for w in walks if id(w) in made] == []
+    # the public route, from a fresh parse
+    validations.clear()
+    walks.clear()
+    d = parse_pd(d.serialize())
+    public = HomflyEngine()
+    public.homfly(d)
+    assert (public.expansions, public.braid_evaluations) == (0, 1)
+    assert validations == []
+    assert [id(w) for w in walks] == [id(d)]
 
 
 def test_engine_builds_one_edge_table_and_codes_without_union_find(monkeypatch):
@@ -334,9 +370,20 @@ def test_engine_builds_one_edge_table_and_codes_without_union_find(monkeypatch):
     monkeypatch.setattr(module, "_entries", counted_entries)
     monkeypatch.setattr(Diagram, "_crossing_graph_pieces", counted_pieces)
     monkeypatch.setattr(Diagram, "_compute_code", counted_code)
+    # the skein route; the public one reads T(4,5) as a closed braid
     engine = HomflyEngine()
-    engine.homfly(d)
+    skein_homfly(engine, d)
     assert engine.expansions > 0 and len(coded) > engine.expansions
     assert any(x.crossings and x.free_loops for x in coded)  # free loops beside crossings
     assert tables == [d.crossings]
     assert {id(x) for x in union_finds} & {id(x) for x in coded} == set()
+    # the public route, from a fresh parse: the reader uses the root's table,
+    # and its connectivity comes from the root's code
+    for seen in (tables, union_finds, coded):
+        seen.clear()
+    d = parse_pd(d.serialize())
+    public = HomflyEngine()
+    public.homfly(d)
+    assert (public.expansions, public.braid_evaluations) == (0, 1)
+    assert tables == [d.crossings]
+    assert [id(x) for x in coded] == [id(d)] and union_finds == []
