@@ -25,26 +25,46 @@ crossings, and the word lists the crossings in an order that meets each
 circle's crossings in its own cyclic order from its cut.
 
 The trace.  In the skein convention of homfly a positive crossing is
-sigma = v^2 sigma^-1 + v z, so T_i^2 = v^2 + v z T_i and
-T_i^-1 = v^-2 T_i - v^-1 z.  Elements are combinations of the positive
-permutation braids T_w, w in S_n.  Right multiplication by T_i^s
-(s = +-1) takes T_w to T_(w s_i) when w(i) < w(i+1) for s = 1, or
-w(i) > w(i+1) for s = -1, and otherwise to the two skein terms
-v^(2s) T_(w s_i) + s v^s z T_w.  The closure is invariant under
-conjugation and, with no writhe factor in this convention, under
-stabilization; a free strand multiplies it by delta.  So the trace of T_w
-on n strands is delta times that of T_w' on n - 1 when w fixes n.
-Otherwise w = u s_(n-1) ... s_k with u in S_(n-1) and k the position of
-n, and the trace is that of T_u T_(n-2) ... T_k on n - 1 strands.  This
-partial trace is applied to the whole combination one strand at a time,
-so coefficients are only ever multiplied by monomials and delta; a memo
-maps each permutation to its partial trace.
+sigma = v^2 sigma^-1 + v z, so the generators g_i = v^-1 T_i of the Hecke
+algebra satisfy g_i^2 = 1 + z g_i and g_i^-1 = g_i - z.  A word of writhe
+e is v^e times its product of g_i^s (s = +-1), and elements are
+combinations of g_w = v^-l(w) T_w, w in S_n.  Right multiplication by
+g_i^s takes g_w to g_(w s_i) and, when w(i) > w(i+1) for s = 1 or
+w(i) < w(i+1) for s = -1, adds s z g_w as well: the skein weights of a
+switch and a smoothing with v^(2s) and v^s divided out.  The closure is invariant under conjugation and, with no
+writhe factor in this convention, under stabilization; a free strand
+multiplies it by delta.  So the trace of g_w on n strands is delta times
+that of g_w' on n - 1 when w fixes n.  Otherwise w = u s_(n-1) ... s_k
+with u in S_(n-1) and k the position of n, T_(n-1) is dropped from
+T_w = T_u T_(n-1) ... T_k, and the trace is that of v^-1 g_u g_(n-2) ...
+g_k on n - 1 strands.  This partial trace is applied to the whole
+combination one strand at a time.  A term met b deltas on its way down to
+one strand, and n - 1 - b factors v^-1, so
+P = v^e sum_b delta^b v^-(n-1-b) c_b(z): every coefficient lies in
+Z[z, delta], and the powers of v are read off those of delta at the end.
+
+Packing.  Each coefficient is one int, its value at z = 2^B and
+delta = 2^(B J), with B = L + (n-1)(n-2)/2 + 2 and J = B - 1 for a word of
+L letters.  This substitution is a ring homomorphism, so the word costs
+int sums, shifts and negations, the partial trace one int product per
+term, and the final int is the value of the final polynomial, whatever the
+intermediate ones were.  That value is decoded once, as balanced base-2^B
+digits, the digit at place i + J b being the coefficient of z^i delta^b.
+The decoding is exact because the final polynomial is small: a letter at
+most doubles the sum of the absolute coefficients and raises the z-degree
+by at most 1, and removing strand m applies at most m - 2 letters, so the
+z-degree is at most B - 2 < J and every coefficient is at most 2^(B-2) in
+size, inside the digit range [-2^(B-1), 2^(B-1)).  A memo maps (B,
+permutation) to the packed partial trace, as the packing depends on B.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from math import comb
+
 from .diagram import Diagram
-from .poly import LaurentPoly2, _skein_terms, delta_factor
+from .poly import LaurentPoly2
 from .seifert import _seifert_cycles
 
 __all__ = ["MAX_STRANDS", "read_braid", "hecke_homfly"]
@@ -149,52 +169,81 @@ def _regions(xs, circle_of):
 
 def hecke_homfly(word, strands, memo) -> LaurentPoly2:
     """P of the closure of a braid word on strands strands (letters as in
-    family.braid_closure), by the Markov trace.  memo maps permutations to
-    their partial traces; an engine keeps one for all its braids."""
-    state = {tuple(range(strands)): LaurentPoly2.one()}
+    family.braid_closure), by the Markov trace.  memo maps (B, permutation)
+    to packed partial traces; an engine keeps one for all its braids."""
+    bits = len(word) + (strands - 1) * (strands - 2) // 2 + 2
+    state = {tuple(range(strands)): 1}
     for letter in word:
-        state = _times(state, abs(letter) - 1, 1 if letter > 0 else -1)
+        state = _times(state, abs(letter) - 1, letter > 0, bits)
     for _ in range(strands - 1):
-        out = {}
+        out = defaultdict(int)
         for w, c in state.items():
-            pt = memo.get(w)
+            pt = memo.get((bits, w))
             if pt is None:
-                pt = memo[w] = _partial_trace(w)
+                pt = memo[bits, w] = _partial_trace(w, bits)
             for u, k in pt:
-                _add(out, u, c * k)
+                out[u] += c * k
         state = out
-    return state.get((0,), LaurentPoly2.zero())
+    writhe = sum(1 if letter > 0 else -1 for letter in word)
+    return _unpack(state.get((0,), 0), bits, writhe - strands + 1)
 
 
-def _partial_trace(w):
-    """The partial trace of T_w on len(w) strands: (u, coefficient) pairs of
-    a combination of T_u on one strand fewer."""
+def _partial_trace(w, bits):
+    """The partial trace of g_w on len(w) strands: (u, packed coefficient)
+    pairs of a combination of g_u on one strand fewer, v^-1 left implied
+    wherever delta is absent."""
     n = len(w)
     k = w.index(n - 1)
     if k == n - 1:
-        return [(w[:-1], delta_factor())]
-    state = {w[:k] + w[k + 1:]: LaurentPoly2.one()}
+        return [(w[:-1], 1 << bits * (bits - 1))]
+    state = {w[:k] + w[k + 1:]: 1}
     for p in range(n - 3, k - 1, -1):
-        state = _times(state, p, 1)
+        state = _times(state, p, True, bits)
     return list(state.items())
 
 
-def _times(state, p, sign):
-    """A combination {w: coefficient} of T_w times T^sign at positions p and
-    p + 1 (0-based)."""
+def _times(state, p, positive, bits):
+    """A packed combination {w: nonzero coefficient} of g_w times g^(+-1),
+    the generator at positions p and p + 1 (0-based).  Each w and its swap
+    form a pair lo, hi with lo(p) < lo(p + 1), and g_lo g = g_hi,
+    g_hi g = g_lo + z g_hi, g_lo g^-1 = g_hi - z g_lo, g_hi g^-1 = g_lo."""
     out = {}
     for w, c in state.items():
         a, b = w[p], w[p + 1]
         ws = w[:p] + (b, a) + w[p + 2:]
-        if (a < b) == (sign > 0):
-            _add(out, ws, c)
+        if a < b:
+            lo, hi, c_lo, c_hi = w, ws, c, state.get(ws, 0)
+        elif ws in state:
+            continue
         else:
-            sw, sm = _skein_terms(sign, c, c)
-            _add(out, ws, sw)
-            _add(out, w, sm)
+            lo, hi, c_lo, c_hi = ws, w, 0, c
+        if positive:
+            c_lo, c_hi = c_hi, c_lo + (c_hi << bits)
+        else:
+            c_lo, c_hi = c_hi - (c_lo << bits), c_lo
+        if c_lo:
+            out[lo] = c_lo
+        if c_hi:
+            out[hi] = c_hi
     return out
 
 
-def _add(out, w, c):
-    prev = out.get(w)
-    out[w] = c if prev is None else prev + c
+def _unpack(x, bits, ev0):
+    """The polynomial sum_b delta^b v^(ev0 + b) c_b(z) packed in x, with
+    delta^b v^b = (1 - v^2)^b z^-b."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while x:
+        digit = x & mask
+        x >>= bits
+        if digit >= half:
+            digit -= 1 << bits
+            x += 1
+        digits.append(digit)
+    terms = []
+    for b, start in enumerate(range(0, len(digits), bits - 1)):
+        row = [(ev0 + 2 * j, (-1) ** j * comb(b, j)) for j in range(b + 1)]
+        terms.extend(((ev, ez - b), m * digit)
+                     for ez, digit in enumerate(digits[start:start + bits - 1]) if digit
+                     for ev, m in row)
+    return LaurentPoly2(terms)

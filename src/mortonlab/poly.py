@@ -259,9 +259,9 @@ def delta_factor() -> LaurentPoly2:
 
 def _skein_terms(sign, p_sw, p_sm):
     """The two weighted children of a skein step at a crossing of this
-    sign: (v^(2s) P(switched), s v^s z P(smoothed)); their sum is P.  In
-    the Hecke algebra of closed braids the same weights multiply T_i^s
-    into the two terms of the quadratic relation."""
+    sign: (v^(2s) P(switched), s v^s z P(smoothed)); their sum is P.  With
+    v^(2s) and v^s divided out they are the weights 1 and s z with which
+    the braid module multiplies by its Hecke generators g_i = v^-1 T_i."""
     return p_sw.mono_mul(1, ev=2 * sign), p_sm.mono_mul(sign, ev=sign, ez=1)
 
 

@@ -1,6 +1,6 @@
 """The Hecke route for closed braids: the braid reader, the Markov trace
-against the skein route and the naive oracle, and the engine's use of
-both."""
+against the skein route, the naive oracle and its own invariance under
+Markov moves, and the engine's use of both."""
 
 import random
 
@@ -12,6 +12,7 @@ from mortonlab.braid import MAX_STRANDS, hecke_homfly, read_braid
 from mortonlab.diagram import parse_pd
 from mortonlab.family import braid_closure, two_bridge_plat, whitehead_double
 from mortonlab.homfly import HomflyEngine, naive_homfly
+from mortonlab.poly import LaurentPoly2, _skein_terms, delta_factor
 
 # the table diagrams of small_knots.csv that are closed braids as drawn
 BRAID_TABLE_DIAGRAMS = ["3_1", "4_1", "5_1", "6_2", "6_3", "7_1"]
@@ -64,6 +65,43 @@ class TestDifferential:
                 read += 1
                 assert hecke_homfly(*braid, {}) == skein_homfly(HomflyEngine(), d)
         assert read
+
+
+class TestTrace:
+    """The trace alone, on words beyond the differential test's 20 letters
+    and the skein route's reach."""
+
+    def test_long_two_strand_words_follow_the_skein_rule(self):
+        # P(s^n) = v^2 P(s^(n-2)) + v z P(s^(n-1)) at one crossing of s^n;
+        # at n = 64 the packed digits are 66 bits wide
+        expected = [delta_factor(), LaurentPoly2.one()]
+        for n in range(2, 65):
+            switched, smoothed = _skein_terms(1, expected[n - 2], expected[n - 1])
+            expected.append(switched + smoothed)
+        memo = {}
+        for n, p in enumerate(expected):
+            assert hecke_homfly((1,) * n, 2, memo) == p, n
+            assert hecke_homfly((-1,) * n, 2, memo) == p.mirror(), n
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-memo", "memo-per-word"])
+    def test_markov_moves_and_mirror(self, shared):
+        # seeded words of 24-48 letters on 5-7 strands; a shared memo holds
+        # the partial traces of words of many lengths side by side
+        rng = random.Random(71)
+        memo = {}
+        for strands in (5, 6, 7) * 3:
+            word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(24, 48))]
+            if not shared:
+                memo = {}
+            p = hecke_homfly(word, strands, memo)
+            assert p, word
+            r = rng.randrange(1, len(word))
+            assert hecke_homfly(word[r:] + word[:r], strands, memo) == p, (word, r)
+            if strands < MAX_STRANDS:
+                for s in (strands, -strands):
+                    assert hecke_homfly(word + [s], strands + 1, memo) == p, (word, s)
+            assert hecke_homfly([-g for g in word], strands, memo) == p.mirror(), word
 
 
 class TestReader:

@@ -1072,6 +1072,19 @@ class TestEngineCounterPins:
         assert hashlib.sha256(p.to_json().encode()).hexdigest() == (
             "5b5255f9a49bae6509d32d75fc4b204a41be46457e6a36a872ca7e42ba11ce28")
 
+    def test_torus_7_8_public_route(self):
+        # the largest torus knot on MAX_STRANDS strands; the digest was
+        # recorded with the Hecke trace over the T_w basis and LaurentPoly2
+        # coefficients
+        d = braid_closure([1, 2, 3, 4, 5, 6] * 8, 7)
+        engine = HomflyEngine()
+        p = engine.homfly(parse_pd(random_relabeling(shuffled_crossings(d, random.Random(9)),
+                                                     random.Random(10)).serialize()))
+        assert (engine.expansions, len(engine.cache), engine.braid_evaluations) == (0, 1, 1)
+        assert p.maxdeg_z() == 42
+        assert hashlib.sha256(p.to_json().encode()).hexdigest() == (
+            "4de29ad000ad6ff05ba8b50ae67c9530defa70275e8c10338c6c116d1d7bd652")
+
     def test_whitehead_double_8_19(self):
         # least-label basepoints took 153,849 expansions, the first crossing
         # met under for chosen basepoints 7,551 and the R2-opening switch

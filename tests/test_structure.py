@@ -22,7 +22,7 @@ from helpers import skein_homfly
 from mortonlab.diagram import Crossing, Diagram, parse_pd
 from mortonlab.family import braid_closure, whitehead_double
 from mortonlab.homfly import HomflyEngine
-from mortonlab.poly import LaurentPoly1, LaurentPoly2
+from mortonlab.poly import LaurentPoly1, LaurentPoly2, _skein_terms
 
 SOURCES = sorted(Path(mortonlab.__file__).parent.glob("*.py"))
 
@@ -114,20 +114,33 @@ def test_private_module_names_are_read():
     assert unread == []
 
 
-@pytest.mark.parametrize("module", ["morton", "braid", "homfly"])
+def _mono_mul_lines(tree):
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "mono_mul"]
+
+
+@pytest.mark.parametrize("module", ["morton", "homfly"])
 def test_skein_rule_written_once(module):
-    # the family recurrence and the Hecke algebra take their weights from
-    # poly._skein_terms, as the skein route does, so the skein rule stays
-    # written once
+    # the family recurrence takes its weights from poly._skein_terms, as
+    # the skein route does, so the skein rule stays written once
     tree = _tree(Path(mortonlab.__file__).parent / f"{module}.py")
     if module != "homfly":
-        calls = [n.lineno for n in ast.walk(tree)
-                 if isinstance(n, ast.Attribute) and n.attr == "mono_mul"]
+        calls = _mono_mul_lines(tree)
         assert not calls, f"{module}.py: mono_mul on lines {calls}"
     imported = [a.name for n in ast.walk(tree)
                 if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "poly"
                 for a in n.names]
     assert "_skein_terms" in imported
+
+
+def test_hecke_weights_are_the_skein_rule_without_its_writhe_factor():
+    # the trace multiplies by g_i = v^-1 T_i, so its two weights (1 for the
+    # switch, s z for the smoothing) are the skein rule's with v^(2s) and
+    # v^s divided out; braid.py applies no monomial of its own
+    for s in (1, -1):
+        assert _skein_terms(s, LaurentPoly2({(-2 * s, 0): 1}), LaurentPoly2({(-s, 0): 1})) == (
+            LaurentPoly2.one(), LaurentPoly2({(0, 1): s}))
+    calls = _mono_mul_lines(_tree(Path(mortonlab.__file__).parent / "braid.py"))
+    assert not calls, f"braid.py: mono_mul on lines {calls}"
 
 
 def _functions(tree):
