@@ -7,22 +7,36 @@ strands, not exponentially with the crossings, so the engine evaluates a
 diagram that reads as a closed braid of at most MAX_STRANDS strands this
 way.
 
-Reading the braid.  PD slots run counterclockwise, so PD text fixes the
-planar map.  Corner (x, k) of crossing x lies between slots k and k+1, and
-the next corner of its face is (y, l), where slot k+1's edge arrives at
-slot l of crossing y; a connected diagram of c crossings is planar when
-this gives c + 2 faces.  The oriented smoothing of a crossing merges two
-opposite corners: (b, c) with (d, a) at a positive crossing, (a, b) with
-(c, d) at a negative one.  The merged faces are the regions of the sphere
-cut along the Seifert circles.  The diagram is a closed braid exactly
-when no crossing joins a circle to itself and every region touches at
-most two circles: regions and circles then alternate along a path, the
-circles are concentric, and the crossings between neighbours orient them
-alike.  Numbered along the path, the circles are the strands, and a
-crossing between circles i and i+1 is the letter sign * i.  Each circle
-is cut where one ray from the braid axis crosses it between two
-crossings, and the word lists the crossings in an order that meets each
-circle's crossings in its own cyclic order from its cut.
+Reading the braid.  Each crossing joins two Seifert circles side by
+side: at a positive crossing the circle through over_in runs on the left
+of the circle through a, at a negative one on its right.  A connected
+diagram whose slots pass diagram._planar is a closed braid exactly when
+no crossing joins a circle to itself and its circles are nested in one
+line, no region of the sphere cut along them touching three (S. Yamada,
+Invent. Math. 89, 1987; P. Vogel, Comment. Math. Helv. 65, 1990).  The
+second condition is local: no circle has two distinct neighbours on one
+side.  Proof:
+1. With c + 2 faces the slots describe a diagram on the sphere; its s
+   circles cut the sphere into s + 1 regions, and regions and circles
+   form a tree.
+2. A crossing lies in the region to the right of its left circle and to
+   the left of its right circle.
+3. If a region touches three or more circles, those on different
+   branches of the tree meet only there, so, the diagram being connected,
+   the crossings in that region connect them all.  Each joins a circle
+   with the region on its right to one with it on its left, a bipartite
+   graph, and a connected bipartite graph on three or more vertices has a
+   vertex with two distinct neighbours.
+4. Conversely, all of a circle's neighbours on one side lie in its one
+   region on that side.
+So the two conditions agree.  Regions and circles then alternate along a
+path, by 2 the crossings between neighbours orient them alike, and the
+side graph is a directed path.  Numbered along it from 0, starting at the
+circle with nothing on its left, the circles are the strands, and a
+crossing whose left circle is number i is the letter sign * (i + 1).
+Each circle is cut where one ray from the braid axis crosses it between
+two crossings, and the word lists the crossings in an order that meets
+each circle's crossings in its own cyclic order from its cut.
 
 The trace.  In the skein convention of homfly a positive crossing is
 sigma = v^2 sigma^-1 + v z, so the generators g_i = v^-1 T_i of the Hecke
@@ -63,7 +77,7 @@ from __future__ import annotations
 from collections import defaultdict
 from math import comb
 
-from .diagram import Diagram
+from .diagram import Diagram, _planar
 from .poly import LaurentPoly2
 from .seifert import _seifert_cycles
 
@@ -76,29 +90,27 @@ def read_braid(d: Diagram):
     """(word, strands) when d is a connected closed braid on at most
     MAX_STRANDS strands, with letters as family.braid_closure takes them;
     otherwise None.  The Seifert circles are counted first: a diagram of
-    more than MAX_STRANDS has no face traced."""
+    more than MAX_STRANDS is not checked for planarity."""
     xs = d.crossings
     if not xs or not d.is_connected():
         return None
     circles, circle_of = _seifert_cycles(xs)
     s = len(circles)
-    if s > MAX_STRANDS or any(circle_of[a] == circle_of[o_in] for a, _, o_in, _, _ in xs):
+    if s > MAX_STRANDS or not _planar(xs):
         return None
-    touched = _regions(xs, circle_of)
-    if touched is None or any(len(t) > 2 for t in touched):
-        return None
-    # the circles are a path: walk it from one end
-    nbrs = [set() for _ in range(s)]
-    for a, _, o_in, _, _ in xs:
-        nbrs[circle_of[a]].add(circle_of[o_in])
-        nbrs[circle_of[o_in]].add(circle_of[a])
-    order = [next(k for k in range(s) if len(nbrs[k]) == 1)]
+    # the (left, right) circles of each crossing; each circle's one
+    # neighbour on either side
+    sides = [(circle_of[o_in], circle_of[a]) if sign > 0 else (circle_of[a], circle_of[o_in])
+             for a, _, o_in, _, sign in xs]
+    right, left = {}, {}
+    for p, q in sides:
+        if p == q or right.setdefault(p, q) != q or left.setdefault(q, p) != p:
+            return None
+    order = [next(k for k in range(s) if k not in left)]
     while len(order) < s:
-        order.append(next(k for k in nbrs[order[-1]] if k not in order[-2:]))
-    pos = [0] * s
-    for k, c in enumerate(order):
-        pos[c] = k
-    gen = [min(pos[circle_of[a]], pos[circle_of[o_in]]) for a, _, o_in, _, _ in xs]
+        order.append(right[order[-1]])
+    pos = {c: k for k, c in enumerate(order)}
+    gen = [pos[p] for p, _ in sides]
     # each circle's crossings in order, cut before the first crossing with
     # the previous circle met after the previous cut: the cuts then lie
     # between the same two crossings of every neighbouring pair
@@ -125,46 +137,6 @@ def read_braid(d: Diagram):
         heads[k + 1] += 1
         word.append(xs[i].sign * (k + 1))
     return tuple(word), s
-
-
-def _regions(xs, circle_of):
-    """For each region of the sphere cut along the Seifert circles, the
-    set of circles it touches; None when the PD text is not a planar map."""
-    slots = [e for x in xs for e in x.pd()]
-    mate = [0] * len(slots)
-    seen = {}
-    for p, e in enumerate(slots):
-        q = seen.pop(e, None)
-        if q is None:
-            seen[e] = p
-        else:
-            mate[p], mate[q] = q, p
-    # corner p = 4x + k; the faces are the cycles of corner -> next corner
-    face = [-1] * len(slots)
-    nf = 0
-    for p in range(len(slots)):
-        if face[p] < 0:
-            q = p
-            while face[q] < 0:
-                face[q] = nf
-                q = mate[(q & ~3) | ((q + 1) & 3)]
-            nf += 1
-    if nf != len(xs) + 2:
-        return None
-    root = list(range(nf))
-
-    def find(f):
-        while root[f] != f:
-            f = root[f]
-        return f
-
-    for i, x in enumerate(xs):
-        k = 4 * i + (1 if x.sign > 0 else 0)
-        root[find(face[k])] = find(face[k + 2])
-    touched = {}
-    for p, e in enumerate(slots):
-        touched.setdefault(find(face[p]), set()).add(circle_of[e])
-    return list(touched.values())
 
 
 def hecke_homfly(word, strands, memo) -> LaurentPoly2:

@@ -11,7 +11,8 @@ PD text X[a,b,c,d] lists the four edge labels counterclockwise from the
 incoming under-strand edge a, so c is outgoing under; the over-strand
 runs d -> b at a positive crossing and b -> d at a negative one.  Only
 parse_pd (which infers the signs from orientation consistency),
-Crossing.pd (for serialize) and _renumber's label order use that order.
+Crossing.pd (for serialize), _planar (the closed-braid reader's
+planarity check) and _renumber's label order use that order.
 
 Derived structure is computed once per diagram: the component cycles,
 the edge table (the crossing each label enters, and whether under) and
@@ -524,6 +525,40 @@ def _check_labels(quads):
         raise InvalidPDError(f"edge labels must be 1..{2 * n} each twice; offending labels {bad}")
 
 
+def _slot_mates(quads):
+    """For 4-tuples of PD slots labelled 1..2c, each label twice: the list
+    indexed by slot position 4 * crossing + slot of the position of the
+    same label's other slot."""
+    mate = [0] * (4 * len(quads))
+    first = [-1] * (2 * len(quads) + 1)
+    for p, e in enumerate(chain.from_iterable(quads)):
+        q = first[e]
+        if q < 0:
+            first[e] = p
+        else:
+            mate[p], mate[q] = q, p
+    return mate
+
+
+def _planar(crossings):
+    """Whether the PD slots of connected crossings labelled 1..2c describe a
+    diagram on the sphere.  Slots run counterclockwise, so corner (x, k)
+    between slots k and k+1 of crossing x is followed on its face by corner
+    (y, l), where slot k+1's edge arrives at slot l of crossing y; by
+    Euler's formula c crossings give c + 2 faces exactly on the sphere."""
+    mate = _slot_mates([x.pd() for x in crossings])
+    seen = bytearray(len(mate))
+    faces = 0
+    for p in range(len(mate)):
+        if not seen[p]:
+            faces += 1
+            q = p
+            while not seen[q]:
+                seen[q] = 1
+                q = mate[(q & ~3) | ((q + 1) & 3)]
+    return faces == len(crossings) + 2
+
+
 # -- parsing ------------------------------------------------------------------
 
 # a term, after whitespace and at most one comma that follows a term
@@ -592,15 +627,7 @@ def _derive_signs(tuples):
     """
     n = len(tuples)
     flat = list(chain.from_iterable(tuples))
-    # slot position (4 * crossing + slot) -> position of the same label's other slot
-    mate = [0] * (4 * n)
-    first = [-1] * (2 * n + 1)
-    for p, e in enumerate(flat):
-        q = first[e]
-        if q < 0:
-            first[e] = p
-        else:
-            mate[p], mate[q] = q, p
+    mate = _slot_mates(tuples)
     sign = [0] * n
     passed_under = bytearray(n)
 

@@ -3,6 +3,7 @@ against the skein route, the naive oracle and its own invariance under
 Markov moves, and the engine's use of both."""
 
 import random
+from hashlib import sha256
 
 import pytest
 
@@ -10,9 +11,10 @@ from helpers import mirrored, random_relabeling, shuffled_crossings, skein_homfl
 
 from mortonlab.braid import MAX_STRANDS, hecke_homfly, read_braid
 from mortonlab.diagram import parse_pd
-from mortonlab.family import braid_closure, two_bridge_plat, whitehead_double
+from mortonlab.family import braid_closure, insert_parallel_bands, two_bridge_plat, whitehead_double
 from mortonlab.homfly import HomflyEngine, naive_homfly
 from mortonlab.poly import LaurentPoly2, _skein_terms, delta_factor
+from mortonlab.seifert import seifert_circles
 
 # the table diagrams of small_knots.csv that are closed braids as drawn
 BRAID_TABLE_DIAGRAMS = ["3_1", "4_1", "5_1", "6_2", "6_3", "7_1"]
@@ -117,6 +119,35 @@ class TestReader:
             if read[e.name] is not None:
                 assert hecke_homfly(*read[e.name], {}) == naive_homfly(e.diagram), e.name
 
+    def test_plat_and_band_verdicts_are_pinned(self, small_knots):
+        # 4-plats C(a, b) and C(a, b, c) in each handedness of both kinds of
+        # twist region, then L_0..L_4 of each table knot at its first
+        # crossing between two circles; which of them read is pinned by the
+        # digest of their "1"/"0" verdicts in this order
+        diagrams = [two_bridge_plat((a, b, c) if c else (a, b), od_mid, od_side)
+                    for a in range(1, 6) for b in range(1, 6) for c in range(4)
+                    for od_mid in (0, 1) for od_side in (0, 1)]
+        for e in small_knots:
+            i = next(i for i, (p, q) in enumerate(seifert_circles(e.diagram).crossing_joins)
+                     if p != q)
+            diagrams += [insert_parallel_bands(e.diagram, i, n) for n in range(5)]
+        braids = [read_braid(d) for d in diagrams]
+        verdicts = "".join("0" if b is None else "1" for b in braids)
+        assert (len(verdicts), verdicts.count("1")) == (470, 70)
+        assert sha256(verdicts.encode()).hexdigest() == (
+            "24ed916a1b8d1e22cf9284b1ca9c4d7fe82cd1a946772eb1c1938b3ae1820a7b")
+        # most rejections are planar diagrams of at most MAX_STRANDS
+        # circles, each crossing between two: only the circles' order
+        # rejects them
+        decs = [seifert_circles(d) for d, b in zip(diagrams, braids)
+                if b is None and d.is_connected()]
+        assert sum(dec.num_circles <= MAX_STRANDS and all(p != q for p, q in dec.crossing_joins)
+                   for dec in decs) == 380
+        engine = HomflyEngine()
+        for d, b in zip(diagrams, braids):
+            if b is not None:
+                assert hecke_homfly(*b, {}) == skein_homfly(engine, d), d
+
     def test_reads_the_closure_it_was_built_from(self):
         # the circles fix the word up to rotation, commuting letters and
         # numbering the strands from either end
@@ -131,6 +162,8 @@ class TestReader:
         assert read_braid(braid_closure([1, 1, 1, 3, 3, 3], 4)) is None
         # valid PD text whose slots give 2 faces, not c + 2 = 4: no planar map
         assert read_braid(parse_pd("X[1,3,2,4] X[4,1,3,2]")) is None
+        # 2 faces again, and each of its two circles lies left of the other
+        assert read_braid(parse_pd("X[1,3,2,4] X[2,4,1,3]")) is None
         assert read_braid(parse_pd("X[1,3,2,4] X[3,1,4,2]")) == ((1, 1), 2)
 
     def test_more_than_max_strands_falls_back_to_skein_route(self):

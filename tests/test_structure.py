@@ -2,13 +2,15 @@
 cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, no unused imports or unread private names, the skein rule, the
 zero-dropping term fold, the permutation-cycle walk, the Seifert
-successor map and the polynomial term-map code written once, the cached skein route in one recursive
-engine method, RecursionError caught in one function, a package
-namespace that does not shadow its modules, the attributes the
-benchmark's layer trace wraps, crossing strands stored as fields, and a
-cold evaluation that neither validates nor walks cycles again, builds one
-edge table, and leaves connectivity to the canonical walk; and over
-scripts/: nothing imported from the test tree."""
+successor map, the PD slot pairing and the polynomial term-map code
+written once, the cached skein route in one recursive engine method,
+RecursionError caught in one function, a package namespace that does not
+shadow its modules, the attributes the benchmark's layer trace wraps,
+crossing strands stored as fields, PD slots read only in diagram.py, a
+braid reader without union-find, and a cold evaluation that neither
+validates nor walks cycles again, builds one edge table, and leaves
+connectivity to the canonical walk; and over scripts/: nothing imported
+from the test tree."""
 
 import ast
 import importlib
@@ -187,6 +189,41 @@ def test_seifert_successor_map_written_once():
     assert "_permutation_cycles" not in {n.id for n in ast.walk(braid) if isinstance(n, ast.Name)}
     assert "_seifert_cycles" in called(seifert["seifert_circles"])
     assert "_seifert_cycles" in called(_functions(braid)["read_braid"])
+
+
+def test_pd_slots_read_only_in_diagram():
+    # PD slot order is a fact of the text format: Crossing.pd is read by
+    # serialize and the planarity check, both in diagram.py
+    readers = [f"{path.name}:{n.lineno}" for path in SOURCES if path.name != "diagram.py"
+               for n in ast.walk(_tree(path)) if isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Attribute) and n.func.attr == "pd"]
+    assert readers == []
+
+
+def test_slot_pairing_written_once():
+    # parse_pd's sign walk and the planarity check's face walk both pair
+    # the two slots of each label through diagram._slot_mates
+    functions = _functions(_tree(Path(mortonlab.__file__).parent / "diagram.py"))
+
+    def called(f):
+        return {n.func.id for n in ast.walk(f) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)}
+
+    assert sorted(name for name, f in functions.items() if "_slot_mates" in called(f)) == \
+        ["_derive_signs", "_planar"]
+    pairing = sorted(f"{path.stem}.{f.name}" for path in SOURCES
+                     for f in _functions(_tree(path)).values()
+                     if any(isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                            and isinstance(n.value, ast.Name) and n.value.id == "mate"
+                            for n in ast.walk(f)))
+    assert pairing == ["diagram._slot_mates"]
+
+
+def test_braid_reader_has_no_union_find():
+    # closed braids are read from each circle's neighbours on its two
+    # sides, with no merge of faces into regions
+    braid = _functions(_tree(Path(mortonlab.__file__).parent / "braid.py"))
+    assert "find" not in braid and "_regions" not in braid
 
 
 def test_polynomial_term_map_written_once():
