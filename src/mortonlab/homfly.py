@@ -32,14 +32,15 @@ the crossing count.
 
 The cached engine simplifies first, multiplies split unions by delta, and
 memoizes on canonical codes, which depend on neither the component
-order nor the basepoints.  Before that skein route, HomflyEngine.homfly
-looks up the code of the simplified root; on a miss it reads the root as
-given, since simplify can leave braid form.  A connected root that is a
-closed braid of at most braid.MAX_STRANDS (7) strands is evaluated by its
-Markov trace in the Hecke algebra (the braid module) and stored under
-that code, and a split root goes piece by piece the same way, times
-delta^(k-1).  The engine's expansions count skein steps only, and its
-braid_evaluations count Hecke traces.
+order nor the basepoints.  One recursive method, HomflyEngine._eval,
+holds every route, and looks each code up once.  On a miss at the root
+it reads the root as given, since simplify can leave braid form: a closed
+braid of at most braid.MAX_STRANDS (7) strands is evaluated by its Markov
+trace in the Hecke algebra (the braid module) and stored under the code
+of its simplified form, and a split root goes piece by piece the same
+way, times delta^(k-1).  Every other diagram takes the skein route.  The
+engine's expansions count skein steps only, and its braid_evaluations
+count Hecke traces.
 
 The naive oracle and skein traces take the components in least-label
 order, each from its least label, with no cache, no simplification, no
@@ -235,15 +236,16 @@ class HomflyEngine:
     lookups are exact-key only (never up to mirror) to keep chirality
     honest.  Records read by load_cache wait as polynomial JSON bytes in a
     map of this engine's own and enter the cache on their code's first
-    lookup.  One method, _eval, holds the whole skein route (look up,
-    split product, layered lift, skein step, store) and takes one frame
-    per level of the resolution tree; a diagram too deep for the
-    interpreter's recursion limit raises TooLargeError.  The Hecke traces
-    of permutations are memoized per engine, so a new engine starts cold.
+    lookup.  One method, _eval, holds every route (look up, Hecke trace of
+    a root braid, split product, layered lift, skein step, store) and
+    takes one frame per level of the resolution tree; a diagram too deep
+    for the interpreter's recursion limit raises TooLargeError.  The Hecke
+    traces of permutations are memoized per engine, so a new engine starts
+    cold.
     """
 
-    def __init__(self, cache=None):
-        self.cache = {} if cache is None else cache
+    def __init__(self):
+        self.cache = {}
         self.expansions = 0
         self.braid_evaluations = 0
         self._loaded_keys = set()
@@ -251,62 +253,29 @@ class HomflyEngine:
         self._traces = {}
 
     def homfly(self, d: Diagram) -> LaurentPoly2:
-        return _guarded(d, lambda: self._root(d))
+        return _guarded(d, lambda: self._eval(d.simplify(), d))
 
-    def _root(self, d: Diagram) -> LaurentPoly2:
-        """P of a caller's diagram, stored under the code of its simplified
-        form; a split one is taken piece by piece."""
-        s = d.simplify()
-        code = s.canonical_code()
-        if d.is_connected():
-            return self._connected_root(d, s, code)
-        p = self._lookup(code)
-        if p is None:
-            pieces = d.split_pieces()
-            p = delta_factor() ** (len(pieces) - 1)
-            for piece in pieces:
-                if piece.crossings:
-                    simple = piece.simplify()
-                    p = p * self._connected_root(piece, simple, simple.canonical_code())
-            self.cache[code] = p
-        return p
-
-    def _connected_root(self, d: Diagram, s: Diagram, code) -> LaurentPoly2:
-        """P of a connected diagram d with simplified form s of this code:
-        looked up, else the Hecke trace when d itself reads as a closed
-        braid (simplify can leave braid form), else the skein route."""
-        p = self._lookup(code)
-        if p is None:
-            braid = read_braid(d)
-            if braid is None:
-                return self._eval(s)
-            self.braid_evaluations += 1
-            p = self.cache[code] = hecke_homfly(*braid, self._traces)
-        return p
-
-    def _lookup(self, code):
-        """The cached polynomial of a code, decoding a loaded record on its
-        first lookup, or None."""
-        hit = self.cache.get(code)
-        if hit is None and self._undecoded:
-            text = self._undecoded.pop(code, None)
-            if text is not None:
-                hit = self.cache[code] = LaurentPoly2.from_json(text)
-        return hit
-
-    def _eval(self, d: Diagram) -> LaurentPoly2:
+    def _eval(self, d: Diagram, raw: Diagram | None = None) -> LaurentPoly2:
         """P of a diagram that admits no R1 or R2 move; so do the connected
-        pieces of a split one, as each move lies within one piece."""
+        pieces of a split one, as each move lies within one piece.  raw,
+        when given, is a caller's diagram of which d is the simplified
+        form: on a miss it is read as a closed braid, and when split it is
+        split along its own pieces, each taken the same way."""
         code = d.canonical_code()
-        hit = self._lookup(code)
-        if hit is not None:
-            return hit
-        if not d.is_connected():
-            pieces = d.split_pieces()
+        p = self.cache.get(code)
+        if p is None and (text := self._undecoded.pop(code, None)) is not None:
+            p = self.cache[code] = LaurentPoly2.from_json(text)
+        if p is not None:
+            return p
+        if raw is not None and (braid := read_braid(raw)) is not None:
+            self.braid_evaluations += 1
+            p = hecke_homfly(*braid, self._traces)
+        elif (split_raw := raw is not None and not raw.is_connected()) or not d.is_connected():
+            pieces = (raw if split_raw else d).split_pieces()
             p = delta_factor() ** (len(pieces) - 1)
             for piece in pieces:
                 if piece.crossings:
-                    p = p * self._eval(piece)
+                    p = p * (self._eval(piece.simplify(), piece) if split_raw else self._eval(piece))
         elif (i := choose_skein_crossing(d)) is None:
             p = _descending_value(d)
         elif isinstance(i, tuple):

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import random
 
-from mortonlab.diagram import Crossing, Diagram
-from mortonlab.family import braid_closure
+from mortonlab.diagram import Crossing, Diagram, parse_pd
+from mortonlab.family import braid_closure, whitehead_double
 from mortonlab.homfly import _guarded
 
 
@@ -45,7 +45,20 @@ def mirrored(d):
                    d.free_loops)
 
 
+# not a closed braid; its simplified form is split
+SPLIT_WHEN_SIMPLIFIED_PD = "X[12,1,3,2] X[11,1,12,2] X[7,7,8,6] X[5,11,6,10] X[9,5,10,4] X[3,9,4,8]"
+
+
+def trefoil_beside_its_double():
+    """The trefoil closure of sigma_1^3 beside W(3_1), the double's labels
+    shifted by 6: a split root with a braid piece and a skein piece."""
+    double = whitehead_double(parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"))
+    shifted = [Crossing(*(label + 6 for label in x[:4]), x.sign) for x in double.crossings]
+    return Diagram(list(braid_closure([1, 1, 1], 2).crossings) + shifted)
+
+
 def skein_homfly(engine, d):
-    """P by the engine's cached skein route alone, bypassing the Hecke
-    route that HomflyEngine.homfly takes for closed braids."""
+    """P by the engine's cached skein route alone: _eval given no raw
+    diagram reads no braid, so the Hecke route that HomflyEngine.homfly
+    takes for closed braids is bypassed."""
     return _guarded(d, lambda: engine._eval(d.simplify()))

@@ -7,7 +7,8 @@ from hashlib import sha256
 
 import pytest
 
-from helpers import mirrored, random_relabeling, shuffled_crossings, skein_homfly
+from helpers import (SPLIT_WHEN_SIMPLIFIED_PD, mirrored, random_relabeling, shuffled_crossings,
+                     skein_homfly, trefoil_beside_its_double)
 
 from mortonlab.braid import MAX_STRANDS, hecke_homfly, read_braid
 from mortonlab.diagram import parse_pd
@@ -179,6 +180,11 @@ class TestReader:
         assert read_braid(stabilized) is not None
 
 
+def _key_digest(engine):
+    """sha256 of an engine's cache keys, sorted and joined."""
+    return sha256(b"".join(sorted(engine.cache))).hexdigest()
+
+
 class TestEngineRoute:
     def test_trace_memo_belongs_to_the_engine(self):
         warm = HomflyEngine()
@@ -194,6 +200,26 @@ class TestEngineRoute:
         engine = HomflyEngine()
         assert engine.homfly(d) == skein_homfly(HomflyEngine(), d)
         assert (engine.expansions, engine.braid_evaluations, len(engine.cache)) == (0, 2, 3)
+        assert _key_digest(engine) == (
+            "31fc1e07082a72b73c4a58714222377abbe88b1ea95c0afcb2f5dce7d7e3b72b")
+
+    @pytest.mark.parametrize("make, counts, digest", [
+        # a braid whose simplified form is split: one entry, the root's
+        (lambda: braid_closure([1, 1, 1, 2, -2], 3), (0, 1, 1),
+         "0b956478d3732d7aa185b6cb2f5501f38b51b87d09ebf3a38b0f66dd13b70744"),
+        # not a braid, split when simplified: the skein route splits it
+        (lambda: parse_pd(SPLIT_WHEN_SIMPLIFIED_PD), (2, 0, 5),
+         "93fb9726b64beb7674caef997d9980a9b6426957a186f4eb0814f217fee82e3d"),
+        # split as given: a braid piece and a skein piece
+        (trefoil_beside_its_double, (18, 1, 24),
+         "1deb1226ade274309566daeea0b5e7db00bea4860bd7887df80dbfe7157ea745"),
+    ], ids=["braid-split-when-simplified", "split-when-simplified", "braid-beside-double"])
+    def test_root_shapes_are_pinned(self, make, counts, digest):
+        d = make()
+        engine = HomflyEngine()
+        assert engine.homfly(d) == skein_homfly(HomflyEngine(), d)
+        assert (engine.expansions, engine.braid_evaluations, len(engine.cache)) == counts
+        assert _key_digest(engine) == digest
 
     def test_cache_hit_reads_no_braid(self, monkeypatch):
         d = braid_closure([1, 2] * 4, 3)

@@ -3,7 +3,8 @@ cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, no unused imports or unread private names, the skein rule, the
 zero-dropping term fold, the permutation-cycle walk, the Seifert
 successor map, the PD slot pairing and the polynomial term-map code
-written once, the cached skein route in one recursive engine method,
+written once, every engine route in one recursive method that splits
+and reads braids in one place each and looks each code up once,
 RecursionError caught in one function, a package namespace that does not
 shadow its modules, the attributes the benchmark's layer trace wraps,
 crossing strands stored as fields, PD slots read only in diagram.py, a
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import mortonlab
-from helpers import skein_homfly
+from helpers import SPLIT_WHEN_SIMPLIFIED_PD, skein_homfly, trefoil_beside_its_double
 
 from mortonlab.diagram import Crossing, Diagram, parse_pd
 from mortonlab.family import braid_closure, whitehead_double
@@ -236,11 +237,17 @@ def test_polynomial_term_map_written_once():
 
 
 def test_engine_recursion_is_one_method():
-    # the cached skein route recurses through one method, so it takes one
-    # frame per level of the resolution tree
+    # every route of the engine (look up, Hecke trace, split product,
+    # layered lift, skein step) lies in one recursive method, which takes
+    # one frame per level of the resolution tree and splits and reads
+    # braids in one place each
     tree = _tree(Path(mortonlab.__file__).parent / "homfly.py")
     engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HomflyEngine")
     methods = {f.name: f for f in engine.body if isinstance(f, ast.FunctionDef)}
+    assert list(methods) == ["__init__", "homfly", "_eval", "load_cache", "flush_cache"]
+    called = [getattr(n.func, "attr", getattr(n.func, "id", None))
+              for n in ast.walk(engine) if isinstance(n, ast.Call)]
+    assert (called.count("split_pieces"), called.count("read_braid")) == (1, 1)
     reach = {name: {n.attr for n in ast.walk(f) if isinstance(n, ast.Attribute)
                     and isinstance(n.value, ast.Name) and n.value.id == "self"} & methods.keys()
              for name, f in methods.items()}
@@ -322,14 +329,17 @@ def test_engine_looks_up_skein_choice_on_module(monkeypatch):
 
 
 class _GetOnlyCache(dict):
-    """Engine cache that counts get() and refuses every other read."""
+    """Engine cache that counts get() and its hits and refuses every other
+    read."""
 
     def __init__(self):
         super().__init__()
-        self.gets = 0
+        self.gets = self.hits = 0
 
     def get(self, key, default=None):
         self.gets += 1
+        if dict.__contains__(self, key):
+            self.hits += 1
         return dict.get(self, key, default)
 
     def __getitem__(self, key):
@@ -340,12 +350,24 @@ class _GetOnlyCache(dict):
 
 
 def test_engine_reads_cache_only_through_get():
-    cache = _GetOnlyCache()
-    engine = HomflyEngine(cache=cache)
+    engine = HomflyEngine()
+    engine.cache = cache = _GetOnlyCache()
     d = parse_pd(TREFOIL)
     first = engine.homfly(d)
     assert engine.homfly(d) == first
     assert cache.gets > 0 and len(cache) > 0
+
+
+@pytest.mark.parametrize("make", [lambda: whitehead_double(parse_pd(TREFOIL)),
+                                  lambda: parse_pd(SPLIT_WHEN_SIMPLIFIED_PD),
+                                  trefoil_beside_its_double],
+                         ids=["W(3_1)", "split-when-simplified", "braid-beside-double"])
+def test_engine_looks_up_each_code_once(make):
+    # each miss is stored, and no code is looked up again on its way there
+    engine = HomflyEngine()
+    engine.cache = cache = _GetOnlyCache()
+    engine.homfly(make())
+    assert cache.gets == cache.hits + len(cache)
 
 
 def test_engine_neither_revalidates_nor_rewalks_cycles(monkeypatch):
