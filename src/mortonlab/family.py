@@ -31,6 +31,7 @@ __all__ = [
     "two_bridge_plat",
     "FamilySpec",
     "insert_parallel_bands",
+    "band_bookkeeping",
     "family_sequence",
     "crossing_change_candidates",
     "whitehead_double",
@@ -163,21 +164,32 @@ def insert_parallel_bands(d: Diagram, i: int, n: int) -> Diagram:
     return out
 
 
+def band_bookkeeping(l0: Diagram, l1: Diagram, sign: int, n: int):
+    """(c, mu, w) of L_n, read off L_0 and L_1 for a base crossing of the
+    given sign: each chain crossing adds one crossing of that sign, and the
+    component count (free loops included) is L_1's for odd n and L_0's for
+    even n.  Band insertion also keeps the Seifert circles of L_1."""
+    return (len(l1.crossings) + n - 1,
+            (l1 if n % 2 else l0).num_components(),
+            l1.writhe() + (n - 1) * sign)
+
+
 def family_sequence(spec: FamilySpec):
     """Diagrams L_n for each requested n, with bookkeeping checked on
     generation (RuntimeError on a violation): the circle count is preserved
-    and the component count depends only on the parity of n.  That c grows
-    by n - 1 is checked by insert_parallel_bands."""
-    base = spec.base
-    dec0 = seifert_circles(base)
-    mu_even = base.smooth_crossing(spec.crossing).num_components()
+    and the crossing count, component count and writhe are those that
+    band_bookkeeping gives."""
+    base, i = spec.base, spec.crossing
+    s0 = seifert_circles(base).num_circles
+    l0, sign = base.smooth_crossing(i), base.crossings[i].sign
     out = []
     for n in spec.ns:
-        d = insert_parallel_bands(base, spec.crossing, n)
-        if n >= 1 and seifert_circles(d).num_circles != dec0.num_circles:
+        d = insert_parallel_bands(base, i, n)
+        if n >= 1 and seifert_circles(d).num_circles != s0:
             raise RuntimeError(f"L_{n} changed the Seifert circle count")
-        if d.num_components() != (base.num_components() if n % 2 else mu_even):
-            raise RuntimeError(f"L_{n} has {d.num_components()} components")
+        got = (len(d.crossings), d.num_components(), d.writhe())
+        if got != band_bookkeeping(l0, base, sign, n):
+            raise RuntimeError(f"L_{n} has (c, mu, w) = {got}")
         out.append((n, d))
     return out
 

@@ -7,7 +7,7 @@ knot-level bound of twice the canonical genus.  The skein relation also
 forces three unconditional inequalities between the degrees M(K+),
 M(K-), M(K0) of any skein triple.
 
-verify_theorem_family builds the parallel-band links L_n over a base
+verify_theorem_family audits the parallel-band links L_n over a base
 diagram and checks M(L_n) < 2*gc - 1 + n row by row, where gc is the
 knot-level canonical genus supplied by the caller (never computed:
 minimizing over all diagrams is out of scope).  Odd rows n = 2m + 1 are
@@ -21,9 +21,12 @@ L_(n-1), so the skein rule gives
 
 The engine therefore evaluates only L_0, L_1 and the switched base
 diagrams of the hypothesis certificates; every later row is two
-polynomial terms.  Each row, and each switched base diagram the engine
-evaluates, with a Seifert decomposition is checked against the
-Morton-Franks-Williams v-degree bound w - s + 1 <= deg_v P <= w + s - 1,
+polynomial terms.  Only L_0 and L_1 are built: the crossing count,
+writhe, components and circles of every later row follow from theirs
+(family.band_bookkeeping), so a row costs no diagram, and the budget,
+checked before each row, bounds the audit.  Each row, and each switched base diagram
+the engine evaluates, with a Seifert decomposition is checked against
+the Morton-Franks-Williams v-degree bound w - s + 1 <= deg_v P <= w + s - 1,
 which holds at every size and so also checks the derived rows.
 """
 
@@ -34,10 +37,11 @@ from dataclasses import astuple, dataclass, field
 
 from .diagram import Diagram
 from .errors import DisconnectedError, MFWViolationError
-from .family import FamilySpec, crossing_change_candidates, insert_parallel_bands
+from .family import (FamilySpec, band_bookkeeping, crossing_change_candidates,
+                     insert_parallel_bands)
 from .homfly import HomflyEngine
 from .poly import LaurentPoly2, _skein_terms
-from .seifert import diagram_genus, seifert_circles
+from .seifert import diagram_genus, seifert_circles, surface_genus
 
 __all__ = [
     "FamilyRow",
@@ -81,7 +85,11 @@ def check_v_degree_bound(d: Diagram, p: LaurentPoly2, what: str, s: int | None =
     not given); the zero polynomial has no v-degrees and fails it."""
     if s is None:
         s = seifert_circles(d).num_circles
-    w = d.writhe()
+    _check_v_degree(p, d.writhe(), s, what)
+
+
+def _check_v_degree(p: LaurentPoly2, w: int, s: int, what: str):
+    """check_v_degree_bound given the writhe w and circle count s."""
     evs = [ev for ev, _ in p.terms]
     if not evs:
         raise MFWViolationError(f"v-degree bound violated for {what}: zero polynomial, "
@@ -221,9 +229,13 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
                           budget_seconds: float | None = None,
                           base_name: str = "base") -> FamilyReport:
     """Row-by-row audit M(L_n) < 2*gc - 1 + n for n = 0..n_max, in order of
-    n over one engine cache.  The engine evaluates L_0 and L_1; each later
-    row is P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the sign s
-    of the base crossing.  Every row, and every certificate candidate the
+    n over one engine cache.  Only L_0 and L_1 are built (L_0 alone when
+    n_max = 0), before the certificates, so that a bad crossing is
+    rejected before any engine work.  The engine evaluates them; each
+    later row is P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the
+    sign s of the base crossing, and takes its crossing count, writhe and
+    components from band_bookkeeping, its circle count from L_1 and its
+    genus from those.  Every row, and every certificate candidate the
     engine evaluates, with a Seifert decomposition must meet the
     Morton-Franks-Williams v-degree bound, and none may be the zero
     polynomial (MFWViolationError naming n or the crossing).  A budget
@@ -238,32 +250,36 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
         return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
 
     # built first, so that a bad crossing is rejected before any engine work
-    diagrams = [insert_parallel_bands(spec.base, spec.crossing, n) for n in range(n_max + 1)]
+    built = [insert_parallel_bands(spec.base, spec.crossing, n) for n in range(min(n_max, 1) + 1)]
+    sign = spec.base.crossings[spec.crossing].sign
     report = FamilyReport(base_name=base_name, crossing=spec.crossing,
                           gc_claimed=gc_claimed)
     _hypothesis_certificates(spec.base, engine, report, over_budget)
     polys = []
-    for n, d in enumerate(diagrams):
+    for n in range(n_max + 1):
         if over_budget():
             report.incomplete = True
             break
         if n < 2:
+            d = built[n]
             p = engine.homfly(d)
+            c, w = len(d.crossings), d.writhe()
+            dec = seifert_circles(d) if d.is_connected() else None
+            s, genus = (dec.num_circles, dec.diagram_genus) if dec else (None, None)
         else:
-            sign = spec.base.crossings[spec.crossing].sign
-            p_sw, p_sm = _skein_terms(sign, polys[n - 2], polys[n - 1])
+            # s stays L_1's: band insertion keeps the Seifert circles
+            p_sw, p_sm = _skein_terms(sign, *polys)
             p = p_sw + p_sm
-        polys.append(p)
+            c, mu, w = band_bookkeeping(built[0], built[1], sign, n)
+            genus = surface_genus(c, s, mu)
+        polys = [*polys[-1:], p]  # the recurrence reads only the last two rows
         m = p.maxdeg_z()
         if m is None:
             raise MFWViolationError(f"zero polynomial for family row n={n}")
-        s = genus = None
-        if d.is_connected():
-            dec = seifert_circles(d)
-            s, genus = dec.num_circles, dec.diagram_genus
-            check_v_degree_bound(d, p, f"family row n={n}", s)
+        if s is not None:
+            _check_v_degree(p, w, s, f"family row n={n}")
         bound = 2 * gc_claimed - 1 + n
-        report.rows.append(FamilyRow(n=n, c=len(d.crossings), s=s, genus=genus,
+        report.rows.append(FamilyRow(n=n, c=c, s=s, genus=genus,
                                      m=m, bound=bound, strict=m < bound))
         if n == 1:
             report.base_defect = knot_level_defect(gc_claimed, m)

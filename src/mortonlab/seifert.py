@@ -26,6 +26,7 @@ __all__ = [
     "SeifertDecomposition",
     "seifert_circles",
     "diagram_genus",
+    "surface_genus",
     "classify_crossing",
 ]
 
@@ -56,11 +57,17 @@ def seifert_circles(d: Diagram) -> SeifertDecomposition:
         tuple(sorted((circle_of[x.a], circle_of[x.c]))) for x in d.crossings
     )
     s = len(circles)
-    mu = d.num_components()
-    chi_defect = 2 - mu - s + n
+    return SeifertDecomposition(s, surface_genus(n, s, d.num_components()), joins)
+
+
+def surface_genus(c: int, s: int, mu: int) -> int:
+    """(2 - mu - s + c) / 2, the genus of the canonical surface of a
+    connected diagram with c crossings, s circles and mu components;
+    RuntimeError when the numerator is odd."""
+    chi_defect = 2 - mu - s + c
     if chi_defect % 2:
-        raise RuntimeError(f"parity violation: c={n} s={s} mu={mu}")
-    return SeifertDecomposition(s, chi_defect // 2, joins)
+        raise RuntimeError(f"parity violation: c={c} s={s} mu={mu}")
+    return chi_defect // 2
 
 
 def _seifert_cycles(crossings):

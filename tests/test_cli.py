@@ -225,6 +225,26 @@ class TestCommands:
         assert run_command(argv + ["--format", "csv", "--budget", "0"]) == 1
         assert capsys.readouterr().out == "n,c,s,genus,M,bound,strict\n"
 
+    @pytest.mark.parametrize("knot, nmax, fmt, digest", [
+        ("7_1", 12, "json", "a13b292df085d39c89a8d0a6ecd7d303033f429e9514353dc9cf730ad1679a06"),
+        ("7_1", 12, "table", "866488c335cce9f556fc464e3fe001c6dd0de4c2921b48e5ffe75d8254b96729"),
+        ("7_1", 12, "csv", "08ddfa2e5c9e2a57352bb71609f75c72ab2b552096c75f0d0cf410fc9a77e653"),
+        ("W(3_1)", 10, "json", "a129ad572dc6ba0a6ab631d952cb6f804a4549b983894f8b24230c4a8e665704"),
+        ("W(3_1)", 10, "table", "2cfa5778a4c6716776992a1ad3a9719febca1ed742a79e9aabd7df61124af381"),
+        ("W(3_1)", 10, "csv", "3c101a9aba49c06aaf8a07248c6210790898261d7f6896c2bec7bfe7f0304da6"),
+    ])
+    def test_verify_output_pinned(self, knot, nmax, fmt, digest, capsys):
+        # rows n >= 2 are derived from L_0 and L_1; every byte of the
+        # report must match the one measured on built diagrams
+        if knot == "7_1":
+            source = ["--table", SMALL, "--name", "7_1"]
+        else:
+            trefoil = next(e.diagram for e in load_knot_table(SMALL) if e.name == "3_1")
+            source = ["--pd", whitehead_double(trefoil, 1, 0).serialize()]
+        argv = ["verify", *source, "--gc", "3", "--nmax", str(nmax), "--format", fmt]
+        assert run_command(argv) == 1  # every row lands on its bound
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt", ["table", "csv"])
     def test_verify_expect_mismatch_on_stderr(self, fmt, capsys):
         # --gc 2 makes every row strict, so only the expectation fails

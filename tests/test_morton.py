@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 from conftest import TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams
 
+from mortonlab import morton
 from mortonlab.cli import export_report
 from mortonlab.diagram import parse_pd
 from mortonlab.errors import DisconnectedError, NotEligibleError
-from mortonlab.family import FamilySpec, insert_parallel_bands, whitehead_double
+from mortonlab.family import (
+    FamilySpec,
+    band_bookkeeping,
+    insert_parallel_bands,
+    whitehead_double,
+)
 from mortonlab.homfly import HomflyEngine
 from mortonlab.morton import (
     FamilyReport,
@@ -26,7 +32,7 @@ from mortonlab.morton import (
     verify_theorem_family,
 )
 from mortonlab.poly import LaurentPoly2, alexander_specialize
-from mortonlab.seifert import diagram_genus
+from mortonlab.seifert import diagram_genus, seifert_circles
 
 
 class TestBounds:
@@ -207,6 +213,14 @@ def _mixed_sign_braids(max_strands=4, max_len=8):
     ).filter(lambda b: min(b[1]) < 0 < max(b[1]))
 
 
+def _measured(d):
+    """(c, s, genus) of a built diagram; s and genus are None when split."""
+    if not d.is_connected():
+        return len(d.crossings), None, None
+    dec = seifert_circles(d)
+    return len(d.crossings), dec.num_circles, dec.diagram_genus
+
+
 class TestFamilyRecurrence:
     """Rows n >= 2 come from the skein recurrence, not from the engine;
     they must agree with a fresh engine run on each L_n."""
@@ -225,15 +239,55 @@ class TestFamilyRecurrence:
         for sign in (1, -1):
             i = next(j for j, x in enumerate(base.crossings) if x.sign == sign)
             report = verify_theorem_family(FamilySpec(base, i, []), diagram_genus(base), n_max)
-            polys = [HomflyEngine().homfly(insert_parallel_bands(base, i, n))
-                     for n in range(n_max + 1)]
+            built = [insert_parallel_bands(base, i, n) for n in range(n_max + 1)]
+            polys = [HomflyEngine().homfly(d) for d in built]
             assert [r.n for r in report.rows] == list(range(n_max + 1))
             assert [r.m for r in report.rows] == [p.maxdeg_z() for p in polys]
+            assert [(r.c, r.s, r.genus) for r in report.rows] == [_measured(d) for d in built]
+            assert [band_bookkeeping(built[0], base, sign, n)[2] for n in range(n_max + 1)] \
+                == [d.writhe() for d in built]
             # v^-1 P(L+) - v P(L-) = z P(L0) at a chain crossing of L_n
             for n in range(2, n_max + 1):
                 plus, minus = (polys[n], polys[n - 2]) if sign > 0 else (polys[n - 2], polys[n])
                 assert (plus.mono_mul(1, ev=-1) - minus.mono_mul(1, ev=1)
                         == polys[n - 1].mono_mul(1, ez=1))
+
+    def test_rows_match_built_diagrams_on_table(self, small_knots):
+        # every eligible crossing of each table knot and of W(3_1): the
+        # derived c, s and genus equal those measured on each L_n
+        trefoil = next(e.diagram for e in small_knots if e.name == "3_1")
+        bases = [e.diagram for e in small_knots] + [whitehead_double(trefoil, 1, 0)]
+        engine = HomflyEngine()
+        audits = 0
+        for base in bases:
+            for i, (p, q) in enumerate(seifert_circles(base).crossing_joins):
+                if p == q:
+                    continue
+                report = verify_theorem_family(FamilySpec(base, i, []), diagram_genus(base),
+                                               12, engine=engine)
+                measured = [_measured(insert_parallel_bands(base, i, n)) for n in range(13)]
+                assert [(r.c, r.s, r.genus) for r in report.rows] == measured, (base, i)
+                audits += 1
+        assert audits == 98
+
+    def test_rows_beyond_l1_build_no_diagram(self, monkeypatch):
+        calls = []
+
+        def counted(d, i, n):
+            calls.append(n)
+            return insert_parallel_bands(d, i, n)
+
+        monkeypatch.setattr(morton, "insert_parallel_bands", counted)
+        base = braid_closure([1, -2, 1, -2, 1, 2, -1, 2, 3, -2, 3], 4)
+        spec = FamilySpec(base, 0, [])
+        report = verify_theorem_family(spec, gc_claimed=2, n_max=200)
+        assert len(calls) <= 2 and [r.n for r in report.rows] == list(range(201))
+        c1 = report.rows[1].c
+        assert all(r.c == c1 + r.n - 1 for r in report.rows)
+        # a spent budget stops the audit before its first row
+        calls.clear()
+        report = verify_theorem_family(spec, gc_claimed=2, n_max=1500, budget_seconds=0.0)
+        assert len(calls) <= 2 and report.incomplete
 
     def test_counter_pin_whitehead_double_3_1(self, small_knots):
         # the certificates take 61 of these expansions and L_0, L_1 the

@@ -13,6 +13,7 @@ from mortonlab.seifert import (
     classify_crossing,
     diagram_genus,
     seifert_circles,
+    surface_genus,
 )
 
 
@@ -37,6 +38,12 @@ class TestCircles:
         dec = seifert_circles(d)
         assert dec.num_circles == 3
         assert dec.diagram_genus == 3  # (2 - 1 - 3 + 8) / 2
+
+    def test_surface_genus_parity(self):
+        assert surface_genus(8, 3, 1) == 3
+        # c - s - mu must be even; an odd one is an error, not a truncation
+        with pytest.raises(RuntimeError, match="parity violation: c=8 s=3 mu=2"):
+            surface_genus(8, 3, 2)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
