@@ -7,20 +7,18 @@ strands, not exponentially with the crossings, so the engine evaluates a
 diagram that reads as a closed braid of at most MAX_STRANDS strands this
 way.
 
-Reading the braid.  Each crossing joins two Seifert circles side by
-side: at a positive crossing the circle through over_in runs on the left
-of the circle through a, at a negative one on its right.  A connected
-diagram whose slots pass diagram._planar is a closed braid exactly when
-no crossing joins a circle to itself and its circles are nested in one
-line, no region of the sphere cut along them touching three (S. Yamada,
-Invent. Math. 89, 1987; P. Vogel, Comment. Math. Helv. 65, 1990).  The
-second condition is local: no circle has two distinct neighbours on one
-side.  Proof:
-1. With c + 2 faces the slots describe a diagram on the sphere; its s
-   circles cut the sphere into s + 1 regions, and regions and circles
-   form a tree.
+Reading the braid.  Each crossing joins two distinct Seifert circles
+side by side: at a positive crossing the circle through over_in runs on
+the left of the circle through a, at a negative one on its right.  A
+connected diagram (every Diagram lies on the sphere) is a closed braid
+exactly when its circles are nested in one line, no region of the sphere
+cut along them touching three (S. Yamada, Invent. Math. 89, 1987;
+P. Vogel, Comment. Math. Helv. 65, 1990).  The condition is local: no
+circle has two distinct neighbours on one side.  Proof:
+1. The s circles cut the sphere into s + 1 regions, and regions and
+   circles form a tree.
 2. A crossing lies in the region to the right of its left circle and to
-   the left of its right circle.
+   the left of its right circle, so its two circles are distinct.
 3. If a region touches three or more circles, those on different
    branches of the tree meet only there, so, the diagram being connected,
    the crossings in that region connect them all.  Each joins a circle
@@ -77,7 +75,7 @@ from __future__ import annotations
 from collections import defaultdict
 from math import comb
 
-from .diagram import Diagram, _planar
+from .diagram import Diagram
 from .poly import LaurentPoly2
 from .seifert import _seifert_cycles
 
@@ -89,14 +87,13 @@ MAX_STRANDS = 7
 def read_braid(d: Diagram):
     """(word, strands) when d is a connected closed braid on at most
     MAX_STRANDS strands, with letters as family.braid_closure takes them;
-    otherwise None.  The Seifert circles are counted first: a diagram of
-    more than MAX_STRANDS is not checked for planarity."""
+    otherwise None."""
     xs = d.crossings
     if not xs or not d.is_connected():
         return None
     circles, circle_of = _seifert_cycles(xs)
     s = len(circles)
-    if s > MAX_STRANDS or not _planar(xs):
+    if s > MAX_STRANDS:
         return None
     # the (left, right) circles of each crossing; each circle's one
     # neighbour on either side
@@ -104,7 +101,7 @@ def read_braid(d: Diagram):
              for a, _, o_in, _, sign in xs]
     right, left = {}, {}
     for p, q in sides:
-        if p == q or right.setdefault(p, q) != q or left.setdefault(q, p) != p:
+        if right.setdefault(p, q) != q or left.setdefault(q, p) != p:
             return None
     order = [next(k for k in range(s) if k not in left)]
     while len(order) < s:

@@ -31,6 +31,7 @@ from .family import FamilySpec, insert_parallel_bands, whitehead_double
 from .homfly import (
     DEFAULT_ORACLE_LIMIT,
     DEFAULT_TRACE_LIMIT,
+    TRACE_NODE_LIMIT,
     HomflyEngine,
     SkeinTrace,
     naive_homfly,
@@ -44,7 +45,7 @@ from .morton import (
     verify_theorem_family,
 )
 from .poly import LaurentPoly2
-from .seifert import CrossingClass, classify_crossing, seifert_circles
+from .seifert import seifert_circles
 
 __all__ = ["KnotTableEntry", "load_knot_table", "run_command", "export_report", "main"]
 
@@ -215,7 +216,8 @@ def _build_parser():
     p = command("skein-tree", "materialize the resolution tree", "--pd --table --name --out",
                 ("dot", "json"))
     p.add_argument("--trace-limit", type=_count, default=DEFAULT_TRACE_LIMIT,
-                   help="max crossings; bounds crossing count, not tree size (s1^9: 500k nodes)")
+                   help="max crossings; bounds crossing count, not tree size (a tree of "
+                        f"more than {TRACE_NODE_LIMIT:,} nodes exits 2 with TOO_LARGE)")
 
     p = command("double", "blackboard-framed Whitehead double", "--pd --table --name --out",
                 ("json", "csv"))
@@ -262,11 +264,13 @@ def _emit(data: bytes, args):
 
 
 def _auto_crossing(d):
-    dec = seifert_circles(d)
-    for i in range(len(d.crossings)):
-        if classify_crossing(dec, i) is CrossingClass.JOINS_DISTINCT:
-            return i
-    raise UsageError("no eligible crossing (every crossing joins a circle to itself)")
+    """Crossing 0 of a connected diagram: on the sphere every crossing
+    joins two Seifert circles."""
+    if not d.is_connected():
+        raise DisconnectedError("parallel bands need a connected diagram")
+    if not d.crossings:
+        raise UsageError("no crossing to insert parallel bands at")
+    return 0
 
 
 def _expected_match(p, args):

@@ -5,14 +5,16 @@ circles.  Each crossing holds its two oriented strands and its sign: the
 under-strand a -> c passes under the over-strand over_in -> over_out.
 Edge labels are 1..2c, each appearing exactly twice, and the successor
 relation (a -> c and over_in -> over_out at every crossing) must
-partition the labels into closed oriented cycles.
+partition the labels into closed oriented cycles.  The diagram lies on
+the sphere: its counterclockwise PD slots give c + 2 faces on each
+connected piece.
 
 PD text X[a,b,c,d] lists the four edge labels counterclockwise from the
 incoming under-strand edge a, so c is outgoing under; the over-strand
 runs d -> b at a positive crossing and b -> d at a negative one.  Only
 parse_pd (which infers the signs from orientation consistency),
-Crossing.pd (for serialize), _planar (the closed-braid reader's
-planarity check) and _renumber's label order use that order.
+Crossing.pd (for serialize), _planar (the planarity check) and
+_renumber's label order use that order.
 
 Derived structure is computed once per diagram: the component cycles,
 the edge table (the crossing each label enters, and whether under) and
@@ -91,6 +93,8 @@ class Diagram:
                         f"edge {abs(e)} oriented inconsistently (two {'heads' if e > 0 else 'tails'})"
                     )
                 ends.add(e)
+        if not _planar([x.pd() for x in self.crossings]):
+            raise InvalidPDError(_NOT_PLANAR)
 
     # -- derived structure ---------------------------------------------
 
@@ -540,13 +544,17 @@ def _slot_mates(quads):
     return mate
 
 
-def _planar(crossings):
-    """Whether the PD slots of connected crossings labelled 1..2c describe a
+_NOT_PLANAR = "the PD slots describe no diagram on the sphere"
+
+
+def _planar(quads):
+    """Whether PD slots (a, b, c, d), labelled 1..2c each twice, describe a
     diagram on the sphere.  Slots run counterclockwise, so corner (x, k)
     between slots k and k+1 of crossing x is followed on its face by corner
-    (y, l), where slot k+1's edge arrives at slot l of crossing y; by
-    Euler's formula c crossings give c + 2 faces exactly on the sphere."""
-    mate = _slot_mates([x.pd() for x in crossings])
+    (y, l), where slot k+1's edge arrives at slot l of crossing y.  By
+    Euler's formula c crossings in k pieces of total genus g give
+    c + 2k - 2g faces."""
+    mate = _slot_mates(quads)
     seen = bytearray(len(mate))
     faces = 0
     for p in range(len(mate)):
@@ -556,7 +564,20 @@ def _planar(crossings):
             while not seen[q]:
                 seen[q] = 1
                 q = mate[(q & ~3) | ((q + 1) & 3)]
-    return faces == len(crossings) + 2
+    # the pieces: classes of crossings joined by edges, by a walk over mates
+    reached = bytearray(len(quads))
+    pieces = 0
+    for i in range(len(quads)):
+        if not reached[i]:
+            pieces += 1
+            reached[i] = 1
+            piece = [i]
+            for x in piece:
+                for p in range(4 * x, 4 * x + 4):
+                    if not reached[y := mate[p] >> 2]:
+                        reached[y] = 1
+                        piece.append(y)
+    return faces == len(quads) + 2 * pieces
 
 
 # -- parsing ------------------------------------------------------------------
@@ -607,10 +628,13 @@ def parse_pd(text: str) -> Diagram:
 
     _check_labels(tuples)
     signs = _derive_signs(tuples)
+    if not _planar(tuples):
+        raise InvalidPDError(_NOT_PLANAR)
     xs = [Crossing(a, c, d, b, s) if s > 0 else Crossing(a, c, b, d, s)
           for (a, b, c, d), s in zip(tuples, signs)]
-    # labels are checked above, and a strand walk that completes gives every
-    # edge one head and one tail, so _validate would only repeat both checks
+    # labels and planarity are checked above, and a strand walk that
+    # completes gives every edge one head and one tail, so _validate would
+    # only repeat the checks
     return Diagram(xs, loops, _validated=True)
 
 

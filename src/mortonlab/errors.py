@@ -21,7 +21,7 @@ class ParseError(MortonLabError):
 
 class InvalidPDError(MortonLabError):
     """PD text parses but violates a structural invariant (label counts,
-    orientation consistency, empty link)."""
+    orientation consistency, planarity, empty link)."""
 
     code = "INVALID_PD"
 
@@ -30,12 +30,6 @@ class DisconnectedError(MortonLabError):
     """Operation requires a connected diagram."""
 
     code = "DISCONNECTED"
-
-
-class NotEligibleError(MortonLabError):
-    """Band insertion at a crossing whose smoothed arcs lie on one circle."""
-
-    code = "NOT_ELIGIBLE"
 
 
 class NotAKnotError(MortonLabError):

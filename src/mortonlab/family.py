@@ -2,14 +2,14 @@
 parallel-band multiplication, crossing-change candidates, and the
 blackboard-framed Whitehead double.
 
-Band multiplication replaces an eligible crossing (one whose smoothed
-arcs lie on two distinct Seifert circles) with a chain of n same-sign
-crossings between the same two strands, the strands alternating over and
-under along the chain.  Smoothing all n chain crossings reconnects the
-four original ends exactly as smoothing the original crossing did, so
-the Seifert circles are untouched: every chain crossing is a band
-between the same two disks, the circle count is preserved, and the
-crossing count grows by n - 1.
+Band multiplication replaces a crossing (whose smoothed arcs lie on two
+distinct Seifert circles, as on every diagram in the sphere) with a
+chain of n same-sign crossings between the same two strands, the
+strands alternating over and under along the chain.  Smoothing all n
+chain crossings reconnects the four original ends exactly as smoothing
+the original crossing did, so the Seifert circles are untouched: every
+chain crossing is a band between the same two disks, the circle count
+is preserved, and the crossing count grows by n - 1.
 
 The double construction runs a reversed parallel copy alongside the
 diagram (offset on the left of travel), turning each crossing into four,
@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagram import Crossing, Diagram, _renumber
-from .errors import NotAKnotError, NotEligibleError
-from .seifert import CrossingClass, classify_crossing, seifert_circles
+from .errors import DisconnectedError, NotAKnotError
+from .seifert import seifert_circles
 
 __all__ = [
     "braid_closure",
@@ -128,18 +128,15 @@ class FamilySpec:
 def insert_parallel_bands(d: Diagram, i: int, n: int) -> Diagram:
     """Replace crossing i with n parallel same-sign crossings joining the
     same two Seifert circles; n = 0 is the oriented smoothing and n = 1
-    reproduces the diagram."""
+    reproduces the diagram.  The diagram must be connected."""
     if n < 0:
         raise ValueError("band count must be nonnegative")
-    dec = seifert_circles(d)
-    if classify_crossing(dec, i) is CrossingClass.SAME_CIRCLE:
-        raise NotEligibleError(
-            f"crossing {i} joins a circle to itself; parallel bands need two disks"
-        )
+    if not d.is_connected():
+        raise DisconnectedError("parallel bands need a connected diagram")
+    x = d._crossing(i)
     if n == 0:
         return d.smooth_crossing(i)
 
-    x = d.crossings[i]
     s = x.sign
     # strand segments through the chain; ends reattach to the original
     # edges, swapped when n is even because the strands change sides at

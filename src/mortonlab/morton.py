@@ -21,13 +21,14 @@ L_(n-1), so the skein rule gives
 
 The engine therefore evaluates only L_0, L_1 and the switched base
 diagrams of the hypothesis certificates; every later row is two
-polynomial terms.  Only L_0 and L_1 are built: the crossing count,
-writhe, components and circles of every later row follow from theirs
+polynomial terms.  Only L_0 is built, as L_1 is the base: the crossing
+count, writhe, components and circles of every row follow from those two
 (family.band_bookkeeping), so a row costs no diagram, and the budget,
-checked before each row, bounds the audit.  Each row, and each switched base diagram
-the engine evaluates, with a Seifert decomposition is checked against
-the Morton-Franks-Williams v-degree bound w - s + 1 <= deg_v P <= w + s - 1,
-which holds at every size and so also checks the derived rows.
+checked before each row, bounds the audit.  Each row, and each switched
+base diagram the engine evaluates, with a Seifert decomposition is
+checked against the Morton-Franks-Williams v-degree bound
+w - s + 1 <= deg_v P <= w + s - 1, which holds at every size and so also
+checks the derived rows.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .family import (FamilySpec, band_bookkeeping, crossing_change_candidates,
                      insert_parallel_bands)
 from .homfly import HomflyEngine
 from .poly import LaurentPoly2, _skein_terms
-from .seifert import diagram_genus, seifert_circles, surface_genus
+from .seifert import seifert_circles, surface_genus
 
 __all__ = [
     "FamilyRow",
@@ -192,14 +193,14 @@ class FamilyReport:
         return "\n".join(out) + "\n"
 
 
-def _hypothesis_certificates(base: Diagram, engine: HomflyEngine, report: FamilyReport,
-                             over_budget):
+def _hypothesis_certificates(base: Diagram, base_genus: int, engine: HomflyEngine,
+                             report: FamilyReport, over_budget):
     """Append sufficient certificates that switching some crossing lowers
-    the canonical genus (or at least the degree chain the bound needs) to
-    the report.  A budget overrun before a candidate's engine evaluation
-    marks the report incomplete and keeps the certificates found so far."""
+    the canonical genus base_genus of base (or at least the degree chain
+    the bound needs) to the report.  A budget overrun before a candidate's
+    engine evaluation marks the report incomplete and keeps the
+    certificates found so far."""
     certs = report.hypothesis_certificates
-    base_genus = diagram_genus(base)
     for i, switched in crossing_change_candidates(base):
         dec = seifert_circles(switched) if switched.is_connected() else None
         if dec is not None and dec.diagram_genus < base_genus:
@@ -229,14 +230,15 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
                           budget_seconds: float | None = None,
                           base_name: str = "base") -> FamilyReport:
     """Row-by-row audit M(L_n) < 2*gc - 1 + n for n = 0..n_max, in order of
-    n over one engine cache.  Only L_0 and L_1 are built (L_0 alone when
-    n_max = 0), before the certificates, so that a bad crossing is
-    rejected before any engine work.  The engine evaluates them; each
-    later row is P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the
-    sign s of the base crossing, and takes its crossing count, writhe and
-    components from band_bookkeeping, its circle count from L_1 and its
-    genus from those.  Every row, and every certificate candidate the
-    engine evaluates, with a Seifert decomposition must meet the
+    n over one engine cache.  Only L_0 is built, before the certificates,
+    so that a bad crossing is rejected before any engine work; L_1 is the
+    base.  The engine evaluates both; each later row is
+    P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the sign s of the
+    base crossing.  Every row takes its crossing count, writhe and
+    components from band_bookkeeping, its circle count from the base (band
+    insertion keeps the circles; a split L_0 has none) and its genus from
+    those.  Every row, and every certificate candidate the engine
+    evaluates, with a Seifert decomposition must meet the
     Morton-Franks-Williams v-degree bound, and none may be the zero
     polynomial (MFWViolationError naming n or the crossing).  A budget
     overrun, checked before each certificate candidate's evaluation and
@@ -249,34 +251,32 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
     def over_budget():
         return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
 
+    base, i = spec.base, spec.crossing
     # built first, so that a bad crossing is rejected before any engine work
-    built = [insert_parallel_bands(spec.base, spec.crossing, n) for n in range(min(n_max, 1) + 1)]
-    sign = spec.base.crossings[spec.crossing].sign
-    report = FamilyReport(base_name=base_name, crossing=spec.crossing,
-                          gc_claimed=gc_claimed)
-    _hypothesis_certificates(spec.base, engine, report, over_budget)
+    l0 = insert_parallel_bands(base, i, 0)
+    sign = base.crossings[i].sign
+    dec = seifert_circles(base)
+    report = FamilyReport(base_name=base_name, crossing=i, gc_claimed=gc_claimed)
+    _hypothesis_certificates(base, dec.diagram_genus, engine, report, over_budget)
     polys = []
     for n in range(n_max + 1):
         if over_budget():
             report.incomplete = True
             break
         if n < 2:
-            d = built[n]
-            p = engine.homfly(d)
-            c, w = len(d.crossings), d.writhe()
-            dec = seifert_circles(d) if d.is_connected() else None
-            s, genus = (dec.num_circles, dec.diagram_genus) if dec else (None, None)
+            p = engine.homfly(base if n else l0)
         else:
-            # s stays L_1's: band insertion keeps the Seifert circles
             p_sw, p_sm = _skein_terms(sign, *polys)
             p = p_sw + p_sm
-            c, mu, w = band_bookkeeping(built[0], built[1], sign, n)
-            genus = surface_genus(c, s, mu)
         polys = [*polys[-1:], p]  # the recurrence reads only the last two rows
         m = p.maxdeg_z()
         if m is None:
             raise MFWViolationError(f"zero polynomial for family row n={n}")
+        c, mu, w = band_bookkeeping(l0, base, sign, n)
+        s = dec.num_circles if n or l0.is_connected() else None
+        genus = None
         if s is not None:
+            genus = surface_genus(c, s, mu)
             _check_v_degree(p, w, s, f"family row n={n}")
         bound = 2 * gc_claimed - 1 + n
         report.rows.append(FamilyRow(n=n, c=c, s=s, genus=genus,

@@ -5,7 +5,10 @@ ends by orientation) leaves disjoint circles in the plane; the circles
 bound disks that the crossings stitch back together as half-twisted
 bands.  For a connected diagram with c crossings, s circles and mu link
 components the resulting surface has Euler characteristic s - c and
-genus (2 - mu - s + c) / 2.
+genus (2 - mu - s + c) / 2.  On the sphere the two arcs of a smoothed
+crossing lie on distinct circles, as the region that holds the crossing
+lies right of one and left of the other, so every crossing is a band
+between two disks.
 
 The circles are computed directly on the original edge set: under-in
 joins over-out and over-in joins under-out at every crossing, so the
@@ -33,7 +36,6 @@ __all__ = [
 
 class CrossingClass(Enum):
     JOINS_DISTINCT = "JOINS_DISTINCT"
-    SAME_CIRCLE = "SAME_CIRCLE"
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,10 @@ def diagram_genus(d: Diagram) -> int:
 
 
 def classify_crossing(dec: SeifertDecomposition, i: int) -> CrossingClass:
-    """JOINS_DISTINCT when the two smoothed arcs at crossing i lie on
-    different Seifert circles, i.e. the crossing is a band between two
-    disks and is eligible for parallel-band multiplication."""
+    """JOINS_DISTINCT: the two smoothed arcs at crossing i lie on different
+    Seifert circles, as at every crossing of a diagram on the sphere, so
+    the crossing is a band between two disks and is eligible for
+    parallel-band multiplication."""
     if not 0 <= i < len(dec.crossing_joins):
         raise IndexError(f"crossing index {i} out of range")
-    p, q = dec.crossing_joins[i]
-    return CrossingClass.JOINS_DISTINCT if p != q else CrossingClass.SAME_CIRCLE
+    return CrossingClass.JOINS_DISTINCT

@@ -12,6 +12,7 @@ from helpers import (SPLIT_WHEN_SIMPLIFIED_PD, mirrored, random_relabeling, shuf
 
 from mortonlab.braid import MAX_STRANDS, hecke_homfly, read_braid
 from mortonlab.diagram import parse_pd
+from mortonlab.errors import InvalidPDError
 from mortonlab.family import braid_closure, insert_parallel_bands, two_bridge_plat, whitehead_double
 from mortonlab.homfly import HomflyEngine, naive_homfly
 from mortonlab.poly import LaurentPoly2, _skein_terms, delta_factor
@@ -161,10 +162,11 @@ class TestReader:
     def test_split_crossingless_and_nonplanar_diagrams_are_not_read(self):
         assert read_braid(parse_pd("O")) is None
         assert read_braid(braid_closure([1, 1, 1, 3, 3, 3], 4)) is None
-        # valid PD text whose slots give 2 faces, not c + 2 = 4: no planar map
-        assert read_braid(parse_pd("X[1,3,2,4] X[4,1,3,2]")) is None
-        # 2 faces again, and each of its two circles lies left of the other
-        assert read_braid(parse_pd("X[1,3,2,4] X[2,4,1,3]")) is None
+        # PD text whose slots give 2 faces, not c + 2 = 4, makes no diagram,
+        # so no such text reaches the reader
+        for text in ("X[1,3,2,4] X[4,1,3,2]", "X[1,3,2,4] X[2,4,1,3]"):
+            with pytest.raises(InvalidPDError, match="no diagram on the sphere"):
+                parse_pd(text)
         assert read_braid(parse_pd("X[1,3,2,4] X[3,1,4,2]")) == ((1, 1), 2)
 
     def test_more_than_max_strands_falls_back_to_skein_route(self):

@@ -145,6 +145,55 @@ class TestCommands:
         assert run_command(["homfly"]) == 2
         assert run_command(["verify", "--pd", "O O", "--gc", "1"]) == 2
 
+    @pytest.mark.parametrize("cmd", ["verify", "family"])
+    def test_crossing_out_of_range_exit2(self, cmd, capsys):
+        argv = [cmd, "--pd", TREFOIL_PD, "--crossing", "9"] + (["--gc", "1"] if cmd == "verify"
+                                                               else [])
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("INDEX_OUT_OF_RANGE: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["homfly", "--pd", TREFOIL_PD, "--table", SMALL, "--name", "3_1"],
+        ["homfly", "--table", SMALL],
+        ["homfly", "--table", SMALL, "--name", "9_99"],
+        ["oracle-check"],
+        ["verify", "--pd", "O", "--gc", "1"],
+    ], ids=["pd-and-table", "table-without-name", "unknown-name", "oracle-without-table",
+            "verify-crossingless"])
+    def test_usage_errors_exit2(self, argv, capsys):
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("cmd", ["parse", "homfly", "verify", "family"])
+    def test_nonplanar_pd_exit2(self, cmd, capsys):
+        argv = [cmd, "--pd", "X[1,4,2,3] X[2,4,3,1]"] + (["--gc", "1"] if cmd == "verify"
+                                                         else [])
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("INVALID_PD: ")
+
+    def test_homfly_mirror_on(self, capsys):
+        assert run_command(["homfly", "--pd", TREFOIL_PD, "--mirror", "on"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert LaurentPoly2.from_json_obj(obj["homfly"]) == \
+            HomflyEngine().homfly(parse_pd(TREFOIL_PD)).mirror()
+
+    def test_verify_expect_json_writes_match(self, capsys):
+        expect = HomflyEngine().homfly(parse_pd(TREFOIL_PD)).to_json()
+        argv = ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--nmax", "1", "--format", "json",
+                "--expect", expect]
+        assert run_command(argv) == 1  # the trefoil's rows are not strict
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["expected_match"] == "exact" and obj["all_strict"] is False
+
+    def test_verify_budget_spent_table(self, capsys):
+        argv = ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--budget", "0"]
+        assert run_command(argv) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("status: INCOMPLETE (budget exceeded); NOT all rows strict")
+
     def test_parse_command(self, capsys):
         assert run_command(["parse", "--pd", TREFOIL_PD]) == 0
         obj = json.loads(capsys.readouterr().out)
@@ -296,6 +345,22 @@ class TestCommands:
         p.write_text('name,pd\ntre,"X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"\n')
         assert run_command(["oracle-check", "--table", str(p)]) == 0
         assert json.loads(capsys.readouterr().out)["checked"] == 1
+
+    def test_oracle_check_skips_nonplanar_row(self, tmp_path, capsys):
+        # the curl's slots describe no diagram on the sphere, and the engine
+        # and the oracle disagree on its switched form
+        p = tmp_path / "t.csv"
+        p.write_text(f'name,pd\ncurl,"X[1,4,2,3] X[2,4,3,1]"\ntre,"{TREFOIL_PD}"\n')
+        assert run_command(["oracle-check", "--table", str(p)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"agree": True, "checked": 1, "skipped": 0}
+        assert err == f"{p}:2: skipping 'curl': the PD slots describe no diagram on the sphere\n"
+
+    def test_oracle_check_mismatch_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr("mortonlab.cli.naive_homfly", lambda d, limit: LaurentPoly2.one())
+        assert run_command(["oracle-check", "--table", SMALL]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("MISMATCH 3_1: engine=")
 
     def test_oracle_check_report_bytes_with_rows_above_limit(self, capsys):
         # rows above --limit are evaluated and checked against the

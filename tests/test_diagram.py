@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
-from mortonlab.diagram import Crossing, Diagram, _entries, _reduce, _renumber, parse_pd
+from mortonlab.diagram import (Crossing, Diagram, _entries, _first_move, _reduce, _renumber,
+                               parse_pd)
 from mortonlab.errors import InvalidPDError, ParseError
 from mortonlab.family import insert_parallel_bands, two_bridge_plat, whitehead_double
 from mortonlab.seifert import CrossingClass, classify_crossing, seifert_circles
@@ -79,6 +80,37 @@ class TestParsing:
         with pytest.raises(InvalidPDError):
             parse_pd("X[1,4,2,3] X[1,3,2,4]")
 
+    def test_nonplanar_text_rejected(self):
+        # a two-crossing curl whose slots give 2 faces, not c + 2 = 4: off
+        # the sphere the engine and the naive oracle disagree on it
+        text = "X[1,4,2,3] X[2,4,3,1]"
+        with pytest.raises(InvalidPDError, match="no diagram on the sphere"):
+            parse_pd(text)
+        xs = [Crossing(1, 2, 3, 4, 1), Crossing(2, 3, 4, 1, -1)]
+        assert [x.pd() for x in xs] == [(1, 4, 2, 3), (2, 4, 3, 1)]
+        with pytest.raises(InvalidPDError, match="no diagram on the sphere"):
+            Diagram(xs)
+
+    def test_planarity_counts_pieces(self):
+        # the trefoil beside the shifted curl has 7 = 5 + 2 faces, but two
+        # pieces need 5 + 4
+        with pytest.raises(InvalidPDError, match="no diagram on the sphere"):
+            parse_pd(TREFOIL_PD + " X[7,10,8,9] X[8,10,9,7]")
+        two = parse_pd(TREFOIL_PD + " X[7,10,8,11] X[9,12,10,7] X[11,8,12,9]")
+        assert len(two.split_pieces()) == 2
+        assert len(parse_pd(TREFOIL_PD + " O").split_pieces()) == 2
+
+    @pytest.mark.parametrize("crossings, free_loops, message", [
+        ((), -1, "free_loops must be nonnegative"),
+        ((), 0, "empty link"),
+        ((Crossing(1, 2, 2, 1, 0),), 0, "has sign 0"),
+        ((Crossing(1, 2, 3, 4, 1), Crossing(1, 2, 3, 4, 1)), 0, "two heads"),
+        ((Crossing(1, 2, 3, 2, 1), Crossing(4, 1, 4, 3, 1)), 0, "two tails"),
+    ])
+    def test_validate_rejects(self, crossings, free_loops, message):
+        with pytest.raises(InvalidPDError, match=message):
+            Diagram(crossings, free_loops)
+
     def test_round_trip(self, small_knots):
         for entry in small_knots:
             d = entry.diagram
@@ -136,9 +168,11 @@ class TestParsing:
                 digest.update(b"!")
             else:
                 digest.update(_slot_repr(d.crossings).encode())
-        assert rejected == 138
+        # 42 of the 180 are rejected for planarity: their orientations are
+        # consistent, but their slots describe no diagram on the sphere
+        assert rejected == 180
         assert digest.hexdigest() == (
-            "e409bd3b2ae27d48c3a80f1526c6cabcc7f21235590437f72240fe583369269b"
+            "b14eb1a11662a8104e513107bb004b403d576043a58178404f08b1f10b35678d"
         )
 
     def test_pinned_constructions(self):
@@ -368,11 +402,14 @@ class TestSimplify:
         assert d.simplify() == d
 
     def test_r2_pair_removed(self):
-        # unknot drawn with a reducible two-crossing curl
-        d = parse_pd("X[1,4,2,3] X[2,4,3,1]")
-        assert d.num_components() == 1
+        # no planar one-component diagram of two crossings has an R2 pair
+        # (the Gauss word 1212 is no plane curve), so take the closure of
+        # sigma1 sigma1^-1 from its text: R2 first, leaving two free loops
+        d = parse_pd(braid_closure([1, -1], 2).serialize())
+        assert d.num_components() == 2
+        assert _first_move(list(d.crossings), d._edge_table()) == (0, 1)
         s = d.simplify()
-        assert len(s.crossings) == 0 and s.free_loops == 1
+        assert len(s.crossings) == 0 and s.free_loops == 2
 
     def test_figure8_fixpoint(self):
         d = parse_pd(FIGURE8_PD)

@@ -9,7 +9,7 @@ from conftest import TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams
 
 from mortonlab.diagram import parse_pd
-from mortonlab.errors import NotAKnotError, NotEligibleError
+from mortonlab.errors import DisconnectedError, InvalidPDError, NotAKnotError
 from mortonlab.family import (
     FamilySpec,
     crossing_change_candidates,
@@ -77,17 +77,23 @@ class TestBands:
         assert sorted(dec4.crossing_joins).count(pair0) >= 4
 
     def test_same_circle_rejected(self):
-        curl = parse_pd("X[1,4,2,3] X[2,4,3,1]")
-        with pytest.raises(NotEligibleError):
-            insert_parallel_bands(curl, 0, 3)
+        # a crossing joins a circle to itself only off the sphere, and such
+        # PD text makes no diagram
+        with pytest.raises(InvalidPDError, match="no diagram on the sphere"):
+            parse_pd("X[1,4,2,3] X[2,4,3,1]")
+
+    def test_split_diagram_rejected(self):
+        with pytest.raises(DisconnectedError):
+            insert_parallel_bands(parse_pd(TREFOIL_PD + " O"), 0, 2)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             insert_parallel_bands(parse_pd(TREFOIL_PD), 0, -1)
 
-    def test_index_out_of_range(self):
+    @pytest.mark.parametrize("i", [9, 3, -1])
+    def test_index_out_of_range(self, i):
         with pytest.raises(IndexError):
-            insert_parallel_bands(parse_pd(TREFOIL_PD), 9, 2)
+            insert_parallel_bands(parse_pd(TREFOIL_PD), i, 2)
 
     def test_band_signs_match_original(self):
         d = braid_closure([1, 1, 1], 2)  # all-positive trefoil

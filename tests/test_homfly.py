@@ -104,8 +104,10 @@ class TestChooseCrossing:
         assert d.num_components() == 1
 
     def test_descending_two_crossing_unknot(self, engine):
-        # the curl pair is met over-first on both crossings from edge 1
-        d = parse_pd("X[1,4,2,3] X[2,4,3,1]")
+        # the closure of sigma1 sigma2, one component, is met over-first on
+        # both crossings from edge 1 in one of its two switchings
+        d = parse_pd(braid_closure([1, 2], 3).serialize())
+        assert d.num_components() == 1
         swapped = d.switch_crossing(0).switch_crossing(1)
         descending = d if choose_skein_crossing(d) is None else swapped
         assert choose_skein_crossing(descending) is None

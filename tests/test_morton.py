@@ -13,7 +13,7 @@ from helpers import braid_closure, random_braid_diagrams
 from mortonlab import morton
 from mortonlab.cli import export_report
 from mortonlab.diagram import parse_pd
-from mortonlab.errors import DisconnectedError, NotEligibleError
+from mortonlab.errors import DisconnectedError
 from mortonlab.family import (
     FamilySpec,
     band_bookkeeping,
@@ -111,15 +111,6 @@ class TestSkeinInequalities:
         assert count == 60
 
 
-# W(3_1) with the two-crossing curl X[1,4,2,3] X[2,4,3,1] spliced into its
-# edge 1: crossing 14 joins a Seifert circle to itself, and the hypothesis
-# certificates of W(3_1) need the engine
-CURLED_W31 = ("X[1,9,2,8] X[2,19,3,20] X[26,7,27,8] X[25,21,26,20] X[5,13,6,12] "
-              "X[6,15,7,16] X[22,11,23,12] X[21,17,22,16] X[9,5,10,4] X[10,23,11,24] "
-              "X[18,3,19,4] X[17,25,18,24] X[13,29,14,28] X[27,15,28,14] "
-              "X[29,32,30,31] X[30,32,31,1]")
-
-
 class TestTheoremFamily:
     def test_trefoil_rows_not_strict(self, engine):
         # the trefoil fails the strictness hypothesis (M = 2 gc), and
@@ -171,14 +162,16 @@ class TestTheoremFamily:
         assert (fresh.expansions, report.rows, report.incomplete) == (0, [], True)
         assert not report.all_strict()
 
-    @pytest.mark.parametrize("crossing, error", [(14, NotEligibleError), (16, IndexError),
-                                                 (10**6, IndexError)])
-    def test_bad_crossing_rejected_before_engine_work(self, crossing, error):
+    @pytest.mark.parametrize("crossing", [16, 10**6, -1])
+    def test_bad_crossing_rejected_before_engine_work(self, crossing):
+        # W(3_1) with one twist has 16 crossings, and its hypothesis
+        # certificates need the engine
+        base = whitehead_double(parse_pd(TREFOIL_PD), twists=1)
         fresh = HomflyEngine()
-        with pytest.raises(error):
-            verify_theorem_family(FamilySpec(parse_pd(CURLED_W31), crossing, []),
+        with pytest.raises(IndexError):
+            verify_theorem_family(FamilySpec(base, crossing, []),
                                   gc_claimed=3, n_max=2, engine=fresh)
-        assert fresh.expansions == 0
+        assert (fresh.expansions, fresh.braid_evaluations, fresh.cache) == (0, 0, {})
 
     def test_v_degree_violation_raises(self):
         class FixedEngine:
@@ -253,16 +246,14 @@ class TestFamilyRecurrence:
                         == polys[n - 1].mono_mul(1, ez=1))
 
     def test_rows_match_built_diagrams_on_table(self, small_knots):
-        # every eligible crossing of each table knot and of W(3_1): the
-        # derived c, s and genus equal those measured on each L_n
+        # every crossing of each table knot and of W(3_1): the derived c, s
+        # and genus equal those measured on each L_n
         trefoil = next(e.diagram for e in small_knots if e.name == "3_1")
         bases = [e.diagram for e in small_knots] + [whitehead_double(trefoil, 1, 0)]
         engine = HomflyEngine()
         audits = 0
         for base in bases:
-            for i, (p, q) in enumerate(seifert_circles(base).crossing_joins):
-                if p == q:
-                    continue
+            for i in range(len(base.crossings)):
                 report = verify_theorem_family(FamilySpec(base, i, []), diagram_genus(base),
                                                12, engine=engine)
                 measured = [_measured(insert_parallel_bands(base, i, n)) for n in range(13)]
@@ -281,13 +272,13 @@ class TestFamilyRecurrence:
         base = braid_closure([1, -2, 1, -2, 1, 2, -1, 2, 3, -2, 3], 4)
         spec = FamilySpec(base, 0, [])
         report = verify_theorem_family(spec, gc_claimed=2, n_max=200)
-        assert len(calls) <= 2 and [r.n for r in report.rows] == list(range(201))
+        assert calls == [0] and [r.n for r in report.rows] == list(range(201))
         c1 = report.rows[1].c
         assert all(r.c == c1 + r.n - 1 for r in report.rows)
         # a spent budget stops the audit before its first row
         calls.clear()
         report = verify_theorem_family(spec, gc_claimed=2, n_max=1500, budget_seconds=0.0)
-        assert len(calls) <= 2 and report.incomplete
+        assert calls == [0] and report.incomplete
 
     def test_counter_pin_whitehead_double_3_1(self, small_knots):
         # the certificates take 61 of these expansions and L_0, L_1 the

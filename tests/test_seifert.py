@@ -7,7 +7,8 @@ from helpers import braid_closure, random_braid_diagrams
 
 from mortonlab.cli import run_command
 from mortonlab.diagram import Diagram, parse_pd
-from mortonlab.errors import DisconnectedError
+from mortonlab.errors import DisconnectedError, InvalidPDError
+from mortonlab.family import whitehead_double
 from mortonlab.seifert import (
     CrossingClass,
     classify_crossing,
@@ -110,12 +111,11 @@ class TestClassification:
         assert classify_crossing(dec, 0) is CrossingClass.JOINS_DISTINCT
 
     def test_curl_pair_same_circle(self):
-        # reducible two-crossing unknot curl: one Seifert circle passes
-        # through both crossings twice
-        dec = seifert_circles(parse_pd("X[1,4,2,3] X[2,4,3,1]"))
-        assert dec.num_circles == 1
-        assert classify_crossing(dec, 0) is CrossingClass.SAME_CIRCLE
-        assert classify_crossing(dec, 1) is CrossingClass.SAME_CIRCLE
+        # a two-crossing curl whose one Seifert circle passes through both
+        # crossings twice lies on no sphere: its Gauss word 1212 is no
+        # plane curve, so its PD text makes no diagram
+        with pytest.raises(InvalidPDError, match="no diagram on the sphere"):
+            parse_pd("X[1,4,2,3] X[2,4,3,1]")
 
     def test_index_range(self):
         dec = seifert_circles(parse_pd(TREFOIL_PD))
@@ -123,10 +123,25 @@ class TestClassification:
             classify_crossing(dec, 3)
 
     def test_join_ids_in_range(self, small_knots):
-        for entry in small_knots:
-            dec = seifert_circles(entry.diagram)
+        # on the sphere every crossing joins two distinct circles: table
+        # knots, their doubles, seeded closures, and every connected
+        # switched-and-simplified or smoothed child of each
+        diagrams = [e.diagram for e in small_knots]
+        diagrams += [whitehead_double(d) for d in diagrams[:6]]
+        diagrams += random_braid_diagrams(150, seed=31, max_strands=6, max_len=9,
+                                          max_crossings=9)
+        children = [child for d in diagrams for i in range(len(d.crossings))
+                    for child in (d.switch_crossing(i).simplify(), d.smooth_crossing(i))]
+        checked = 0
+        for d in diagrams + children:
+            if not d.crossings or not d.is_connected():
+                continue
+            dec = seifert_circles(d)
             for p, q in dec.crossing_joins:
                 assert 0 <= p < dec.num_circles and 0 <= q < dec.num_circles
+                assert p != q, d
+            checked += 1
+        assert checked > 1000
 
 
 def test_csv_row(tmp_path, capsys):
