@@ -443,18 +443,20 @@ def _dispatch(args):
         engine, cache_path = _engine_from_args(args)
         checked = skipped = 0
         for e in load_knot_table(args.table):
-            if len(e.diagram.crossings) > args.limit:
-                if e.diagram.is_connected():
+            d = e.diagram
+            if len(d.crossings) > args.limit:
+                if d.is_connected():
                     try:
-                        check_v_degree_bound(e.diagram, engine.homfly(e.diagram),
+                        check_v_degree_bound(engine.homfly(d), d.writhe(),
+                                             seifert_circles(d).num_circles,
                                              "the engine's polynomial")
                     except MFWViolationError as exc:
                         print(f"MFW_VIOLATION {e.name}: {exc}", file=sys.stderr)
                         return 1
                 skipped += 1
                 continue
-            fast = engine.homfly(e.diagram)
-            slow = naive_homfly(e.diagram, args.limit)
+            fast = engine.homfly(d)
+            slow = naive_homfly(d, args.limit)
             if fast != slow:
                 print(f"MISMATCH {e.name}: engine={fast.pretty()} oracle={slow.pretty()}",
                       file=sys.stderr)

@@ -18,9 +18,11 @@ _renumber's label order use that order.
 
 Derived structure is computed once per diagram: the component cycles,
 the edge table (the crossing each label enters, and whether under) and
-the connected pieces.  _renumber and switch_crossing hand their results
-cycles and a table, and the canonical code's first walk records the
-pieces of a diagram whose crossings form one piece.
+the connected pieces, which one strand walk over the edge table finds.
+parse_pd and validation walk the pieces for the planarity check, so a
+diagram that enters carries them; _renumber and switch_crossing hand
+their results cycles and a table, and the canonical code's first walk
+records the pieces of a diagram whose crossings form one piece.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class Diagram:
         for x in self.crossings:
             if x.sign not in (1, -1):
                 raise InvalidPDError(f"crossing {x} has sign {x.sign}")
-        _check_labels([x[:4] for x in self.crossings])
+        quads = [x.pd() for x in self.crossings]
+        _check_labels(quads)
         # no edge has two heads or two tails (tails stored negated); as each
         # label 1..2c occurs twice, every edge then has one of each
         ends = set()
@@ -93,7 +96,7 @@ class Diagram:
                         f"edge {abs(e)} oriented inconsistently (two {'heads' if e > 0 else 'tails'})"
                     )
                 ends.add(e)
-        if not _planar([x.pd() for x in self.crossings]):
+        if not _planar(_slot_mates(quads), len(self._crossing_graph_pieces())):
             raise InvalidPDError(_NOT_PLANAR)
 
     # -- derived structure ---------------------------------------------
@@ -133,26 +136,26 @@ class Diagram:
         return len(self._crossing_graph_pieces()) == 1
 
     def _crossing_graph_pieces(self):
-        """Crossing indices of each connected piece of the projection, in
-        order of first crossing.  A piece is a class of link components
-        joined by shared crossings."""
+        """Crossing indices of each connected piece of the projection,
+        sorted, in order of first crossing.  From each crossing not yet
+        reached, the edges leaving every crossing reached (c and over_out)
+        are looked up in the edge table; each strand is a closed cycle, so
+        this reaches the whole piece."""
         if self._pieces is None:
-            root = list(range(len(self.component_cycles()) - self.free_loops))
-            comp = self._comp
-
-            def find(k):
-                while root[k] != k:
-                    k = root[k]
-                return k
-
-            for x in self.crossings:
-                ra, rb = find(comp[x.a]), find(comp[x.over_in])
-                if ra != rb:
-                    root[ra] = rb
-            pieces = {}
-            for i, x in enumerate(self.crossings):
-                pieces.setdefault(find(comp[x.a]), []).append(i)
-            self._pieces = list(pieces.values())
+            xs, ins = self.crossings, self._edge_table()
+            reached = bytearray(len(xs))
+            self._pieces = []
+            for i in range(len(xs)):
+                if not reached[i]:
+                    reached[i] = 1
+                    piece = [i]
+                    for j in piece:
+                        for e in (xs[j].c, xs[j].over_out):
+                            if not reached[k := ins[e][0]]:
+                                reached[k] = 1
+                                piece.append(k)
+                    piece.sort()
+                    self._pieces.append(piece)
         return self._pieces
 
     def split_pieces(self):
@@ -240,7 +243,8 @@ class Diagram:
         decides connectivity: it has 2c + (components with crossings)
         tokens exactly when the crossings form one piece, which is then
         recorded, and with free loops beside it that piece's code is this
-        walk's.  Only a shorter walk finds the pieces by union-find.
+        walk's.  After a shorter walk, a diagram that does not carry its
+        pieces has them found by _crossing_graph_pieces.
         """
         if self._code is None:
             self._code = self._compute_code()
@@ -547,14 +551,13 @@ def _slot_mates(quads):
 _NOT_PLANAR = "the PD slots describe no diagram on the sphere"
 
 
-def _planar(quads):
-    """Whether PD slots (a, b, c, d), labelled 1..2c each twice, describe a
-    diagram on the sphere.  Slots run counterclockwise, so corner (x, k)
-    between slots k and k+1 of crossing x is followed on its face by corner
-    (y, l), where slot k+1's edge arrives at slot l of crossing y.  By
-    Euler's formula c crossings in k pieces of total genus g give
-    c + 2k - 2g faces."""
-    mate = _slot_mates(quads)
+def _planar(mate, pieces):
+    """Whether the PD slots paired by mate (_slot_mates), whose crossings
+    form `pieces` connected pieces, describe a diagram on the sphere.
+    Slots run counterclockwise, so corner (x, k) between slots k and k+1
+    of crossing x is followed on its face by corner (y, l), where slot
+    k+1's edge arrives at slot l of crossing y.  By Euler's formula c
+    crossings in k pieces of total genus g give c + 2k - 2g faces."""
     seen = bytearray(len(mate))
     faces = 0
     for p in range(len(mate)):
@@ -564,20 +567,7 @@ def _planar(quads):
             while not seen[q]:
                 seen[q] = 1
                 q = mate[(q & ~3) | ((q + 1) & 3)]
-    # the pieces: classes of crossings joined by edges, by a walk over mates
-    reached = bytearray(len(quads))
-    pieces = 0
-    for i in range(len(quads)):
-        if not reached[i]:
-            pieces += 1
-            reached[i] = 1
-            piece = [i]
-            for x in piece:
-                for p in range(4 * x, 4 * x + 4):
-                    if not reached[y := mate[p] >> 2]:
-                        reached[y] = 1
-                        piece.append(y)
-    return faces == len(quads) + 2 * pieces
+    return faces == len(mate) // 4 + 2 * pieces
 
 
 # -- parsing ------------------------------------------------------------------
@@ -627,19 +617,22 @@ def parse_pd(text: str) -> Diagram:
         raise InvalidPDError("empty link: no crossings and no free loops")
 
     _check_labels(tuples)
-    signs = _derive_signs(tuples)
-    if not _planar(tuples):
-        raise InvalidPDError(_NOT_PLANAR)
+    mate = _slot_mates(tuples)
+    signs = _derive_signs(tuples, mate)
     xs = [Crossing(a, c, d, b, s) if s > 0 else Crossing(a, c, b, d, s)
           for (a, b, c, d), s in zip(tuples, signs)]
-    # labels and planarity are checked above, and a strand walk that
-    # completes gives every edge one head and one tail, so _validate would
-    # only repeat the checks
-    return Diagram(xs, loops, _validated=True)
+    # labels are checked above, and a strand walk that completes gives
+    # every edge one head and one tail, so _validate would only repeat the
+    # checks; the pieces it would walk are walked here, and carried
+    d = Diagram(xs, loops, _validated=True)
+    if not _planar(mate, len(d._crossing_graph_pieces())):
+        raise InvalidPDError(_NOT_PLANAR)
+    return d
 
 
-def _derive_signs(tuples):
-    """Infer crossing signs by walking each strand once.
+def _derive_signs(tuples, mate):
+    """Infer crossing signs by walking each strand once, over the slot
+    pairing mate of the tuples (_slot_mates).
 
     Slot a is incoming and c outgoing; the over-strand enters by d at a
     positive crossing and by b at a negative one.  A strand that passes
@@ -651,7 +644,6 @@ def _derive_signs(tuples):
     """
     n = len(tuples)
     flat = list(chain.from_iterable(tuples))
-    mate = _slot_mates(tuples)
     sign = [0] * n
     passed_under = bytearray(n)
 

@@ -79,18 +79,12 @@ def morton_defect(d: Diagram, engine: HomflyEngine | None = None) -> int:
     return defect
 
 
-def check_v_degree_bound(d: Diagram, p: LaurentPoly2, what: str, s: int | None = None):
-    """Raise MFWViolationError naming `what` unless P = p of the connected
-    diagram d meets the Morton-Franks-Williams bound w - s + 1 <= min deg_v
-    P <= max deg_v P <= w + s - 1 (writhe w, s Seifert circles, found if
-    not given); the zero polynomial has no v-degrees and fails it."""
-    if s is None:
-        s = seifert_circles(d).num_circles
-    _check_v_degree(p, d.writhe(), s, what)
-
-
-def _check_v_degree(p: LaurentPoly2, w: int, s: int, what: str):
-    """check_v_degree_bound given the writhe w and circle count s."""
+def check_v_degree_bound(p: LaurentPoly2, w: int, s: int, what: str):
+    """Raise MFWViolationError naming `what` unless p, the HOMFLY
+    polynomial of a connected diagram of writhe w and s Seifert circles,
+    meets the Morton-Franks-Williams bound w - s + 1 <= min deg_v P <=
+    max deg_v P <= w + s - 1; the zero polynomial has no v-degrees and
+    fails it."""
     evs = [ev for ev, _ in p.terms]
     if not evs:
         raise MFWViolationError(f"v-degree bound violated for {what}: zero polynomial, "
@@ -217,7 +211,8 @@ def _hypothesis_certificates(base: Diagram, base_genus: int, engine: HomflyEngin
         if m is None:
             raise MFWViolationError(f"zero polynomial for certificate crossing {i}")
         if dec is not None:
-            check_v_degree_bound(switched, p, f"certificate crossing {i}", dec.num_circles)
+            check_v_degree_bound(p, switched.writhe(), dec.num_circles,
+                                 f"certificate crossing {i}")
         if m < 2 * base_genus:
             certs.append({
                 "crossing": i, "kind": "morton_degree",
@@ -277,7 +272,7 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
         genus = None
         if s is not None:
             genus = surface_genus(c, s, mu)
-            _check_v_degree(p, w, s, f"family row n={n}")
+            check_v_degree_bound(p, w, s, f"family row n={n}")
         bound = 2 * gc_claimed - 1 + n
         report.rows.append(FamilyRow(n=n, c=c, s=s, genus=genus,
                                      m=m, bound=bound, strict=m < bound))

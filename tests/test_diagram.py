@@ -97,8 +97,12 @@ class TestParsing:
         with pytest.raises(InvalidPDError, match="no diagram on the sphere"):
             parse_pd(TREFOIL_PD + " X[7,10,8,9] X[8,10,9,7]")
         two = parse_pd(TREFOIL_PD + " X[7,10,8,11] X[9,12,10,7] X[11,8,12,9]")
+        beside_loop = parse_pd(TREFOIL_PD + " O")
+        # the planarity check's pieces are carried by the parsed diagram
+        assert two._pieces == _reference_pieces(two) == [[0, 1, 2], [3, 4, 5]]
+        assert beside_loop._pieces == _reference_pieces(beside_loop) == [[0, 1, 2]]
         assert len(two.split_pieces()) == 2
-        assert len(parse_pd(TREFOIL_PD + " O").split_pieces()) == 2
+        assert len(beside_loop.split_pieces()) == 2
 
     @pytest.mark.parametrize("crossings, free_loops, message", [
         ((), -1, "free_loops must be nonnegative"),
@@ -512,6 +516,27 @@ def _reference_tokens(d, start):
     return toks
 
 
+def _reference_pieces(d):
+    """Crossing indices of each connected piece, by union-find over the
+    link components that share a crossing, in order of first crossing."""
+    comp = {e: k for k, cycle in enumerate(d.component_cycles()) for e in cycle}
+    root = list(range(len(d.component_cycles())))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for x in d.crossings:
+        ra, rb = find(comp[x.a]), find(comp[x.over_in])
+        if ra != rb:
+            root[ra] = rb
+    pieces = {}
+    for i, x in enumerate(d.crossings):
+        pieces.setdefault(find(comp[x.a]), []).append(i)
+    return list(pieces.values())
+
+
 def _reference_code(d):
     n = len(d.crossings)
     if n == 0:
@@ -674,9 +699,11 @@ class TestAgainstReferences:
     @settings(max_examples=150, deadline=None)
     def test_carried_cycles_match_a_fresh_walk(self, d):
         # renumbered, reduced, split and switched diagrams carry their
-        # cycles and edge table; a computed code records the pieces
+        # cycles and edge table; a computed code records the pieces, and
+        # the strand walk finds the union-find's pieces
         def assert_carried(x):
             fresh = Diagram(x.crossings, x.free_loops)  # runs _validate
+            assert fresh._crossing_graph_pieces() == _reference_pieces(fresh)
             assert x._cycles is not None
             assert x._cycles == fresh.component_cycles()
             assert x._comp == fresh._comp
@@ -695,4 +722,4 @@ class TestAgainstReferences:
         for x in renumbered + [y.simplify() for y in switched]:
             x.canonical_code()
             fresh = Diagram(x.crossings, x.free_loops)
-            assert x._pieces == fresh._crossing_graph_pieces()
+            assert x._pieces == fresh._crossing_graph_pieces() == _reference_pieces(fresh)

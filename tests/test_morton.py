@@ -49,9 +49,9 @@ class TestBounds:
     def test_v_degree_bound_helper(self, engine):
         # the left-handed trefoil has w = -3 and s = 2: v-degrees in [-4, -2]
         d = parse_pd(TREFOIL_PD)
-        check_v_degree_bound(d, engine.homfly(d), "trefoil")
+        check_v_degree_bound(engine.homfly(d), d.writhe(), 2, "trefoil")
         with pytest.raises(RuntimeError, match=r"for trefoil: deg_v in \[0, 0\], w=-3, s=2"):
-            check_v_degree_bound(d, LaurentPoly2({(0, 2): 1}), "trefoil")
+            check_v_degree_bound(LaurentPoly2({(0, 2): 1}), d.writhe(), 2, "trefoil")
 
     def test_bound_equals_genus_form(self, small_knots):
         from mortonlab.seifert import diagram_genus, seifert_circles

@@ -8,10 +8,10 @@ and reads braids in one place each and looks each code up once,
 RecursionError caught in one function, a package namespace that does not
 shadow its modules, the attributes the benchmark's layer trace wraps,
 crossing strands stored as fields, PD slots read only in diagram.py, a
-braid reader without union-find, and a cold evaluation that neither
-validates nor walks cycles again, builds one edge table, and leaves
-connectivity to the canonical walk; and over scripts/: nothing imported
-from the test tree."""
+braid reader and diagram pieces without union-find, and a cold
+evaluation that neither validates nor walks cycles again, builds one
+edge table, and walks pieces only where a diagram is parsed; and over
+scripts/: nothing imported from the test tree."""
 
 import ast
 import importlib
@@ -202,8 +202,8 @@ def test_pd_slots_read_only_in_diagram():
 
 
 def test_slot_pairing_written_once():
-    # parse_pd's sign walk and the planarity check's face walk both pair
-    # the two slots of each label through diagram._slot_mates
+    # parse_pd and validation each pair the two slots of each label once,
+    # through diagram._slot_mates, for the sign walk and the face walk
     functions = _functions(_tree(Path(mortonlab.__file__).parent / "diagram.py"))
 
     def called(f):
@@ -211,7 +211,7 @@ def test_slot_pairing_written_once():
                 and isinstance(n.func, ast.Name)}
 
     assert sorted(name for name, f in functions.items() if "_slot_mates" in called(f)) == \
-        ["_derive_signs", "_planar"]
+        ["_validate", "parse_pd"]
     pairing = sorted(f"{path.stem}.{f.name}" for path in SOURCES
                      for f in _functions(_tree(path)).values()
                      if any(isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
@@ -220,11 +220,13 @@ def test_slot_pairing_written_once():
     assert pairing == ["diagram._slot_mates"]
 
 
-def test_braid_reader_has_no_union_find():
+@pytest.mark.parametrize("module", ["braid", "diagram"])
+def test_no_union_find(module):
     # closed braids are read from each circle's neighbours on its two
-    # sides, with no merge of faces into regions
-    braid = _functions(_tree(Path(mortonlab.__file__).parent / "braid.py"))
-    assert "find" not in braid and "_regions" not in braid
+    # sides, with no merge of faces into regions, and a diagram's pieces
+    # are found by one walk along its strands
+    functions = _functions(_tree(Path(mortonlab.__file__).parent / f"{module}.py"))
+    assert "find" not in functions and "_regions" not in functions
 
 
 def test_polynomial_term_map_written_once():
@@ -416,14 +418,16 @@ def test_engine_neither_revalidates_nor_rewalks_cycles(monkeypatch):
     assert [id(w) for w in walks] == [id(d)]
 
 
-def test_engine_builds_one_edge_table_and_codes_without_union_find(monkeypatch):
-    # renumbered and switched diagrams carry their edge tables, and the
-    # first canonical walk records a diagram's pieces when its crossings
-    # form one, so a cold evaluation builds a table only for the parsed
-    # root and runs the union-find for no diagram whose code it computed
+def test_engine_builds_one_edge_table_and_walks_pieces_only_at_parse(monkeypatch):
+    # parse_pd walks the root's pieces over its edge table for the
+    # planarity check; renumbered and switched diagrams carry their edge
+    # tables, and the first canonical walk records a diagram's pieces when
+    # its crossings form one, so a cold evaluation builds a table only for
+    # the parsed root and walks the pieces of no diagram whose code it
+    # computed
     module = importlib.import_module("mortonlab.diagram")
-    d = parse_pd(braid_closure([1, 2, 3] * 5, 4).serialize())
-    tables, union_finds, coded = [], [], []
+    text = braid_closure([1, 2, 3] * 5, 4).serialize()
+    tables, walks, coded = [], [], []
 
     def counted_entries(crossings):
         tables.append(crossings)
@@ -431,7 +435,7 @@ def test_engine_builds_one_edge_table_and_codes_without_union_find(monkeypatch):
 
     def counted_pieces(self):
         if self._pieces is None:
-            union_finds.append(self)
+            walks.append(self)
         return pieces(self)
 
     def counted_code(self):
@@ -442,20 +446,23 @@ def test_engine_builds_one_edge_table_and_codes_without_union_find(monkeypatch):
     monkeypatch.setattr(module, "_entries", counted_entries)
     monkeypatch.setattr(Diagram, "_crossing_graph_pieces", counted_pieces)
     monkeypatch.setattr(Diagram, "_compute_code", counted_code)
+    d = parse_pd(text)
+    assert tables == [d.crossings] and [id(x) for x in walks] == [id(d)] and coded == []
+    walks.clear()
     # the skein route; the public one reads T(4,5) as a closed braid
     engine = HomflyEngine()
     skein_homfly(engine, d)
     assert engine.expansions > 0 and len(coded) > engine.expansions
     assert any(x.crossings and x.free_loops for x in coded)  # free loops beside crossings
     assert tables == [d.crossings]
-    assert {id(x) for x in union_finds} & {id(x) for x in coded} == set()
-    # the public route, from a fresh parse: the reader uses the root's table,
-    # and its connectivity comes from the root's code
-    for seen in (tables, union_finds, coded):
+    assert {id(x) for x in walks} & {id(x) for x in coded} == set()
+    # the public route, from a fresh parse: the reader uses the root's
+    # table and pieces, both from parse_pd
+    for seen in (tables, walks, coded):
         seen.clear()
-    d = parse_pd(d.serialize())
+    d = parse_pd(text)
     public = HomflyEngine()
     public.homfly(d)
     assert (public.expansions, public.braid_evaluations) == (0, 1)
     assert tables == [d.crossings]
-    assert [id(x) for x in coded] == [id(d)] and union_finds == []
+    assert [id(x) for x in coded] == [id(d)] and [id(x) for x in walks] == [id(d)]
