@@ -273,11 +273,10 @@ def _auto_crossing(d):
     return 0
 
 
-def _expected_match(p, args):
-    """Compare p with --expect: exact or mirror image under --mirror auto,
-    exact only otherwise."""
-    expected = LaurentPoly2.from_json(args.expect)
-    if args.mirror == "auto":
+def _expected_match(p, expected, mirror):
+    """Compare p with the --expect polynomial: exact or mirror image under
+    --mirror auto, exact only otherwise."""
+    if mirror == "auto":
         return match_expected_polynomial(p, expected)
     return "exact" if p == expected else None
 
@@ -322,6 +321,8 @@ def _dispatch(args):
 
     if cmd == "homfly":
         d, name = _diagram_from_args(args)
+        # a malformed --expect stops the run before any engine or cache work
+        expected = LaurentPoly2.from_json(args.expect) if args.expect else None
         engine, cache_path = _engine_from_args(args)
         p = engine.homfly(d)
         if args.mirror == "on":
@@ -331,7 +332,7 @@ def _dispatch(args):
         code = 0
         match = None
         if args.expect:
-            match = _expected_match(p, args)
+            match = _expected_match(p, expected, args.mirror)
             code = 0 if match else 1
         obj = {
             "name": name,
@@ -389,6 +390,7 @@ def _dispatch(args):
 
     if cmd == "verify":
         d, name = _diagram_from_args(args)
+        expected = LaurentPoly2.from_json(args.expect) if args.expect else None
         engine, cache_path = _engine_from_args(args)
         crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
         spec = FamilySpec(d, crossing, [])
@@ -403,7 +405,7 @@ def _dispatch(args):
         match = None
         if args.expect:
             p = engine.homfly(d)
-            match = _expected_match(p, args)
+            match = _expected_match(p, expected, args.mirror)
         if cache_path:
             engine.flush_cache(cache_path)
         payload = report

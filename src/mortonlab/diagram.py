@@ -53,6 +53,10 @@ class Crossing(NamedTuple):
             return (self.a, self.over_out, self.c, self.over_in)
         return (self.a, self.over_in, self.c, self.over_out)
 
+    def switched(self):
+        """This crossing with its over- and under-strands swapped and its sign negated."""
+        return Crossing(self.over_in, self.over_out, self.a, self.c, -self.sign)
+
 
 class Diagram:
     """Immutable oriented link diagram."""
@@ -179,7 +183,7 @@ class Diagram:
         """Swap the over- and under-strands of crossing i."""
         x = self._crossing(i)
         xs = list(self.crossings)
-        xs[i] = Crossing(x.over_in, x.over_out, x.a, x.c, -x.sign)
+        xs[i] = x.switched()
         out = Diagram(xs, self.free_loops, _validated=True)
         # every strand and the projection are kept; the strands entering i
         # trade under for over
@@ -391,21 +395,26 @@ def _reduce(d, cut=(), smooth=True, moves=True):
 
 def _first_move(xs, ins):
     """Indices of the first R1 move in the working list, else of the first
-    R2, found in one scan."""
+    R2 (an _r2_pair that one strand passes over), found in one scan."""
     r2 = None
     for i, x in enumerate(xs):
         if x is not None:
-            a, c, o_in, o_out, s = x
+            a, c, o_in, o_out, _ = x
             # a kink: an edge leaves one strand here and enters the other
             if a == o_in or a == o_out or c == o_in or c == o_out:
                 return (i,)
             if r2 is None:
                 j, under = ins[o_out]
-                # the same strand passes over both; the under strand must
-                # also run directly between the two crossings (either way)
-                if j != i and not under and xs[j].sign != s and (c == xs[j].a or xs[j].c == a):
+                if j != i and not under and _r2_pair(x, xs[j]):
                     r2 = (i, j)
     return r2
+
+
+def _r2_pair(x, y):
+    """Whether crossings x and y, which one strand passes over, x then
+    directly y, form an R2 pair: their signs differ and the other strand
+    runs directly between them, either way.  Symmetric in x and y."""
+    return x.sign != y.sign and (x.c == y.a or y.c == x.a)
 
 
 def _stitch(xs, ins, removed, smooth):

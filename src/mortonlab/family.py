@@ -42,8 +42,8 @@ def braid_closure(word, strands) -> Diagram:
     """Diagram of the closure of a braid word.
 
     word: nonzero ints; letter +i crosses strand positions (i-1, i) with the
-    left strand passing over, -i with the right strand passing over.  Unused
-    strand positions close into free loops.
+    left strand passing over, and -i is +i switched.  Unused strand
+    positions close into free loops.
     """
     if any(w == 0 or abs(w) >= strands for w in word):
         raise ValueError(f"word letters must be nonzero with |w| < {strands}")
@@ -53,10 +53,8 @@ def braid_closure(word, strands) -> Diagram:
         p = abs(w) - 1
         x, y = cur[p], cur[p + 1]
         u, v = ("e", t, 0), ("e", t, 1)  # u continues x at p+1, v continues y at p
-        if w > 0:
-            crossings.append(Crossing(y, v, x, u, 1))
-        else:
-            crossings.append(Crossing(x, u, y, v, -1))
+        positive = Crossing(y, v, x, u, 1)
+        crossings.append(positive if w > 0 else positive.switched())
         cur[p], cur[p + 1] = v, u
     free = 0
     rename = {}
@@ -245,12 +243,11 @@ def whitehead_double(d: Diagram, clasp_sign: int = 1, twists: int = 0) -> Diagra
                   for x in new]
 
     def add_pair(strands, sign):
-        # (under, over) strands of two crossings of the given sign, each
-        # strand (in, out); a negative pair is the positive one switched
+        # (under, over) strands, each (in, out), of two positive crossings;
+        # a negative pair is the positive one switched
         for under, over in strands:
-            if sign < 0:
-                under, over = over, under
-            new.append(Crossing(*under, *over, sign))
+            positive = Crossing(*under, *over, 1)
+            new.append(positive if sign > 0 else positive.switched())
 
     # the incoming-to-a-block occurrence of each cut edge becomes the
     # "post" label; the outgoing occurrence keeps the original label

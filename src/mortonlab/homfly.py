@@ -58,7 +58,7 @@ import re
 from dataclasses import dataclass, field
 
 from .braid import hecke_homfly, read_braid
-from .diagram import Diagram, _reduce
+from .diagram import Diagram, _r2_pair, _reduce
 from .errors import CacheIOError, ParseError, TooLargeError
 from .poly import LaurentPoly2, _skein_terms, delta_factor
 
@@ -101,11 +101,10 @@ def choose_skein_crossing(d: Diagram):
 
     Among the crossings met under first, in meeting order, the first one
     whose switch forms an R2 pair is chosen, else the first one.  After the
-    switch the strand a -> c passes crossing i over; the pair needs a
+    switch the strand a -> c passes crossing i over; the partner is a
     neighbour j on that strand (the crossing c enters, or the one a
-    leaves) that the strand passes over too, of the same sign as i, with
-    the other strand running straight between them: the test _first_move
-    applies to the switched diagram.
+    leaves) that it passes over too, where _r2_pair, the test _first_move
+    applies, holds for the switched crossing i and j.
     """
     xs = d.crossings
     ins = d._edge_table()
@@ -122,7 +121,8 @@ def choose_skein_crossing(d: Diagram):
                 o[co] += 1
         for c in range(ncomp):
             if (u[c] == 0) != (o[c] == 0):
-                return _shared_crossings(d, c)
+                return tuple(i for i, (a, _, o_in, _, _) in enumerate(xs)
+                             if (comp[a] == c) != (comp[o_in] == c))
         order = sorted(order, key=lambda c: u[c] - o[c])
     seen = [False] * len(xs)
     first_bad = None
@@ -140,15 +140,13 @@ def choose_skein_crossing(d: Diagram):
                 continue
             if first_bad is None:
                 first_bad = i
-            x = xs[i]
+            x = xs[i].switched()
             # after the switch this strand passes i over; an R2 pair needs
-            # it to pass a neighbour over too, with the same sign as i
+            # it to pass a neighbour over too
             for e in (cyc[(q + 1) % n], cyc[q - 1]):
                 j, j_under = ins[e]
-                if j != i and not j_under:
-                    y = xs[j]
-                    if y.sign == x.sign and (x.over_out == y.a or y.c == x.over_in):
-                        return i
+                if j != i and not j_under and _r2_pair(x, xs[j]):
+                    return i
     return first_bad
 
 
@@ -184,13 +182,6 @@ def _basepoint(cyc, ins, nx):
         if bad <= least:
             start, least = s, bad
     return start
-
-
-def _shared_crossings(d: Diagram, c):
-    """Indices of the crossings between component c and the others."""
-    comp = d._comp
-    return tuple(i for i, x in enumerate(d.crossings)
-                 if (comp[x.a] == c) != (comp[x.over_in] == c))
 
 
 def _least_label_crossing(d: Diagram):

@@ -41,8 +41,7 @@ def shuffled_crossings(d, rng):
 
 def mirrored(d):
     """The mirror image: every crossing switched."""
-    return Diagram([Crossing(x.over_in, x.over_out, x.a, x.c, -x.sign) for x in d.crossings],
-                   d.free_loops)
+    return Diagram([x.switched() for x in d.crossings], d.free_loops)
 
 
 # not a closed braid; its simplified form is split

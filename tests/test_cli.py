@@ -251,6 +251,21 @@ class TestCommands:
         assert run_command(["homfly", "--pd", TREFOIL_PD, "--expect", right,
                             "--mirror", "off"]) == 1
 
+    @pytest.mark.parametrize("command", [["homfly"], ["verify", "--gc", "1"]])
+    def test_malformed_expect_exits_before_engine_work(self, command, tmp_path, monkeypatch,
+                                                       capsys):
+        # --expect is parsed right after the diagram: no evaluation, no
+        # cache record, and the error alone on stderr
+        calls = []
+        monkeypatch.setattr(HomflyEngine, "homfly", lambda engine, d: calls.append(d))
+        cache = tmp_path / "c.jsonl"
+        argv = [*command, "--pd", TREFOIL_PD, "--expect", "[{bad", "--cache", str(cache)]
+        assert run_command(argv) == 2
+        assert capsys.readouterr() == ("", "PARSE_ERROR: bad polynomial JSON: Expecting property "
+                                           "name enclosed in double quotes: line 1 column 3 "
+                                           "(char 2)\n")
+        assert calls == [] and not cache.exists()
+
     def test_verify_exit_codes(self, capsys):
         code = run_command(["verify", "--pd", TREFOIL_PD, "--gc", "1",
                             "--crossing", "auto", "--nmax", "2"])

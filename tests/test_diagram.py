@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
-from mortonlab.diagram import (Crossing, Diagram, _entries, _first_move, _reduce, _renumber,
-                               parse_pd)
+from mortonlab.diagram import (Crossing, Diagram, _entries, _first_move, _r2_pair, _reduce,
+                               _renumber, parse_pd)
 from mortonlab.errors import InvalidPDError, ParseError
 from mortonlab.family import insert_parallel_bands, two_bridge_plat, whitehead_double
 from mortonlab.seifert import CrossingClass, classify_crossing, seifert_circles
@@ -314,8 +314,19 @@ class TestComponents:
 
 class TestMoves:
     def test_switch_is_involution(self):
-        d = parse_pd(TREFOIL_PD)
-        assert d.switch_crossing(1).switch_crossing(1) == d
+        # switch_crossing puts x.switched() in place of x; _r2_pair gives
+        # the same answer either way round, on R2 pairs too
+        pairs = []
+        for d in (parse_pd(TREFOIL_PD), braid_closure([1, -2, 1, 1, 1, -2], 3)):
+            for i, x in enumerate(d.crossings):
+                assert x.switched().switched() == x
+                assert d.switch_crossing(i).crossings[i] == x.switched()
+                assert d.switch_crossing(i).switch_crossing(i) == d
+                for y in d.crossings:
+                    for z in (x, x.switched()):
+                        assert _r2_pair(z, y) == _r2_pair(y, z)
+                        pairs.append(_r2_pair(z, y))
+        assert True in pairs and False in pairs
 
     def test_switch_changes_one_sign(self):
         d = parse_pd(TREFOIL_PD)

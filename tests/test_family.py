@@ -1,6 +1,7 @@
 """Parallel-band insertion, family sequences, crossing-change candidates,
 Whitehead doubles."""
 
+import hashlib
 import random
 
 import pytest
@@ -213,3 +214,31 @@ class TestWhiteheadDouble:
         # the clasp must survive simplification (it is a clasp, not a poke)
         w = whitehead_double(parse_pd(TREFOIL_PD), 1)
         assert len(w.simplify().crossings) >= 2
+
+
+def _digest(diagrams):
+    return hashlib.sha256("".join(d.serialize() + "\n" for d in diagrams).encode()).hexdigest()
+
+
+class TestConstructionPins:
+    """SHA-256 of serialize() over fixed sets of constructions: their
+    crossings, labels and order.  Both constructions build each negative
+    crossing as a positive one switched; these pin the diagrams that
+    switch must reproduce."""
+
+    def test_doubles_pinned(self, small_knots):
+        doubles = [whitehead_double(e.diagram, clasp, twists)
+                   for e in small_knots if e.diagram.num_components() == 1
+                   for clasp in (1, -1) for twists in range(-3, 4)]
+        assert len(doubles) == 196
+        assert _digest(doubles) == "72a96492ab5ce7ed5dd6e0a1f5a8cc16758c2ef027ff4cd9f29592509ecfe528"
+
+    def test_braid_closures_pinned(self):
+        rng = random.Random(29)
+        closures = []
+        for _ in range(1000):
+            strands = rng.randint(2, 7)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(1, 20))]
+            closures.append(braid_closure(word, strands))
+        assert _digest(closures) == "50931b93119963a4c514aa9e9dbd8725a7f8336d88a8e0c581ec6e6294a52602"

@@ -2,16 +2,17 @@
 cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, no unused imports or unread private names, the skein rule, the
 zero-dropping term fold, the permutation-cycle walk, the Seifert
-successor map, the PD slot pairing and the polynomial term-map code
-written once, every engine route in one recursive method that splits
-and reads braids in one place each and looks each code up once,
-RecursionError caught in one function, a package namespace that does not
-shadow its modules, the attributes the benchmark's layer trace wraps,
-crossing strands stored as fields, PD slots read only in diagram.py, a
-braid reader and diagram pieces without union-find, and a cold
-evaluation that neither validates nor walks cycles again, builds one
-edge table, and walks pieces only where a diagram is parsed; and over
-scripts/: nothing imported from the test tree."""
+successor map, the PD slot pairing, the crossing switch, the R2-pair
+test and the polynomial term-map code written once, every engine route
+in one recursive method that splits and reads braids in one place each
+and looks each code up once, RecursionError caught in one function, a
+package namespace that does not shadow its modules, the attributes the
+benchmark's layer trace wraps, crossing strands stored as fields, PD
+slots read only in diagram.py, a braid reader and diagram pieces without
+union-find, and a cold evaluation that neither validates nor walks
+cycles again, builds one edge table, and walks pieces only where a
+diagram is parsed; and over scripts/: nothing imported from the test
+tree."""
 
 import ast
 import importlib
@@ -150,6 +151,11 @@ def _functions(tree):
     return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
 
 
+def _called(f):
+    return {n.func.id for n in ast.walk(f) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)}
+
+
 def test_term_fold_written_once():
     # every zero-dropping term sum goes through poly._fold
     functions = _functions(_tree(Path(mortonlab.__file__).parent / "poly.py"))
@@ -178,18 +184,13 @@ def test_seifert_successor_map_written_once():
     # seifert._seifert_cycles, the one map under-in -> over-out,
     # over-in -> under-out
     src = Path(mortonlab.__file__).parent
-
-    def called(f):
-        return {n.func.id for n in ast.walk(f) if isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Name)}
-
     seifert = _functions(_tree(src / "seifert.py"))
-    assert [name for name, f in seifert.items() if "_permutation_cycles" in called(f)] == \
+    assert [name for name, f in seifert.items() if "_permutation_cycles" in _called(f)] == \
         ["_seifert_cycles"]
     braid = _tree(src / "braid.py")
     assert "_permutation_cycles" not in {n.id for n in ast.walk(braid) if isinstance(n, ast.Name)}
-    assert "_seifert_cycles" in called(seifert["seifert_circles"])
-    assert "_seifert_cycles" in called(_functions(braid)["read_braid"])
+    assert "_seifert_cycles" in _called(seifert["seifert_circles"])
+    assert "_seifert_cycles" in _called(_functions(braid)["read_braid"])
 
 
 def test_pd_slots_read_only_in_diagram():
@@ -205,12 +206,7 @@ def test_slot_pairing_written_once():
     # parse_pd and validation each pair the two slots of each label once,
     # through diagram._slot_mates, for the sign walk and the face walk
     functions = _functions(_tree(Path(mortonlab.__file__).parent / "diagram.py"))
-
-    def called(f):
-        return {n.func.id for n in ast.walk(f) if isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Name)}
-
-    assert sorted(name for name, f in functions.items() if "_slot_mates" in called(f)) == \
+    assert sorted(name for name, f in functions.items() if "_slot_mates" in _called(f)) == \
         ["_validate", "parse_pd"]
     pairing = sorted(f"{path.stem}.{f.name}" for path in SOURCES
                      for f in _functions(_tree(path)).values()
@@ -218,6 +214,28 @@ def test_slot_pairing_written_once():
                             and isinstance(n.value, ast.Name) and n.value.id == "mate"
                             for n in ast.walk(f)))
     assert pairing == ["diagram._slot_mates"]
+
+
+def _sign_negations(tree):
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.UnaryOp)
+            and isinstance(n.op, ast.USub) and isinstance(n.operand, ast.Attribute)
+            and n.operand.attr == "sign"]
+
+
+def test_switch_and_r2_pair_written_once():
+    # a crossing's sign is negated only by Crossing.switched, and the
+    # reduction and the engine's look-ahead both test an R2 pair through
+    # diagram._r2_pair, reading no sign themselves
+    src = Path(mortonlab.__file__).parent
+    diagram = _functions(_tree(src / "diagram.py"))
+    negations = [(path.stem, line) for path in SOURCES for line in _sign_negations(_tree(path))]
+    assert negations == [("diagram", line) for line in _sign_negations(diagram["switched"])]
+    assert len(negations) == 1
+    for f in (diagram["_first_move"],
+              _functions(_tree(src / "homfly.py"))["choose_skein_crossing"]):
+        assert "_r2_pair" in _called(f)
+        assert [n.lineno for n in ast.walk(f) if isinstance(n, ast.Attribute)
+                and n.attr == "sign"] == [], f.name
 
 
 @pytest.mark.parametrize("module", ["braid", "diagram"])
