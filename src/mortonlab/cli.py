@@ -1,8 +1,10 @@
 """Command-line front end: table ingestion, cache persistence, reports.
 
 Commands: parse, homfly, seifert, family, verify, skein-tree, double,
-oracle-check.  Exit codes: 0 success / all verifications passed, 1
-verification failure, 2 usage or input error.
+oracle-check, each a function called by one run sequence that reads the
+diagram, --expect and the cache first and appends to the cache before it
+writes any output.  Exit codes: 0 success / all verifications passed,
+1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -62,35 +64,32 @@ class KnotTableEntry:
 def _table_rows(path, warn):
     """(name, pd, line number) for each row of a name,pd CSV (RFC-4180; the
     pd field carries commas and must be quoted), no PD parsed.  Blank rows
-    are skipped and short rows reported and skipped; a name repeated on
-    two rows is an error."""
+    are skipped and short rows reported and skipped; a repeated name, a
+    file not in UTF-8 and a field over csv's size limit are errors."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TableError(f"cannot read table {path}: {exc}") from exc
+    if not records:
+        raise EmptyTableError(f"{path}: empty file")
+    if [h.strip().lower() for h in records[0][:2]] != ["name", "pd"]:
+        raise TableError(f'{path}: header must be "name,pd", got {records[0]!r}')
     rows = []
     seen = {}
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyTableError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header[:2]] != ["name", "pd"]:
-            raise TableError(f'{path}: header must be "name,pd", got {header!r}')
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                warn(f"{path}:{lineno}: skipping malformed row {row!r}")
-                continue
-            name = row[0].strip()
-            if name in seen:
-                raise DuplicateNameError(
-                    f"{path}: duplicate name {name!r} on lines {seen[name]} and {lineno}"
-                )
-            seen[name] = lineno
-            rows.append((name, row[1].strip(), lineno))
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            warn(f"{path}:{lineno}: skipping malformed row {row!r}")
+            continue
+        name = row[0].strip()
+        if name in seen:
+            raise DuplicateNameError(
+                f"{path}: duplicate name {name!r} on lines {seen[name]} and {lineno}"
+            )
+        seen[name] = lineno
+        rows.append((name, row[1].strip(), lineno))
     return rows
 
 
@@ -247,16 +246,8 @@ def _diagram_from_args(args):
     raise UsageError("need --pd or --table/--name")
 
 
-def _engine_from_args(args):
-    engine = HomflyEngine()
-    path = args.cache or os.environ.get(CACHE_ENV)
-    if path:
-        engine.load_cache(path)
-    return engine, path
-
-
 def _emit(data: bytes, args):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "wb") as fh:
             fh.write(data)
     else:
@@ -271,14 +262,6 @@ def _auto_crossing(d):
     if not d.crossings:
         raise UsageError("no crossing to insert parallel bands at")
     return 0
-
-
-def _expected_match(p, expected, mirror):
-    """Compare p with the --expect polynomial: exact or mirror image under
-    --mirror auto, exact only otherwise."""
-    if mirror == "auto":
-        return match_expected_polynomial(p, expected)
-    return "exact" if p == expected else None
 
 
 def run_command(argv) -> int:
@@ -305,172 +288,172 @@ def run_command(argv) -> int:
 
 
 def _dispatch(args):
-    cmd = args.command
-
-    if cmd == "parse":
-        d, _ = _diagram_from_args(args)
-        obj = {
-            "crossings": len(d.crossings),
-            "components": d.num_components(),
-            "writhe": d.writhe(),
-            "free_loops": d.free_loops,
-            "pd": d.serialize(),
-        }
-        _emit(export_report(obj, args.fmt), args)
-        return 0
-
-    if cmd == "homfly":
+    """Run a parsed command in one sequence: read the diagram (for each
+    command taking --pd, but seifert --table without --name), parse
+    --expect, build the engine and load its cache (for each command taking
+    --cache), then call the command's function in _COMMANDS with (args,
+    diagram, name, engine, expected polynomial); it returns (output bytes
+    or None, exit code, stderr lines).  Only a command that returned
+    output appends to the cache; its stderr lines follow, and the output
+    is written last.  A failed check of the engine's own polynomials
+    returns no output, so it writes neither output nor cache."""
+    d = name = None
+    if "pd" in args and not (args.command == "seifert" and args.table and not args.name):
         d, name = _diagram_from_args(args)
-        # a malformed --expect stops the run before any engine or cache work
-        expected = LaurentPoly2.from_json(args.expect) if args.expect else None
-        engine, cache_path = _engine_from_args(args)
-        p = engine.homfly(d)
-        if args.mirror == "on":
-            p = p.mirror()
+    elif not args.table:
+        raise UsageError(f"{args.command} needs --table")
+    # a malformed --expect stops the run before any engine or cache work
+    expected = LaurentPoly2.from_json(args.expect) if getattr(args, "expect", None) else None
+    engine = cache_path = None
+    if "cache" in args:
+        engine, cache_path = HomflyEngine(), args.cache or os.environ.get(CACHE_ENV)
         if cache_path:
-            engine.flush_cache(cache_path)
-        code = 0
-        match = None
-        if args.expect:
-            match = _expected_match(p, expected, args.mirror)
-            code = 0 if match else 1
-        obj = {
-            "name": name,
-            "homfly": p.to_json_obj(),
-            "pretty": p.pretty(),
-            "maxdeg_z": p.maxdeg_z(),
-        }
-        print(f"expansions: {engine.expansions}", file=sys.stderr)
-        print(f"braid evaluations: {engine.braid_evaluations}", file=sys.stderr)
-        if args.expect:
-            obj["expected_match"] = match
-        _emit(export_report(obj, args.fmt), args)
-        return code
+            engine.load_cache(cache_path)
+    out, code, err = _COMMANDS[args.command](args, d, name, engine, expected)
+    if out is not None and cache_path:
+        engine.flush_cache(cache_path)
+    for line in err:
+        print(line, file=sys.stderr)
+    if out is not None:
+        _emit(out, args)
+    return code
 
-    if cmd == "seifert":
-        if args.table and not args.name:
-            named = []
-            for e in load_knot_table(args.table):
-                try:
-                    named.append((e.name, e.diagram, seifert_circles(e.diagram)))
-                except DisconnectedError as exc:
-                    print(f"{e.source}: skipping {e.name!r}: {exc}", file=sys.stderr)
-            if not named:
-                raise EmptyTableError(f"{args.table}: no connected entries")
-        else:
-            d, name = _diagram_from_args(args)
-            named = [(name, d, seifert_circles(d))]
-        rows = [{"name": name, "c": len(d.crossings), "s": dec.num_circles,
-                 "mu": d.num_components(), "genus": dec.diagram_genus}
-                for name, d, dec in named]
-        _emit(export_report(rows, "csv"), args)
-        return 0
 
-    if cmd == "family":
-        d, name = _diagram_from_args(args)
-        crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
-        members = [(n, insert_parallel_bands(d, crossing, n)) for n in args.ns]
-        if args.fmt == "table":
-            _emit("".join(dn.serialize() + "\n" for _, dn in members).encode(), args)
-            return 0
-        manifest = []
-        for n, dn in members:
-            dec = seifert_circles(dn) if dn.is_connected() else None
-            manifest.append({
-                "n": n,
-                "c": len(dn.crossings),
-                "s": dec.num_circles if dec else None,
-                "genus": dec.diagram_genus if dec else None,
-                "components": dn.num_components(),
-                "pd": dn.serialize(),
-            })
-        _emit(export_report({"base": name, "crossing": crossing, "members": manifest},
-                            args.fmt), args)
-        return 0
+def _parse(args, d, name, engine, expected):
+    obj = {
+        "crossings": len(d.crossings),
+        "components": d.num_components(),
+        "writhe": d.writhe(),
+        "free_loops": d.free_loops,
+        "pd": d.serialize(),
+    }
+    return export_report(obj, args.fmt), 0, []
 
-    if cmd == "verify":
-        d, name = _diagram_from_args(args)
-        expected = LaurentPoly2.from_json(args.expect) if args.expect else None
-        engine, cache_path = _engine_from_args(args)
-        crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
-        spec = FamilySpec(d, crossing, [])
-        try:
-            report = verify_theorem_family(
-                spec, gc_claimed=args.gc, n_max=args.nmax, engine=engine,
-                budget_seconds=args.budget, base_name=name,
-            )
-        except MFWViolationError as exc:
-            print(f"MFW_VIOLATION {name}: {exc}", file=sys.stderr)
-            return 1
-        match = None
-        if args.expect:
-            p = engine.homfly(d)
-            match = _expected_match(p, expected, args.mirror)
-        if cache_path:
-            engine.flush_cache(cache_path)
-        payload = report
-        if args.expect and args.fmt == "json":
-            payload = {**report.to_json_obj(), "expected_match": match}
-        _emit(export_report(payload, args.fmt), args)
-        if args.expect and not match:
-            if args.fmt != "json":
-                # the table and CSV have no field for the comparison
-                print(f"EXPECT_MISMATCH {name}: base polynomial {p.pretty()} "
-                      f"does not match --expect (--mirror {args.mirror})", file=sys.stderr)
-            return 1
-        return 0 if report.all_strict() else 1
 
-    if cmd == "skein-tree":
-        d, _ = _diagram_from_args(args)
-        _emit(export_report(skein_trace(d, args.trace_limit), args.fmt), args)
-        return 0
+def _homfly(args, d, name, engine, expected):
+    p = engine.homfly(d)
+    if args.mirror == "on":
+        p = p.mirror()
+    obj = {
+        "name": name,
+        "homfly": p.to_json_obj(),
+        "pretty": p.pretty(),
+        "maxdeg_z": p.maxdeg_z(),
+    }
+    code = 0
+    if expected is not None:
+        obj["expected_match"] = match = match_expected_polynomial(p, expected, args.mirror)
+        code = 0 if match else 1
+    stats = [f"expansions: {engine.expansions}",
+             f"braid evaluations: {engine.braid_evaluations}"]
+    return export_report(obj, args.fmt), code, stats
 
-    if cmd == "double":
-        d, _ = _diagram_from_args(args)
-        w = whitehead_double(d, clasp_sign=args.clasp, twists=args.twists)
-        obj = {
-            "c": len(w.crossings),
-            "components": w.num_components(),
-            "writhe": w.writhe(),
-            "genus": seifert_circles(w).diagram_genus,
-            "genus_bound_crossings_of_base": len(d.crossings),
-            "pd": w.serialize(),
-        }
-        _emit(export_report(obj, args.fmt), args)
-        return 0
 
-    if cmd == "oracle-check":
-        if not args.table:
-            raise UsageError("oracle-check needs --table")
-        engine, cache_path = _engine_from_args(args)
-        checked = skipped = 0
+def _seifert(args, d, name, engine, expected):
+    if d is None:
+        named = []
         for e in load_knot_table(args.table):
-            d = e.diagram
-            if len(d.crossings) > args.limit:
-                if d.is_connected():
-                    try:
-                        check_v_degree_bound(engine.homfly(d), d.writhe(),
-                                             seifert_circles(d).num_circles,
-                                             "the engine's polynomial")
-                    except MFWViolationError as exc:
-                        print(f"MFW_VIOLATION {e.name}: {exc}", file=sys.stderr)
-                        return 1
-                skipped += 1
-                continue
-            fast = engine.homfly(d)
-            slow = naive_homfly(d, args.limit)
-            if fast != slow:
-                print(f"MISMATCH {e.name}: engine={fast.pretty()} oracle={slow.pretty()}",
-                      file=sys.stderr)
-                return 1
-            checked += 1
-        if cache_path:
-            engine.flush_cache(cache_path)
-        _emit(export_report({"checked": checked, "skipped": skipped, "agree": True}, args.fmt),
-              args)
-        return 0
+            try:
+                named.append((e.name, e.diagram, seifert_circles(e.diagram)))
+            except DisconnectedError as exc:
+                # printed at once, like load_knot_table's warnings, even if no row is left
+                print(f"{e.source}: skipping {e.name!r}: {exc}", file=sys.stderr)
+        if not named:
+            raise EmptyTableError(f"{args.table}: no connected entries")
+    else:
+        named = [(name, d, seifert_circles(d))]
+    rows = [{"name": name, "c": len(d.crossings), "s": dec.num_circles,
+             "mu": d.num_components(), "genus": dec.diagram_genus}
+            for name, d, dec in named]
+    return export_report(rows, "csv"), 0, []
 
-    raise UsageError(f"unknown command {cmd!r}")
+
+def _family(args, d, name, engine, expected):
+    crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
+    members = [(n, insert_parallel_bands(d, crossing, n)) for n in args.ns]
+    if args.fmt == "table":
+        return "".join(dn.serialize() + "\n" for _, dn in members).encode(), 0, []
+    manifest = []
+    for n, dn in members:
+        dec = seifert_circles(dn) if dn.is_connected() else None
+        manifest.append({
+            "n": n,
+            "c": len(dn.crossings),
+            "s": dec.num_circles if dec else None,
+            "genus": dec.diagram_genus if dec else None,
+            "components": dn.num_components(),
+            "pd": dn.serialize(),
+        })
+    return export_report({"base": name, "crossing": crossing, "members": manifest},
+                         args.fmt), 0, []
+
+
+def _verify(args, d, name, engine, expected):
+    crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
+    try:
+        report = verify_theorem_family(
+            FamilySpec(d, crossing, []), gc_claimed=args.gc, n_max=args.nmax, engine=engine,
+            budget_seconds=args.budget, base_name=name,
+        )
+    except MFWViolationError as exc:
+        return None, 1, [f"MFW_VIOLATION {name}: {exc}"]
+    code = 0 if report.all_strict() else 1
+    payload, err = report, []
+    if expected is not None:
+        p = engine.homfly(d)
+        match = match_expected_polynomial(p, expected, args.mirror)
+        if args.fmt == "json":
+            payload = {**report.to_json_obj(), "expected_match": match}
+        elif not match:
+            # the table and CSV have no field for the comparison
+            err = [f"EXPECT_MISMATCH {name}: base polynomial {p.pretty()} "
+                   f"does not match --expect (--mirror {args.mirror})"]
+        code = code if match else 1
+    return export_report(payload, args.fmt), code, err
+
+
+def _skein_tree(args, d, name, engine, expected):
+    return export_report(skein_trace(d, args.trace_limit), args.fmt), 0, []
+
+
+def _double(args, d, name, engine, expected):
+    w = whitehead_double(d, clasp_sign=args.clasp, twists=args.twists)
+    obj = {
+        "c": len(w.crossings),
+        "components": w.num_components(),
+        "writhe": w.writhe(),
+        "genus": seifert_circles(w).diagram_genus,
+        "genus_bound_crossings_of_base": len(d.crossings),
+        "pd": w.serialize(),
+    }
+    return export_report(obj, args.fmt), 0, []
+
+
+def _oracle_check(args, d, name, engine, expected):
+    checked = skipped = 0
+    for e in load_knot_table(args.table):
+        d = e.diagram
+        if len(d.crossings) > args.limit:
+            if d.is_connected():
+                try:
+                    check_v_degree_bound(engine.homfly(d), d.writhe(),
+                                         seifert_circles(d).num_circles,
+                                         "the engine's polynomial")
+                except MFWViolationError as exc:
+                    return None, 1, [f"MFW_VIOLATION {e.name}: {exc}"]
+            skipped += 1
+            continue
+        fast = engine.homfly(d)
+        slow = naive_homfly(d, args.limit)
+        if fast != slow:
+            return None, 1, [f"MISMATCH {e.name}: engine={fast.pretty()} oracle={slow.pretty()}"]
+        checked += 1
+    return export_report({"checked": checked, "skipped": skipped, "agree": True}, args.fmt), 0, []
+
+
+_COMMANDS = {"parse": _parse, "homfly": _homfly, "seifert": _seifert, "family": _family,
+             "verify": _verify, "skein-tree": _skein_tree, "double": _double,
+             "oracle-check": _oracle_check}
 
 
 def main():

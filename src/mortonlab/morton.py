@@ -281,10 +281,11 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
     return report
 
 
-def match_expected_polynomial(p: LaurentPoly2, expected: LaurentPoly2):
-    """"exact" / "mirror" / None comparison against a printed polynomial."""
+def match_expected_polynomial(p: LaurentPoly2, expected: LaurentPoly2, mirror="auto"):
+    """"exact" / "mirror" / None comparison against a printed polynomial;
+    the mirror image of p counts only under mirror="auto"."""
     if p == expected:
         return "exact"
-    if p.mirror() == expected:
+    if mirror == "auto" and p.mirror() == expected:
         return "mirror"
     return None

@@ -12,6 +12,7 @@ e stands for t^(e/2)) so they stay integers.
 from __future__ import annotations
 
 import json
+import re
 from math import comb
 
 from .errors import NegativeZDegreeError, ParseError
@@ -34,6 +35,18 @@ def _fold(out, pairs):
         elif k in out:
             del out[k]
     return out
+
+
+_DIGITS = re.compile(r"-?[0-9]+")
+
+
+def _json_int(value, text=False):
+    """int(value) for a JSON integer (not a bool) or, with text, a string
+    of an optional minus and ASCII digits; else int's error or ValueError."""
+    n = int(value)
+    if type(value) is int or text and isinstance(value, str) and _DIGITS.fullmatch(value):
+        return n
+    raise ValueError(f"not an integer: {value!r}")
 
 
 class _TermMap:
@@ -162,16 +175,18 @@ class LaurentPoly2(_TermMap):
 
     @classmethod
     def from_json_obj(cls, obj):
+        """Term records {"ev": int, "ez": int, "c": int or digit string}."""
         try:
-            return cls([((int(t["ev"]), int(t["ez"])), int(t["c"])) for t in obj])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls([((_json_int(t["ev"]), _json_int(t["ez"])), _json_int(t["c"], text=True))
+                        for t in obj])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad polynomial record: {exc}") from exc
 
     @classmethod
     def from_json(cls, text):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of more digits than int() takes
             raise ParseError(f"bad polynomial JSON: {exc}") from exc
         return cls.from_json_obj(obj)
 

@@ -32,6 +32,19 @@ from mortonlab.poly import LaurentPoly2
 SMALL = os.path.join(DATA_DIR, "small_knots.csv")
 
 
+def _evaluate_then(value):
+    """HomflyEngine.homfly that evaluates the diagram, so the engine holds
+    polynomials a cache flush would write, and returns value instead.
+    A failed check must write neither output nor cache."""
+    homfly = HomflyEngine.homfly
+
+    def evaluate(engine, d):
+        homfly(engine, d)
+        return value
+
+    return evaluate
+
+
 class TestTable:
     def test_load(self):
         entries = load_knot_table(SMALL)
@@ -94,6 +107,20 @@ class TestTable:
         p.write_text("knot,code\na,b\n")
         with pytest.raises(TableError):
             load_knot_table(p)
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfename,pd\n",
+        b'name,pd\nbig,"' + b" ".join(b"X[1,1,2,2]" for _ in range(20000)) + b'"\n',
+    ], ids=["not-utf8", "field-over-csv-limit"])
+    def test_undecodable_table_exit2(self, content, tmp_path, capsys):
+        p = tmp_path / "t.csv"
+        p.write_bytes(content)
+        with pytest.raises(TableError):
+            load_knot_table(p)
+        for argv in (["seifert", "--table", str(p)], ["homfly", "--table", str(p), "--name", "big"]):
+            assert run_command(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"IO_ERROR: cannot read table {p}: ")
 
 
 class TestExport:
@@ -237,7 +264,7 @@ class TestCommands:
         assert run_command(["homfly", "--table", SMALL, "--name", "5_1"]) == 0
         assert json.loads(capsys.readouterr().out)["maxdeg_z"] == 4
 
-    def test_homfly_expect_match(self, capsys):
+    def test_homfly_expect_match(self, tmp_path, capsys):
         left = '[{"ev":-2,"ez":2,"c":"1"},{"ev":-2,"ez":0,"c":"2"},{"ev":-4,"ez":0,"c":"-1"}]'
         assert run_command(["homfly", "--pd", TREFOIL_PD, "--expect", left]) == 0
         capsys.readouterr()
@@ -247,23 +274,30 @@ class TestCommands:
                             "--mirror", "auto"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["expected_match"] == "mirror"
-        # exact-only mode rejects the mirror, exit 1
+        # exact-only mode rejects the mirror, exit 1, and still writes its
+        # output and cache records
+        cache = tmp_path / "c.jsonl"
         assert run_command(["homfly", "--pd", TREFOIL_PD, "--expect", right,
-                            "--mirror", "off"]) == 1
+                            "--mirror", "off", "--cache", str(cache)]) == 1
+        assert json.loads(capsys.readouterr().out)["expected_match"] is None
+        assert cache.read_bytes()
 
+    @pytest.mark.parametrize("expect, err", [
+        ("[{bad", "bad polynomial JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 3 (char 2)"),
+        ('[{"ev":-2.5,"ez":2,"c":"1"}]', "bad polynomial record: not an integer: -2.5"),
+    ], ids=["not-json", "not-an-integer"])
     @pytest.mark.parametrize("command", [["homfly"], ["verify", "--gc", "1"]])
-    def test_malformed_expect_exits_before_engine_work(self, command, tmp_path, monkeypatch,
-                                                       capsys):
+    def test_malformed_expect_exits_before_engine_work(self, command, expect, err, tmp_path,
+                                                       monkeypatch, capsys):
         # --expect is parsed right after the diagram: no evaluation, no
         # cache record, and the error alone on stderr
         calls = []
         monkeypatch.setattr(HomflyEngine, "homfly", lambda engine, d: calls.append(d))
         cache = tmp_path / "c.jsonl"
-        argv = [*command, "--pd", TREFOIL_PD, "--expect", "[{bad", "--cache", str(cache)]
+        argv = [*command, "--pd", TREFOIL_PD, "--expect", expect, "--cache", str(cache)]
         assert run_command(argv) == 2
-        assert capsys.readouterr() == ("", "PARSE_ERROR: bad polynomial JSON: Expecting property "
-                                           "name enclosed in double quotes: line 1 column 3 "
-                                           "(char 2)\n")
+        assert capsys.readouterr() == ("", f"PARSE_ERROR: {err}\n")
         assert calls == [] and not cache.exists()
 
     def test_verify_exit_codes(self, capsys):
@@ -310,17 +344,19 @@ class TestCommands:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("fmt", ["table", "csv"])
-    def test_verify_expect_mismatch_on_stderr(self, fmt, capsys):
+    def test_verify_expect_mismatch_on_stderr(self, fmt, tmp_path, capsys):
         # --gc 2 makes every row strict, so only the expectation fails
         argv = ["verify", "--pd", TREFOIL_PD, "--gc", "2", "--nmax", "2",
                 "--mirror", "off", "--format", fmt]
         assert run_command(argv) == 0
         plain_out, plain_err = capsys.readouterr()
         right = '[{"ev":2,"ez":2,"c":"1"},{"ev":2,"ez":0,"c":"2"},{"ev":4,"ez":0,"c":"-1"}]'
-        assert run_command(argv + ["--expect", right]) == 1
+        cache = tmp_path / "c.jsonl"
+        assert run_command(argv + ["--expect", right, "--cache", str(cache)]) == 1
         out, err = capsys.readouterr()
         assert out == plain_out and plain_err == ""
         assert err.startswith("EXPECT_MISMATCH pd: ") and err.count("\n") == 1
+        assert cache.read_bytes()  # the verdict has output, so the cache is appended to
         # a met expectation writes nothing more
         left = '[{"ev":-2,"ez":2,"c":"1"},{"ev":-2,"ez":0,"c":"2"},{"ev":-4,"ez":0,"c":"-1"}]'
         assert run_command(argv + ["--expect", left]) == 0
@@ -371,11 +407,13 @@ class TestCommands:
         assert json.loads(out) == {"agree": True, "checked": 1, "skipped": 0}
         assert err == f"{p}:2: skipping 'curl': the PD slots describe no diagram on the sphere\n"
 
-    def test_oracle_check_mismatch_exits_1(self, monkeypatch, capsys):
+    def test_oracle_check_mismatch_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("mortonlab.cli.naive_homfly", lambda d, limit: LaurentPoly2.one())
-        assert run_command(["oracle-check", "--table", SMALL]) == 1
+        cache = tmp_path / "c.jsonl"
+        assert run_command(["oracle-check", "--table", SMALL, "--cache", str(cache)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("MISMATCH 3_1: engine=")
+        assert not cache.exists()
 
     def test_oracle_check_report_bytes_with_rows_above_limit(self, capsys):
         # rows above --limit are evaluated and checked against the
@@ -385,44 +423,58 @@ class TestCommands:
         assert out == '{\n  "agree": true,\n  "checked": 4,\n  "skipped": 10\n}\n'
         assert err == ""
 
-    def test_oracle_check_v_degree_violation_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(HomflyEngine, "homfly", lambda self, d: LaurentPoly2({(99, 0): 1}))
-        assert run_command(["oracle-check", "--table", SMALL, "--limit", "0"]) == 1
+    def test_oracle_check_v_degree_violation_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(HomflyEngine, "homfly", _evaluate_then(LaurentPoly2({(99, 0): 1})))
+        cache = tmp_path / "c.jsonl"
+        assert run_command(["oracle-check", "--table", SMALL, "--limit", "0",
+                            "--cache", str(cache)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("MFW_VIOLATION 3_1: v-degree bound violated")
+        assert not cache.exists()
 
-    def test_verify_v_degree_violation_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(HomflyEngine, "homfly", lambda self, d: LaurentPoly2({(99, 0): 1}))
-        argv = ["verify", "--table", SMALL, "--name", "3_1", "--gc", "1", "--nmax", "2"]
+    def test_verify_v_degree_violation_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(HomflyEngine, "homfly", _evaluate_then(LaurentPoly2({(99, 0): 1})))
+        cache = tmp_path / "c.jsonl"
+        argv = ["verify", "--table", SMALL, "--name", "3_1", "--gc", "1", "--nmax", "2",
+                "--cache", str(cache)]
         assert run_command(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("MFW_VIOLATION 3_1: v-degree bound violated for family row n=0")
         assert err.count("\n") == 1
+        assert not cache.exists()
 
-    def test_oracle_check_zero_polynomial_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(HomflyEngine, "homfly", lambda self, d: LaurentPoly2({}))
-        assert run_command(["oracle-check", "--table", SMALL, "--limit", "0"]) == 1
+    def test_oracle_check_zero_polynomial_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(HomflyEngine, "homfly", _evaluate_then(LaurentPoly2({})))
+        cache = tmp_path / "c.jsonl"
+        assert run_command(["oracle-check", "--table", SMALL, "--limit", "0",
+                            "--cache", str(cache)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == ("MFW_VIOLATION 3_1: v-degree bound violated for the engine's "
                        "polynomial: zero polynomial, w=3, s=2\n")
+        assert not cache.exists()
 
-    def test_verify_zero_polynomial_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(HomflyEngine, "homfly", lambda self, d: LaurentPoly2({}))
-        argv = ["verify", "--table", SMALL, "--name", "3_1", "--gc", "1", "--nmax", "2"]
+    def test_verify_zero_polynomial_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(HomflyEngine, "homfly", _evaluate_then(LaurentPoly2({})))
+        cache = tmp_path / "c.jsonl"
+        argv = ["verify", "--table", SMALL, "--name", "3_1", "--gc", "1", "--nmax", "2",
+                "--cache", str(cache)]
         assert run_command(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "MFW_VIOLATION 3_1: zero polynomial for family row n=0\n"
+        assert not cache.exists()
 
     @pytest.mark.parametrize("fake, message", [
         (lambda p: LaurentPoly2.zero(), "zero polynomial for certificate crossing 3"),
         (lambda p: p.mono_mul(1, ev=100),
          "v-degree bound violated for certificate crossing 3: deg_v in [98, 106], w=4, s=9"),
     ], ids=["zero", "v_shifted"])
-    def test_verify_checks_certificate_candidates(self, monkeypatch, capsys, fake, message):
+
+    def test_verify_checks_certificate_candidates(self, tmp_path, monkeypatch, capsys, fake,
+                                                  message):
         # the engine goes wrong only on the W(3_1) candidate switched at
         # crossing 3, which no other candidate's canonical code matches;
         # the trefoil's candidates are all genus drops and never evaluated
@@ -436,10 +488,13 @@ class TestCommands:
             return fake(p) if d.canonical_code() == codes[3] else p
 
         monkeypatch.setattr(HomflyEngine, "homfly", wrong_at_3)
-        assert run_command(["verify", "--pd", w.serialize(), "--gc", "1", "--nmax", "2"]) == 1
+        cache = tmp_path / "c.jsonl"
+        assert run_command(["verify", "--pd", w.serialize(), "--gc", "1", "--nmax", "2",
+                            "--cache", str(cache)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"MFW_VIOLATION pd: {message}\n"
+        assert not cache.exists()
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "r.json"

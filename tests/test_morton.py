@@ -314,6 +314,10 @@ class TestMirrorMatch:
     def test_mirror(self):
         p = LaurentPoly2({(2, 2): 1})
         assert match_expected_polynomial(p, p.mirror()) == "mirror"
+        # the mirror image counts only under mirror="auto"
+        for mirror in ("off", "on"):
+            assert match_expected_polynomial(p, p.mirror(), mirror) is None
+            assert match_expected_polynomial(p, p, mirror) == "exact"
 
     def test_none(self):
         p = LaurentPoly2({(2, 2): 1})

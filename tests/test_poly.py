@@ -123,11 +123,30 @@ class TestSerialization:
         keys = [(t["ez"], t["ev"]) for t in obj]
         assert keys == sorted(keys, key=lambda k: (-k[0], -k[1]))
 
-    def test_bad_json(self):
+    @pytest.mark.parametrize("text", [
+        "[{]",
+        '[{"ev": 1}]',
+        # exponents are JSON integers, a coefficient one or a digit string
+        '[{"ev": -2.5, "ez": 2, "c": "1"}]',
+        '[{"ev": 1e400, "ez": 2, "c": "1"}]',
+        '[{"ev": true, "ez": 2, "c": "1"}]',
+        '[{"ev": 1, "ez": "2", "c": "1"}]',
+        '[{"ev": 1, "ez": 2, "c": 2.9}]',
+        '[{"ev": 1, "ez": 2, "c": false}]',
+        '[{"ev": 1, "ez": 2, "c": "1_0"}]',
+        '[{"ev": 1, "ez": 2, "c": " 1"}]',
+        '[{"ev": 1, "ez": 2, "c": "+1"}]',
+        '[{"ev": 1, "ez": 2, "c": "\\u0661"}]',
+        '[{"ev": NaN, "ez": 2, "c": "1"}]',
+        '[{"ev": %s, "ez": 2, "c": "1"}]' % ("1" * 5000),
+    ], ids=lambda text: text if len(text) < 100 else "5000-digit ev")
+    def test_bad_json(self, text):
         with pytest.raises(ParseError):
-            LaurentPoly2.from_json("[{]")
-        with pytest.raises(ParseError):
-            LaurentPoly2.from_json('[{"ev": 1}]')
+            LaurentPoly2.from_json(text)
+
+    def test_json_integers_and_digit_strings(self):
+        assert LaurentPoly2.from_json('[{"ev": -2, "ez": 0, "c": 3}, {"ev": 0, "ez": -0, '
+                                      '"c": "-007"}]') == LaurentPoly2({(-2, 0): 3, (0, 0): -7})
 
     def test_pretty_groups_by_z_degree(self):
         txt = PAPER_15N100154.pretty()

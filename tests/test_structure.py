@@ -11,8 +11,9 @@ benchmark's layer trace wraps, crossing strands stored as fields, PD
 slots read only in diagram.py, a braid reader and diagram pieces without
 union-find, and a cold evaluation that neither validates nor walks
 cycles again, builds one edge table, and walks pieces only where a
-diagram is parsed; and over scripts/: nothing imported from the test
-tree."""
+diagram is parsed; the CLI's run sequence (diagram, --expect, engine
+and cache, output) written once, in cli._dispatch; and over scripts/:
+nothing imported from the test tree."""
 
 import ast
 import importlib
@@ -292,6 +293,23 @@ def test_recursion_error_caught_once():
 def test_crossing_strands_are_fields():
     # a crossing stores its strands, so no read works out a PD slot again
     assert [name for name, v in vars(Crossing).items() if isinstance(v, property)] == []
+
+
+def test_cli_run_sequence_written_once():
+    # every subcommand is a function returning its output to cli._dispatch,
+    # the one place that reads the diagram and --expect, builds the engine,
+    # loads and appends to the cache and writes the output
+    tree = _tree(Path(mortonlab.__file__).parent / "cli.py")
+    callers = {}
+    for f in tree.body:
+        if isinstance(f, ast.FunctionDef):
+            for n in ast.walk(f):
+                if isinstance(n, ast.Call):
+                    name = getattr(n.func, "attr", getattr(n.func, "id", None))
+                    callers.setdefault(name, []).append(f.name)
+    once = ("_diagram_from_args", "from_json", "HomflyEngine", "load_cache", "flush_cache",
+            "_emit")
+    assert {name: callers.get(name) for name in once} == {name: ["_dispatch"] for name in once}
 
 
 def test_homfly_module_not_shadowed():
