@@ -13,8 +13,11 @@ PD text X[a,b,c,d] lists the four edge labels counterclockwise from the
 incoming under-strand edge a, so c is outgoing under; the over-strand
 runs d -> b at a positive crossing and b -> d at a negative one.  Only
 parse_pd (which infers the signs from orientation consistency),
-Crossing.pd (for serialize), _planar (the planarity check) and
-_renumber's label order use that order.
+Crossing.pd (for serialize and validation), validation's head/tail check
+(slot a, and d or b by sign, are heads), _check_planar (the face walk)
+and _renumber's label order use that order.  parse_pd and validation
+pair each label's two slots once (_slot_mates, which raises on a label
+outside 1..2c or met a third time) and check the rest over that pairing.
 
 Derived structure is computed once per diagram: the component cycles,
 the edge table (the crossing each label enters, and whether under) and
@@ -28,7 +31,6 @@ records the pieces of a diagram whose crossings form one piece.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from itertools import chain
 from typing import NamedTuple
 
@@ -89,19 +91,19 @@ class Diagram:
             if x.sign not in (1, -1):
                 raise InvalidPDError(f"crossing {x} has sign {x.sign}")
         quads = [x.pd() for x in self.crossings]
-        _check_labels(quads)
-        # no edge has two heads or two tails (tails stored negated); as each
-        # label 1..2c occurs twice, every edge then has one of each
-        ends = set()
-        for x in self.crossings:
-            for e in (x.a, x.over_in, -x.c, -x.over_out):
-                if e in ends:
-                    raise InvalidPDError(
-                        f"edge {abs(e)} oriented inconsistently (two {'heads' if e > 0 else 'tails'})"
-                    )
-                ends.add(e)
-        if not _planar(_slot_mates(quads), len(self._crossing_graph_pieces())):
-            raise InvalidPDError(_NOT_PLANAR)
+        mate = _slot_mates(quads)
+        # a label needs one head slot (a, and d or b by sign) and one tail;
+        # scanning a, over_in, c, over_out, it is checked at its later slot.
+        # A sign may be any number equal to 1 or -1, so it is made an index
+        head = bytearray(len(mate))
+        for i, s in enumerate([int(x.sign) for x in self.crossings]):
+            head[4 * i] = head[4 * i + 2 + s] = 1
+            for k in (0, 2 + s, 2, 2 - s):
+                p = 4 * i + k
+                if mate[p] < p and head[mate[p]] == head[p]:
+                    raise InvalidPDError(f"edge {quads[i][k]} oriented inconsistently "
+                                         f"(two {'heads' if head[p] else 'tails'})")
+        _check_planar(mate, self)
 
     # -- derived structure ---------------------------------------------
 
@@ -531,42 +533,32 @@ def _successors(crossings):
     return succ
 
 
-def _check_labels(quads):
-    """Raise unless the edge labels of these 4-tuples are 1..2c, each twice."""
-    n = len(quads)
-    counts = Counter(chain.from_iterable(quads))
-    # 4c occurrences in all, so 1..2c twice each leaves no other label
-    if any(counts[e] != 2 for e in range(1, 2 * n + 1)):
-        expected = set(range(1, 2 * n + 1))
-        bad = sorted(set(counts) ^ expected) or sorted(e for e, v in counts.items() if v != 2)
-        raise InvalidPDError(f"edge labels must be 1..{2 * n} each twice; offending labels {bad}")
-
-
 def _slot_mates(quads):
-    """For 4-tuples of PD slots labelled 1..2c, each label twice: the list
-    indexed by slot position 4 * crossing + slot of the position of the
-    same label's other slot."""
-    mate = [0] * (4 * len(quads))
-    first = [-1] * (2 * len(quads) + 1)
+    """For the 4-tuples of PD slots of c crossings: the list indexed by slot
+    position 4 * crossing + slot of the position of the same label's other
+    slot.  A label outside 1..2c or met a third time raises InvalidPDError,
+    which leaves each label in exactly two of the 4c slots."""
+    size = 2 * len(quads)
+    mate = [0] * (2 * size)
+    first = [-1] * (size + 1)  # a label's first slot; None once paired
     for p, e in enumerate(chain.from_iterable(quads)):
-        q = first[e]
+        if not 0 < e <= size or (q := first[e]) is None:
+            raise InvalidPDError(f"edge labels must be 1..{size} each twice; offending label {e}")
         if q < 0:
             first[e] = p
         else:
             mate[p], mate[q] = q, p
+            first[e] = None
     return mate
 
 
-_NOT_PLANAR = "the PD slots describe no diagram on the sphere"
-
-
-def _planar(mate, pieces):
-    """Whether the PD slots paired by mate (_slot_mates), whose crossings
-    form `pieces` connected pieces, describe a diagram on the sphere.
-    Slots run counterclockwise, so corner (x, k) between slots k and k+1
-    of crossing x is followed on its face by corner (y, l), where slot
-    k+1's edge arrives at slot l of crossing y.  By Euler's formula c
-    crossings in k pieces of total genus g give c + 2k - 2g faces."""
+def _check_planar(mate, d):
+    """Raise InvalidPDError unless the PD slots paired by mate
+    (_slot_mates) of diagram d describe a diagram on the sphere.  Slots
+    run counterclockwise, so corner (x, k) between slots k and k+1 of
+    crossing x is followed on its face by corner (y, l), where slot k+1's
+    edge arrives at slot l of crossing y.  By Euler's formula c crossings
+    in k pieces of total genus g give c + 2k - 2g faces."""
     seen = bytearray(len(mate))
     faces = 0
     for p in range(len(mate)):
@@ -576,7 +568,8 @@ def _planar(mate, pieces):
             while not seen[q]:
                 seen[q] = 1
                 q = mate[(q & ~3) | ((q + 1) & 3)]
-    return faces == len(mate) // 4 + 2 * pieces
+    if faces != len(mate) // 4 + 2 * len(d._crossing_graph_pieces()):
+        raise InvalidPDError("the PD slots describe no diagram on the sphere")
 
 
 # -- parsing ------------------------------------------------------------------
@@ -602,8 +595,6 @@ def _tokenize(text):
     pos = 0
     while pos < len(body):
         m = _TOKEN_RE.match(body, pos)
-        if m is None:
-            break
         if m.group("x"):
             tuples.append(tuple(int(v) for v in m.group("t").split(",")))
         elif m.group("o"):
@@ -621,21 +612,15 @@ def parse_pd(text: str) -> Diagram:
     tokens, and a free_loops=k suffix) into a validated Diagram."""
     tuples, loops = _tokenize(text)
     if not tuples:
-        if loops:
-            return Diagram((), loops, _validated=True)
-        raise InvalidPDError("empty link: no crossings and no free loops")
-
-    _check_labels(tuples)
+        return Diagram((), loops)
     mate = _slot_mates(tuples)
     signs = _derive_signs(tuples, mate)
     xs = [Crossing(a, c, d, b, s) if s > 0 else Crossing(a, c, b, d, s)
           for (a, b, c, d), s in zip(tuples, signs)]
-    # labels are checked above, and a strand walk that completes gives
-    # every edge one head and one tail, so _validate would only repeat the
-    # checks; the pieces it would walk are walked here, and carried
+    # _slot_mates checked the labels and the sign walk the orientation, so
+    # _validate would repeat them; the pieces _check_planar walks are carried
     d = Diagram(xs, loops, _validated=True)
-    if not _planar(mate, len(d._crossing_graph_pieces())):
-        raise InvalidPDError(_NOT_PLANAR)
+    _check_planar(mate, d)
     return d
 
 

@@ -34,13 +34,14 @@ The cached engine simplifies first, multiplies split unions by delta, and
 memoizes on canonical codes, which depend on neither the component
 order nor the basepoints.  One recursive method, HomflyEngine._eval,
 holds every route, and looks each code up once.  On a miss at the root
-it reads the root as given, since simplify can leave braid form: a closed
-braid of at most braid.MAX_STRANDS (7) strands is evaluated by its Markov
-trace in the Hecke algebra (the braid module) and stored under the code
-of its simplified form, and a split root goes piece by piece the same
-way, times delta^(k-1).  Every other diagram takes the skein route.  The
-engine's expansions count skein steps only, and its braid_evaluations
-count Hecke traces.
+it reads the root as given, then as simplified, since simplify can leave
+braid form (an R2 move across the closure) and can enter it (R1 moves
+that destabilize): a closed braid of at most braid.MAX_STRANDS (7)
+strands is evaluated by its Markov trace in the Hecke algebra (the braid
+module) and stored under the code of its simplified form, and a split
+root goes piece by piece the same way, times delta^(k-1).  Every other
+diagram takes the skein route.  The engine's expansions count skein
+steps only, and its braid_evaluations count Hecke traces.
 
 The naive oracle and skein traces take the components in least-label
 order, each from its least label, with no cache, no simplification, no
@@ -250,23 +251,26 @@ class HomflyEngine:
         """P of a diagram that admits no R1 or R2 move; so do the connected
         pieces of a split one, as each move lies within one piece.  raw,
         when given, is a caller's diagram of which d is the simplified
-        form: on a miss it is read as a closed braid, and when split it is
-        split along its own pieces, each taken the same way."""
+        form: on a miss raw, then d, is read as a closed braid, and a
+        split d is split along raw's pieces when raw is split, else its
+        own, each taken the same way."""
         code = d.canonical_code()
         p = self.cache.get(code)
         if p is None and (text := self._undecoded.pop(code, None)) is not None:
             p = self.cache[code] = LaurentPoly2.from_json(text)
         if p is not None:
             return p
-        if raw is not None and (braid := read_braid(raw)) is not None:
+        if raw is not None and (braid := read_braid(raw) or raw is not d and read_braid(d)):
             self.braid_evaluations += 1
             p = hecke_homfly(*braid, self._traces)
-        elif (split_raw := raw is not None and not raw.is_connected()) or not d.is_connected():
-            pieces = (raw if split_raw else d).split_pieces()
+        elif not d.is_connected():
+            # a split raw has a split simplified form
+            pieces = (d if raw is None or raw.is_connected() else raw).split_pieces()
             p = delta_factor() ** (len(pieces) - 1)
             for piece in pieces:
                 if piece.crossings:
-                    p = p * (self._eval(piece.simplify(), piece) if split_raw else self._eval(piece))
+                    p = p * (self._eval(piece) if raw is None else
+                             self._eval(piece.simplify(), piece))
         elif (i := choose_skein_crossing(d)) is None:
             p = _descending_value(d)
         elif isinstance(i, tuple):

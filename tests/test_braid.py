@@ -170,13 +170,13 @@ class TestReader:
         assert read_braid(parse_pd("X[1,3,2,4] X[3,1,4,2]")) == ((1, 1), 2)
 
     def test_more_than_max_strands_falls_back_to_skein_route(self):
-        # a trefoil stabilized up to 8 strands: the unsimplified root has 8
-        # Seifert circles, so it is not read, and its R1-simplified form
-        # goes to the skein route
-        d = braid_closure([1, 1, 1, 2, 3, 4, 5, 6, 7], MAX_STRANDS + 1)
-        assert read_braid(d) is None
+        # T(8,2) on 8 strands has 8 Seifert circles and admits no R1 or R2
+        # move, so it is not read and goes to the skein route; it is
+        # T(2,8), the closure of sigma_1^8
+        d = braid_closure([1, 2, 3, 4, 5, 6, 7] * 2, MAX_STRANDS + 1)
+        assert read_braid(d) is None and d.simplify() is d
         engine = HomflyEngine()
-        assert engine.homfly(d) == naive_homfly(braid_closure([1, 1, 1], 2))
+        assert engine.homfly(d) == hecke_homfly((1,) * 8, 2, {})
         assert engine.expansions > 0 and engine.braid_evaluations == 0
         stabilized = braid_closure([1, 1, 1, 2, 3, 4, 5, 6], MAX_STRANDS)
         assert read_braid(stabilized) is not None
@@ -209,13 +209,25 @@ class TestEngineRoute:
         # a braid whose simplified form is split: one entry, the root's
         (lambda: braid_closure([1, 1, 1, 2, -2], 3), (0, 1, 1),
          "0b956478d3732d7aa185b6cb2f5501f38b51b87d09ebf3a38b0f66dd13b70744"),
-        # not a braid, split when simplified: the skein route splits it
-        (lambda: parse_pd(SPLIT_WHEN_SIMPLIFIED_PD), (2, 0, 5),
-         "93fb9726b64beb7674caef997d9980a9b6426957a186f4eb0814f217fee82e3d"),
+        # not a braid, split when simplified into pieces that are: the root
+        # and the one piece with crossings
+        (lambda: parse_pd(SPLIT_WHEN_SIMPLIFIED_PD), (0, 1, 2),
+         "79afdb6ccfa6a2e9ae457657b4c397ccec924afa174aff4e3831372f6de276d2"),
         # split as given: a braid piece and a skein piece
         (trefoil_beside_its_double, (18, 1, 24),
          "1deb1226ade274309566daeea0b5e7db00bea4860bd7887df80dbfe7157ea745"),
-    ], ids=["braid-split-when-simplified", "split-when-simplified", "braid-beside-double"])
+        # the trefoil and T(5,6) stabilized to 8 strands: not read as given,
+        # but read once R1 moves destabilize them
+        (lambda: braid_closure([1, 1, 1, 2, 3, 4, 5, 6, 7], 8), (0, 1, 1),
+         "36d415aa446f04ac0329cc4599d8b4a1626fbfd2ed71a8bc7bf94c7f31760774"),
+        (lambda: braid_closure([1, 2, 3, 4] * 6 + [5, 6, 7], 8), (0, 1, 1),
+         "44d8d437b5cbcb85956c12ac01eef5392fc926b9280dfd9f5f254a578b24be41"),
+        # read as given: the anti-parallel R2 move across the closure takes
+        # its simplified form out of braid form
+        (lambda: braid_closure([1, 1, 1, -2, -1, -2, -3, -2, -2, 1, 1, 1, 3], 4), (0, 1, 1),
+         "878d0db27b35f828c6780ec1a37c0fe97a75dca781360f716277c0f1318e3bc4"),
+    ], ids=["braid-split-when-simplified", "split-when-simplified", "braid-beside-double",
+            "trefoil-stabilized", "T(5,6)-stabilized", "braid-only-as-given"])
     def test_root_shapes_are_pinned(self, make, counts, digest):
         d = make()
         engine = HomflyEngine()

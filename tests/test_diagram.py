@@ -67,13 +67,23 @@ class TestParsing:
             parse_pd("X[1,2,3]")
 
     def test_label_count_violation(self):
-        # labels 1,2,5,6 appear once
-        with pytest.raises(InvalidPDError):
-            parse_pd("X[1,4,2,3] X[3,6,4,5]")
+        # the first slot whose label is outside 1..4 or met a third time is
+        # named: labels 1,2,5,6 appear once; 1 or 3 three times
+        for text, label in [("X[1,4,2,3] X[3,6,4,5]", 6), ("X[1,1,1,2] X[2,3,4,3]", 1),
+                            ("X[1,2,3,4] X[4,3,2,3]", 3)]:
+            message = rf"^edge labels must be 1\.\.4 each twice; offending label {label}$"
+            with pytest.raises(InvalidPDError, match=message):
+                parse_pd(text)
+            # the same slots as positive crossings
+            labels = [int(v) for v in re.findall(r"\d+", text)]
+            with pytest.raises(InvalidPDError, match=message):
+                Diagram([Crossing(a, c, d, b, 1) for a, b, c, d in zip(*[iter(labels)] * 4)])
 
     def test_label_range_violation(self):
-        with pytest.raises(InvalidPDError):
+        with pytest.raises(InvalidPDError, match=r"1\.\.4 each twice; offending label 9$"):
             parse_pd("X[1,9,2,9] X[2,3,1,3]")
+        with pytest.raises(InvalidPDError, match=r"1\.\.2 each twice; offending label 0$"):
+            Diagram([Crossing(1, 0, 2, 0, 1)])
 
     def test_orientation_conflict(self):
         # edge 1 sits in two incoming-under slots (two heads)
@@ -141,6 +151,8 @@ class TestParsing:
     def test_kink_signs(self):
         assert parse_pd("X[1,1,2,2]").writhe() == 1
         assert parse_pd("X[1,2,2,1]").writhe() == -1
+        # validation takes a sign equal to 1 or -1 whatever its type
+        assert Diagram([Crossing(1, 2, 2, 1, 1.0)]) == parse_pd("X[1,1,2,2]")
 
     # Signs feed the canonical codes that key --cache files, so the values
     # below were recorded once and any change to sign inference must keep them.
@@ -177,6 +189,30 @@ class TestParsing:
         assert rejected == 180
         assert digest.hexdigest() == (
             "b14eb1a11662a8104e513107bb004b403d576043a58178404f08b1f10b35678d"
+        )
+
+    def test_pinned_validation_verdicts(self):
+        # Diagram(crossings) on mutated crossing lists: every verdict is
+        # pinned, and every message but the bad-label one, whose offending
+        # label depends on the order the labels are scanned in
+        digest = hashlib.sha256()
+        counts = {}
+        for xs in _mutated_crossing_lists():
+            try:
+                Diagram(xs)
+            except InvalidPDError as exc:
+                verdict = "labels" if str(exc).startswith("edge labels must be") else str(exc)
+            else:
+                verdict = "ok"
+            kind = verdict if verdict in ("ok", "labels") else re.sub(r"\d+", "N", verdict)
+            counts[kind] = counts.get(kind, 0) + 1
+            digest.update(verdict.encode() + b"\n")
+        assert counts == {"ok": 40, "labels": 186,
+                          "the PD slots describe no diagram on the sphere": 69,
+                          "edge N oriented inconsistently (two heads)": 162,
+                          "edge N oriented inconsistently (two tails)": 143}
+        assert digest.hexdigest() == (
+            "a5b05e398a06d12ae43d71974667ea0e46cb1c3d90e36cb5801b0eeb5d114daf"
         )
 
     def test_pinned_constructions(self):
@@ -287,6 +323,32 @@ def _corrupted_corpus(seed=6):
             j, s, t = rng.randrange(len(tuples)), rng.randrange(4), rng.randrange(4)
             tuples[k][s], tuples[j][t] = tuples[j][t], tuples[k][s]
         out.append(" ".join("X[%d,%d,%d,%d]" % tuple(t) for t in tuples))
+    return out
+
+
+def _mutated_crossing_lists(seed=7, count=600):
+    """Crossing lists of seeded braid closures, relabelled and shuffled,
+    with one to three mutations each: a strand's ends swapped, a sign
+    negated, two label occurrences swapped, or a label overwritten by one
+    of 0..2c + 1."""
+    rng = random.Random(seed)
+    out = []
+    for text in _sign_corpus(seed, count=count // 4):
+        xs = [list(x) for x in parse_pd(text).crossings]
+        n2 = 2 * len(xs)
+        for _ in range(rng.randint(1, 3)):
+            k, kind = rng.randrange(len(xs)), rng.randrange(5)
+            if kind < 2:
+                s, t = (0, 1) if kind == 0 else (2, 3)
+                xs[k][s], xs[k][t] = xs[k][t], xs[k][s]
+            elif kind == 2:
+                xs[k][4] = -xs[k][4]
+            elif kind == 3:
+                j, s, t = rng.randrange(len(xs)), rng.randrange(4), rng.randrange(4)
+                xs[k][s], xs[j][t] = xs[j][t], xs[k][s]
+            else:
+                xs[k][rng.randrange(4)] = rng.randint(0, n2 + 1)
+        out.append([Crossing(*x) for x in xs])
     return out
 
 

@@ -3,17 +3,18 @@ cannot strip, no interpreter-global recursion-limit changes, no thread
 pools, no unused imports or unread private names, the skein rule, the
 zero-dropping term fold, the permutation-cycle walk, the Seifert
 successor map, the PD slot pairing, the crossing switch, the R2-pair
-test and the polynomial term-map code written once, every engine route
-in one recursive method that splits and reads braids in one place each
-and looks each code up once, RecursionError caught in one function, a
-package namespace that does not shadow its modules, the attributes the
-benchmark's layer trace wraps, crossing strands stored as fields, PD
-slots read only in diagram.py, a braid reader and diagram pieces without
-union-find, and a cold evaluation that neither validates nor walks
-cycles again, builds one edge table, and walks pieces only where a
-diagram is parsed; the CLI's run sequence (diagram, --expect, engine
-and cache, output) written once, in cli._dispatch; and over scripts/:
-nothing imported from the test tree."""
+test and the polynomial term-map code written once, a diagram's label
+and planarity errors each raised in one function over that pairing,
+every engine route in one recursive method that splits and reads braids
+in one place each and looks each code up once, RecursionError caught in
+one function, a package namespace that does not shadow its modules, the
+attributes the benchmark's layer trace wraps, crossing strands stored as
+fields, PD slots read only in diagram.py, a braid reader and diagram
+pieces without union-find, and a cold evaluation that neither validates
+nor walks cycles again, builds one edge table, and walks pieces only
+where a diagram is parsed; the CLI's run sequence (diagram, --expect,
+engine and cache, output) written once, in cli._dispatch; and over
+scripts/: nothing imported from the test tree."""
 
 import ast
 import importlib
@@ -196,7 +197,7 @@ def test_seifert_successor_map_written_once():
 
 def test_pd_slots_read_only_in_diagram():
     # PD slot order is a fact of the text format: Crossing.pd is read by
-    # serialize and the planarity check, both in diagram.py
+    # serialize and validation, both in diagram.py
     readers = [f"{path.name}:{n.lineno}" for path in SOURCES if path.name != "diagram.py"
                for n in ast.walk(_tree(path)) if isinstance(n, ast.Call)
                and isinstance(n.func, ast.Attribute) and n.func.attr == "pd"]
@@ -215,6 +216,31 @@ def test_slot_pairing_written_once():
                             and isinstance(n.value, ast.Name) and n.value.id == "mate"
                             for n in ast.walk(f)))
     assert pairing == ["diagram._slot_mates"]
+
+
+def test_entry_rules_checked_once():
+    # a diagram's labels and planarity are each checked in one function,
+    # over the one slot pairing that parse_pd and validation build: only
+    # _slot_mates raises the label error, with no separate label count,
+    # and only _check_planar the planarity error
+    tree = _tree(Path(mortonlab.__file__).parent / "diagram.py")
+    functions = _functions(tree)
+    raisers = {"edge labels must be": [], "no diagram on the sphere": []}
+    for f in functions.values():
+        for n in ast.walk(f):
+            if isinstance(n, ast.Raise):
+                text = "".join(c.value for c in ast.walk(n)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                for message, owners in raisers.items():
+                    if message in text:
+                        owners.append(f.name)
+    assert raisers == {"edge labels must be": ["_slot_mates"],
+                       "no diagram on the sphere": ["_check_planar"]}
+    assert sorted(name for name, f in functions.items() if "_check_planar" in _called(f)) == \
+        ["_validate", "parse_pd"]
+    names = set(functions) | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+        a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert {"_check_labels", "Counter"} & names == set()
 
 
 def _sign_negations(tree):
@@ -260,15 +286,19 @@ def test_polynomial_term_map_written_once():
 def test_engine_recursion_is_one_method():
     # every route of the engine (look up, Hecke trace, split product,
     # layered lift, skein step) lies in one recursive method, which takes
-    # one frame per level of the resolution tree and splits and reads
-    # braids in one place each
+    # one frame per level of the resolution tree and splits in one place
+    # and reads braids in one branch, the root as given and as simplified
     tree = _tree(Path(mortonlab.__file__).parent / "homfly.py")
     engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HomflyEngine")
     methods = {f.name: f for f in engine.body if isinstance(f, ast.FunctionDef)}
     assert list(methods) == ["__init__", "homfly", "_eval", "load_cache", "flush_cache"]
     called = [getattr(n.func, "attr", getattr(n.func, "id", None))
               for n in ast.walk(engine) if isinstance(n, ast.Call)]
-    assert (called.count("split_pieces"), called.count("read_braid")) == (1, 1)
+    assert (called.count("split_pieces"), called.count("read_braid")) == (1, 2)
+    reads = [sum(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "read_braid"
+                 for c in ast.walk(n.test))
+             for n in ast.walk(methods["_eval"]) if isinstance(n, ast.If)]
+    assert [k for k in reads if k] == [2]
     reach = {name: {n.attr for n in ast.walk(f) if isinstance(n, ast.Attribute)
                     and isinstance(n.value, ast.Name) and n.value.id == "self"} & methods.keys()
              for name, f in methods.items()}
