@@ -13,11 +13,11 @@ PD text X[a,b,c,d] lists the four edge labels counterclockwise from the
 incoming under-strand edge a, so c is outgoing under; the over-strand
 runs d -> b at a positive crossing and b -> d at a negative one.  Only
 parse_pd (which infers the signs from orientation consistency),
-Crossing.pd (for serialize and validation), validation's head/tail check
-(slot a, and d or b by sign, are heads), _check_planar (the face walk)
-and _renumber's label order use that order.  parse_pd and validation
-pair each label's two slots once (_slot_mates, which raises on a label
-outside 1..2c or met a third time) and check the rest over that pairing.
+Crossing.pd (for serialize and validation), _check_planar (the face
+walk) and _renumber's label order use that order.  parse_pd and
+validation pair each label's two slots once (_slot_mates, which raises
+on a label outside 1..2c or met a third time) and check planarity over
+that pairing.
 
 Derived structure is computed once per diagram: the component cycles,
 the edge table (the crossing each label enters, and whether under) and
@@ -92,17 +92,16 @@ class Diagram:
                 raise InvalidPDError(f"crossing {x} has sign {x.sign}")
         quads = [x.pd() for x in self.crossings]
         mate = _slot_mates(quads)
-        # a label needs one head slot (a, and d or b by sign) and one tail;
-        # scanning a, over_in, c, over_out, it is checked at its later slot.
-        # A sign may be any number equal to 1 or -1, so it is made an index
-        head = bytearray(len(mate))
-        for i, s in enumerate([int(x.sign) for x in self.crossings]):
-            head[4 * i] = head[4 * i + 2 + s] = 1
-            for k in (0, 2 + s, 2, 2 - s):
-                p = 4 * i + k
-                if mate[p] < p and head[mate[p]] == head[p]:
-                    raise InvalidPDError(f"edge {quads[i][k]} oriented inconsistently "
-                                         f"(two {'heads' if head[p] else 'tails'})")
+        # no edge has two heads or two tails (tails stored negated); as each
+        # label 1..2c occurs twice, every edge then has one of each
+        ends = set()
+        for x in self.crossings:
+            for e in (x.a, x.over_in, -x.c, -x.over_out):
+                if e in ends:
+                    raise InvalidPDError(
+                        f"edge {abs(e)} oriented inconsistently (two {'heads' if e > 0 else 'tails'})"
+                    )
+                ends.add(e)
         _check_planar(mate, self)
 
     # -- derived structure ---------------------------------------------
@@ -589,7 +588,7 @@ _TOKEN_RE = re.compile(
 def _tokenize(text):
     body = text.strip()
     if body.startswith("PD[") and body.endswith("]"):
-        body = body[3:-1]
+        body = body[3:-1].strip()
     tuples = []
     loops = 0
     pos = 0

@@ -264,13 +264,14 @@ class HomflyEngine:
             self.braid_evaluations += 1
             p = hecke_homfly(*braid, self._traces)
         elif not d.is_connected():
-            # a split raw has a split simplified form
-            pieces = (d if raw is None or raw.is_connected() else raw).split_pieces()
+            # a split raw has a split simplified form; d's pieces admit no move
+            split_raw = raw is not None and not raw.is_connected()
+            pieces = (raw if split_raw else d).split_pieces()
             p = delta_factor() ** (len(pieces) - 1)
             for piece in pieces:
                 if piece.crossings:
-                    p = p * (self._eval(piece) if raw is None else
-                             self._eval(piece.simplify(), piece))
+                    p = p * self._eval(piece.simplify() if split_raw else piece,
+                                       None if raw is None else piece)
         elif (i := choose_skein_crossing(d)) is None:
             p = _descending_value(d)
         elif isinstance(i, tuple):

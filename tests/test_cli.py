@@ -193,6 +193,11 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error: ")
 
+    def test_empty_wrapper_exit2(self, capsys):
+        assert run_command(["parse", "--pd", "PD[ ]"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("INVALID_PD: empty link")
+
     @pytest.mark.parametrize("cmd", ["parse", "homfly", "verify", "family"])
     def test_nonplanar_pd_exit2(self, cmd, capsys):
         argv = [cmd, "--pd", "X[1,4,2,3] X[2,4,3,1]"] + (["--gc", "1"] if cmd == "verify"

@@ -35,8 +35,9 @@ class TestParsing:
         assert parse_pd("free_loops=3").free_loops == 3
 
     def test_empty_link_rejected(self):
-        with pytest.raises(InvalidPDError):
-            parse_pd("")
+        for text in ("", "PD[]", "PD[ ]", "PD[\n]"):
+            with pytest.raises(InvalidPDError, match="^empty link: no crossings and no free loops$"):
+                parse_pd(text)
 
     def test_wrapped_form(self):
         d = parse_pd("PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]")
@@ -48,6 +49,10 @@ class TestParsing:
         ("O, O", "O O"),
         ("X[1,4,2,5] , X[3,6,4,1] X[5,2,6,3]", TREFOIL_PD),
         ("PD[X[1,4,2,5],X[3,6,4,1],\tX[5,2,6,3]]", TREFOIL_PD),
+        # blanks inside the wrapper, before its closing bracket too
+        ("PD[ X[1,4,2,5], X[3,6,4,1], X[5,2,6,3] ]", TREFOIL_PD),
+        ("PD[\n X[1,4,2,5],\n X[3,6,4,1],\n X[5,2,6,3]\n]", TREFOIL_PD),
+        ("PD[X[1,1,2,2] ]", "X[1,1,2,2]"),
     ])
     def test_comma_separators(self, text, spaced):
         assert parse_pd(text) == parse_pd(spaced)
