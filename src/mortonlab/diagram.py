@@ -19,9 +19,10 @@ validation pair each label's two slots once (_slot_mates, which raises
 on a label outside 1..2c or met a third time) and check planarity over
 that pairing.
 
-Derived structure is computed once per diagram: the component cycles,
-the edge table (the crossing each label enters, and whether under) and
-the connected pieces, which one strand walk over the edge table finds.
+Derived structure is computed once per diagram, and none of it stands
+for a free loop, which is only counted: the component cycles, the edge
+table (the crossing each label enters, and whether under) and the
+connected pieces, which one strand walk over the edge table finds.
 parse_pd and validation walk the pieces for the planarity check, so a
 diagram that enters carries them; _renumber and switch_crossing hand
 their results cycles and a table, and the canonical code's first walk
@@ -90,6 +91,9 @@ class Diagram:
         for x in self.crossings:
             if x.sign not in (1, -1):
                 raise InvalidPDError(f"crossing {x} has sign {x.sign}")
+            for e in x[:4]:
+                if not isinstance(e, int):
+                    raise InvalidPDError(f"edge label {e!r} is not an integer")
         quads = [x.pd() for x in self.crossings]
         mate = _slot_mates(quads)
         # no edge has two heads or two tails (tails stored negated); as each
@@ -107,15 +111,13 @@ class Diagram:
     # -- derived structure ---------------------------------------------
 
     def component_cycles(self):
-        """Oriented edge cycles, each rotated to start at its least label,
-        ordered by least label; free loops appended as empty tuples.  Also
-        records each label's cycle index in the list _comp."""
+        """Oriented edge cycles of the components with crossings, each
+        rotated to start at its least label and ordered by it.  Also records
+        each label's cycle index in the list _comp."""
         if self._cycles is None:
-            cycles, comp = _permutation_cycles(_successors(self.crossings),
-                                               2 * len(self.crossings))
-            cycles.extend(() for _ in range(self.free_loops))
+            cycles, self._comp = _permutation_cycles(_successors(self.crossings),
+                                                     2 * len(self.crossings))
             self._cycles = tuple(cycles)
-            self._comp = comp
         return self._cycles
 
     def _edge_table(self):
@@ -126,19 +128,15 @@ class Diagram:
         return self._ins
 
     def num_components(self):
-        return len(self.component_cycles())
+        return len(self.component_cycles()) + self.free_loops
 
     def writhe(self):
         return sum(x.sign for x in self.crossings)
 
     def is_connected(self):
-        """Connected projection: a lone free loop, or a connected crossing
-        graph with no extra free loops."""
-        if not self.crossings:
-            return self.free_loops == 1
-        if self.free_loops:
-            return False
-        return len(self._crossing_graph_pieces()) == 1
+        """Connected projection: one piece with crossings or one free loop
+        in all."""
+        return len(self._crossing_graph_pieces()) + self.free_loops == 1
 
     def _crossing_graph_pieces(self):
         """Crossing indices of each connected piece of the projection,
@@ -164,8 +162,8 @@ class Diagram:
         return self._pieces
 
     def split_pieces(self):
-        """Connected sub-diagrams of the projection, plus one 0-crossing
-        unknot per free loop; pieces ordered by least original edge label."""
+        """Connected sub-diagrams of the crossings, ordered by least original
+        edge label; free loops make no piece."""
         if self._split is None:
             pieces = []
             for idx in self._crossing_graph_pieces():
@@ -173,9 +171,7 @@ class Diagram:
                 key = min(min(x[:4]) for x in sub)
                 pieces.append((key, _renumber(sub, 0, _validated=True)))
             pieces.sort(key=lambda kv: kv[0])
-            out = [p for _, p in pieces]
-            out.extend(Diagram((), 1, _validated=True) for _ in range(self.free_loops))
-            self._split = tuple(out)
+            self._split = tuple(p for _, p in pieces)
         return self._split
 
     # -- crossing-level moves --------------------------------------------
@@ -260,10 +256,10 @@ class Diagram:
         if n == 0:
             self._pieces = []
             return b"U%d" % self.free_loops
-        ncomp = len(self.component_cycles()) - self.free_loops
+        ncomp = len(self.component_cycles())
         best = _least_tokens(self.crossings, ncomp, self._comp)
         if best is None:
-            parts = sorted(p.canonical_code() for p in self.split_pieces() if p.crossings)
+            parts = sorted(p.canonical_code() for p in self.split_pieces())
             return b"S" + b";".join(parts) + b"|%d" % self.free_loops
         self._pieces = [list(range(n))]
         if n > 62:
@@ -488,7 +484,7 @@ def _renumber(crossings, free_loops, _validated=False):
     for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
         cycles.append(tuple(range(lo, hi)))
         comp += [k] * (hi - lo)
-    out._cycles = tuple(cycles) + ((),) * free_loops
+    out._cycles = tuple(cycles)
     out._comp = comp
     return out
 
@@ -610,15 +606,14 @@ def parse_pd(text: str) -> Diagram:
     """Parse PD text ("X[a,b,c,d] ..." with optional PD[...] wrapper, O
     tokens, and a free_loops=k suffix) into a validated Diagram."""
     tuples, loops = _tokenize(text)
-    if not tuples:
-        return Diagram((), loops)
     mate = _slot_mates(tuples)
     signs = _derive_signs(tuples, mate)
     xs = [Crossing(a, c, d, b, s) if s > 0 else Crossing(a, c, b, d, s)
           for (a, b, c, d), s in zip(tuples, signs)]
     # _slot_mates checked the labels and the sign walk the orientation, so
-    # _validate would repeat them; the pieces _check_planar walks are carried
-    d = Diagram(xs, loops, _validated=True)
+    # only an empty link is left for _validate; the pieces _check_planar
+    # walks are carried
+    d = Diagram(xs, loops, _validated=bool(xs))
     _check_planar(mate, d)
     return d
 

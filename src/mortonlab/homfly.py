@@ -39,9 +39,10 @@ braid form (an R2 move across the closure) and can enter it (R1 moves
 that destabilize): a closed braid of at most braid.MAX_STRANDS (7)
 strands is evaluated by its Markov trace in the Hecke algebra (the braid
 module) and stored under the code of its simplified form, and a split
-root goes piece by piece the same way, times delta^(k-1).  Every other
-diagram takes the skein route.  The engine's expansions count skein
-steps only, and its braid_evaluations count Hecke traces.
+root goes piece by piece the same way, times delta^(k-1) for k pieces
+with crossings and free loops in all.  Every other diagram takes the
+skein route.  The engine's expansions count skein steps only, and its
+braid_evaluations count Hecke traces.
 
 The naive oracle and skein traces take the components in least-label
 order, each from its least label, with no cache, no simplification, no
@@ -110,7 +111,7 @@ def choose_skein_crossing(d: Diagram):
     xs = d.crossings
     ins = d._edge_table()
     cycles = d.component_cycles()
-    ncomp = len(cycles) - d.free_loops
+    ncomp = len(cycles)
     order = range(ncomp)
     if ncomp > 1:
         comp = d._comp
@@ -226,22 +227,22 @@ class HomflyEngine:
 
     The cache maps canonical codes of simplified diagrams to polynomials;
     lookups are exact-key only (never up to mirror) to keep chirality
-    honest.  Records read by load_cache wait as polynomial JSON bytes in a
-    map of this engine's own and enter the cache on their code's first
-    lookup.  One method, _eval, holds every route (look up, Hecke trace of
-    a root braid, split product, layered lift, skein step, store) and
-    takes one frame per level of the resolution tree; a diagram too deep
-    for the interpreter's recursion limit raises TooLargeError.  The Hecke
-    traces of permutations are memoized per engine, so a new engine starts
-    cold.
+    honest.  One map of this engine's own takes every code loaded from or
+    flushed to a cache file to a loaded record's polynomial JSON bytes,
+    decoded into the cache on a lookup that misses it, or to None for a
+    flushed entry, which the cache holds.  One method, _eval, holds every
+    route (look up, Hecke trace of a root braid, split product, layered
+    lift, skein step, store) and takes one frame per level of the
+    resolution tree; a diagram too deep for the interpreter's recursion
+    limit raises TooLargeError.  The Hecke traces of permutations are
+    memoized per engine, so a new engine starts cold.
     """
 
     def __init__(self):
         self.cache = {}
         self.expansions = 0
         self.braid_evaluations = 0
-        self._loaded_keys = set()
-        self._undecoded = {}
+        self._filed = {}
         self._traces = {}
 
     def homfly(self, d: Diagram) -> LaurentPoly2:
@@ -252,11 +253,11 @@ class HomflyEngine:
         pieces of a split one, as each move lies within one piece.  raw,
         when given, is a caller's diagram of which d is the simplified
         form: on a miss raw, then d, is read as a closed braid, and a
-        split d is split along raw's pieces when raw is split, else its
-        own, each taken the same way."""
+        split d is split along raw's pieces and free loops when raw is
+        split, else its own, each piece taken the same way."""
         code = d.canonical_code()
         p = self.cache.get(code)
-        if p is None and (text := self._undecoded.pop(code, None)) is not None:
+        if p is None and (text := self._filed.get(code)) is not None:
             p = self.cache[code] = LaurentPoly2.from_json(text)
         if p is not None:
             return p
@@ -266,12 +267,12 @@ class HomflyEngine:
         elif not d.is_connected():
             # a split raw has a split simplified form; d's pieces admit no move
             split_raw = raw is not None and not raw.is_connected()
-            pieces = (raw if split_raw else d).split_pieces()
-            p = delta_factor() ** (len(pieces) - 1)
+            whole = raw if split_raw else d
+            pieces = whole.split_pieces()
+            p = delta_factor() ** (len(pieces) + whole.free_loops - 1)
             for piece in pieces:
-                if piece.crossings:
-                    p = p * self._eval(piece.simplify() if split_raw else piece,
-                                       None if raw is None else piece)
+                p = p * self._eval(piece.simplify() if split_raw else piece,
+                                   None if raw is None else piece)
         elif (i := choose_skein_crossing(d)) is None:
             p = _descending_value(d)
         elif isinstance(i, tuple):
@@ -295,21 +296,20 @@ class HomflyEngine:
         raises ParseError naming path:line.  A missing file in an existing
         directory holds no records; one that cannot be opened or read,
         such as a file in a missing directory, raises CacheIOError.
-        A record's polynomial is decoded on its code's first lookup, and
-        only when the cache holds no entry for that code: entries already
-        in memory take precedence over the file's."""
+        The records join the engine's map of filed codes, and a record's
+        polynomial is decoded on a lookup of its code that misses the
+        cache: entries already in memory take precedence over the file's."""
         records = _read_cache_records(path)
-        self._undecoded.update(records)
-        self._loaded_keys.update(records)
+        self._filed.update(records)
         return len(records)
 
     def flush_cache(self, path):
         """Append the entries whose codes were neither loaded from nor
         flushed to a cache file before; returns how many."""
-        new = {k: v for k, v in self.cache.items() if k not in self._loaded_keys}
+        new = {k: v for k, v in self.cache.items() if k not in self._filed}
         if new:
             append_cache_file(path, new)
-            self._loaded_keys.update(new)
+            self._filed.update(dict.fromkeys(new))
         return len(new)
 
 

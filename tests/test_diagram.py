@@ -89,6 +89,10 @@ class TestParsing:
             parse_pd("X[1,9,2,9] X[2,3,1,3]")
         with pytest.raises(InvalidPDError, match=r"1\.\.2 each twice; offending label 0$"):
             Diagram([Crossing(1, 0, 2, 0, 1)])
+        with pytest.raises(InvalidPDError, match=r"^edge label '1' is not an integer$"):
+            Diagram([Crossing("1", "2", "2", "1", 1)])
+        with pytest.raises(InvalidPDError, match=r"^edge label 1\.0 is not an integer$"):
+            Diagram([Crossing(1.0, 2.0, 2.0, 1.0, 1)])
 
     def test_orientation_conflict(self):
         # edge 1 sits in two incoming-under slots (two heads)
@@ -117,7 +121,7 @@ class TestParsing:
         assert two._pieces == _reference_pieces(two) == [[0, 1, 2], [3, 4, 5]]
         assert beside_loop._pieces == _reference_pieces(beside_loop) == [[0, 1, 2]]
         assert len(two.split_pieces()) == 2
-        assert len(beside_loop.split_pieces()) == 2
+        assert len(beside_loop.split_pieces()) == 1
 
     @pytest.mark.parametrize("crossings, free_loops, message", [
         ((), -1, "free_loops must be nonnegative"),
@@ -144,7 +148,7 @@ class TestParsing:
         checked = 0
         for d in _braids() + _band_families() + doubles:
             under = {x.a for x in d.crossings}
-            if all(under.intersection(cyc) for cyc in d.component_cycles() if cyc):
+            if all(under.intersection(cyc) for cyc in d.component_cycles()):
                 assert parse_pd(d.serialize()) == d
                 checked += 1
         assert checked >= 300
@@ -363,10 +367,18 @@ class TestComponents:
         assert len(cycles) == 1
         assert sorted(cycles[0]) == [1, 2, 3, 4, 5, 6]
 
-    def test_free_loops_appended_as_empty(self):
+    def test_free_loops_counted_not_walked(self):
         d = parse_pd("O O")
-        assert list(d.component_cycles()) == [(), ()]
+        assert list(d.component_cycles()) == []
         assert d.num_components() == 2
+
+    def test_free_loops_beside_crossings(self):
+        # the loops are a count: no cycle or piece stands for one
+        d = parse_pd(TREFOIL_PD + " O O")
+        assert d.component_cycles() == ((1, 2, 3, 4, 5, 6),)
+        assert [p.crossings for p in d.split_pieces()] == [parse_pd(TREFOIL_PD).crossings]
+        assert d.num_components() == 3
+        assert d.canonical_code() == b"S\x01\x07\t\x03\x05\x0b\xfe|0|2"
 
     def test_label_partition(self, small_knots):
         for entry in small_knots:
@@ -620,7 +632,7 @@ def _reference_code(d):
     if n == 0:
         return b"U%d" % d.free_loops
     if not d.is_connected():
-        parts = sorted(_reference_code(p) for p in d.split_pieces() if p.crossings)
+        parts = sorted(_reference_code(p) for p in d.split_pieces())
         return b"S" + b";".join(parts) + b"|%d" % d.free_loops
     best = min(_reference_tokens(d, start) for start in range(1, 2 * n + 1))
     if n > 62:
@@ -787,7 +799,7 @@ class TestAgainstReferences:
             assert x._comp == fresh._comp
             assert x._ins is not None and x._ins == _entries(x.crossings)
 
-        renumbered = [d, d.simplify(), *(p for p in d.split_pieces() if p.crossings)]
+        renumbered = [d, d.simplify(), *d.split_pieces()]
         renumbered += [_reduce(d, (i,)) for i in range(len(d.crossings))]
         for x in renumbered:
             assert_carried(x)

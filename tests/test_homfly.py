@@ -54,6 +54,9 @@ class TestKnownValues:
         assert engine.homfly(parse_pd("O O")) == delta_factor()
         assert engine.homfly(parse_pd("free_loops=3")) == delta_factor() ** 2
 
+    def test_trefoil_beside_two_loops(self, engine):
+        assert engine.homfly(parse_pd(TREFOIL_PD + " O O")) == delta_factor() ** 2 * LEFT_TREFOIL
+
     def test_left_trefoil(self, engine):
         # switch-once gives the unknot, smooth gives the negative Hopf link;
         # expanding the skein relation by hand gives these three terms
@@ -218,7 +221,7 @@ def _reference_choice(d):
     first when the components run in ascending balance, ties by least
     label, each from the last basepoint from its least label that leaves
     the fewest (bad)."""
-    cycles = [cyc for cyc in d.component_cycles() if cyc]
+    cycles = d.component_cycles()
     comp = {e: k for k, cyc in enumerate(cycles) for e in cyc}
 
     def enters(e):
@@ -806,7 +809,7 @@ class TestCacheLoader:
         engine = HomflyEngine()
         assert engine.load_cache(path) == len(entries)
         assert {code: LaurentPoly2.from_json(text)
-                for code, text in engine._undecoded.items()} == entries
+                for code, text in engine._filed.items()} == entries
         lines = list(written)
         for _ in range(data.draw(st.integers(0, 3))):
             line = data.draw(st.sampled_from(written))
@@ -1109,3 +1112,25 @@ class TestEngineCounterPins:
         assert (engine.expansions, len(engine.cache)) == (7508, 10218)
         assert hashlib.sha256(p.to_json().encode()).hexdigest() == (
             "4a77c4a1c81d92f4a56b4da2da80ed5e7f812a1e002408475bfdd84a474643f8")
+
+    def test_loops_beside_crossings(self, small_knots):
+        # every diagram with free loops beside its crossings within three
+        # smoothings or switches of a table knot, by both routes: the split
+        # step's delta power counts the loops of the diagram it splits
+        found = {}
+        for entry in small_knots:
+            level = [entry.diagram]
+            for _ in range(3):
+                level = [y for x in level for i in range(len(x.crossings))
+                         for y in (x.smooth_crossing(i), x.switch_crossing(i))]
+                found.update((y, None) for y in level if y.free_loops and y.crossings)
+        digest = hashlib.sha256()
+        for d in found:
+            for route in (HomflyEngine.homfly, skein_homfly):
+                engine = HomflyEngine()
+                p = route(engine, d)
+                digest.update(repr((p.to_json(), sorted(engine.cache), engine.expansions,
+                                    engine.braid_evaluations)).encode())
+        assert len(found) == 211
+        assert digest.hexdigest() == (
+            "9054029be786d59faab8850c173aa7ad7bb09ade74ba544902aff84c74867809")

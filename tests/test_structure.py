@@ -6,7 +6,8 @@ successor map, the PD slot pairing, the crossing switch, the R2-pair
 test and the polynomial term-map code written once, a diagram's label
 and planarity errors each raised in one function over that pairing,
 every engine route in one recursive method that splits and reads braids
-in one place each and looks each code up once, RecursionError caught in
+in one place each and looks each code up once, free loops built as no
+diagram and filed cache codes kept in one map, RecursionError caught in
 one function, a package namespace that does not shadow its modules, the
 attributes the benchmark's layer trace wraps, crossing strands stored as
 fields, PD slots read only in diagram.py, a braid reader and diagram
@@ -305,6 +306,17 @@ def test_engine_recursion_is_one_method():
     for _ in methods:  # close over calls of calls
         reach = {name: r.union(*(reach[c] for c in r)) for name, r in reach.items()}
     assert [name for name, r in reach.items() if name in r] == ["_eval"]
+
+
+def test_free_loops_and_filed_codes_kept_in_one_form():
+    # free loops are a count, so no 0-crossing Diagram((), ...) stands for
+    # one; the codes of the engine's cache files are one map, with no
+    # separate queue of records to decode or set of written keys
+    built = [f"{path.name}:{n.lineno}" for path in SOURCES for n in ast.walk(_tree(path))
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Diagram"
+             and n.args and isinstance(n.args[0], (ast.Tuple, ast.List)) and not n.args[0].elts]
+    assert built == []
+    assert {"_undecoded", "_loaded_keys"} & vars(HomflyEngine()).keys() == set()
 
 
 def test_recursion_error_caught_once():
