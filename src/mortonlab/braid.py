@@ -43,36 +43,48 @@ e is v^e times its product of g_i^s (s = +-1), and elements are
 combinations of g_w = v^-l(w) T_w, w in S_n.  Right multiplication by
 g_i^s takes g_w to g_(w s_i) and, when w(i) > w(i+1) for s = 1 or
 w(i) < w(i+1) for s = -1, adds s z g_w as well: the skein weights of a
-switch and a smoothing with v^(2s) and v^s divided out.  The closure is invariant under conjugation and, with no
-writhe factor in this convention, under stabilization; a free strand
-multiplies it by delta.  So the trace of g_w on n strands is delta times
-that of g_w' on n - 1 when w fixes n.  Otherwise w = u s_(n-1) ... s_k
+switch and a smoothing with v^(2s) and v^s divided out.  A run of m
+equal letters is one pass: g_i^(+-m) = a + b g_i with a, b in Z[z], so it
+takes g_w and g_(w s_i) to combinations of the two by one 2x2 matrix.
+The closure is invariant under conjugation, so the word is first rotated
+to start where its letter changes, and no run wraps around its end.  With
+no writhe factor in this convention the closure is invariant under
+stabilization too, and a free strand multiplies it by delta.  So the
+trace of g_w on n strands is delta times that of g_w' on n - 1 when w
+fixes n.  Otherwise w = u s_(n-1) ... s_k
 with u in S_(n-1) and k the position of n, T_(n-1) is dropped from
 T_w = T_u T_(n-1) ... T_k, and the trace is that of v^-1 g_u g_(n-2) ...
 g_k on n - 1 strands.  This partial trace is applied to the whole
-combination one strand at a time.  A term met b deltas on its way down to
-one strand, and n - 1 - b factors v^-1, so
+combination one strand at a time, its terms grouped by k: the group with
+k = n gives delta g_w', each other group is multiplied out once by
+g_(n-2) ... g_k, and the results are summed into one combination on
+n - 1 strands.  A term met b deltas on its way down to one strand, and
+n - 1 - b factors v^-1, so
 P = v^e sum_b delta^b v^-(n-1-b) c_b(z): every coefficient lies in
 Z[z, delta], and the powers of v are read off those of delta at the end.
 
-Packing.  Each coefficient is one int, its value at z = 2^B and
-delta = 2^(B J), with B = L + (n-1)(n-2)/2 + 2 and J = B - 1 for a word of
-L letters.  This substitution is a ring homomorphism, so the word costs
-int sums, shifts and negations, the partial trace one int product per
-term, and the final int is the value of the final polynomial, whatever the
-intermediate ones were.  That value is decoded once, as balanced base-2^B
-digits, the digit at place i + J b being the coefficient of z^i delta^b.
+Packing.  A permutation w on n <= 7 strands is one int, sum_i w(i) 8^i,
+so swapping two of its values is an xor.  Each coefficient is one int,
+its value at z = 2^B and delta = 2^(B J), with B = L + (n-1)(n-2)/2 + 2
+and J = B - 1 for a word of L letters.  This substitution is a ring homomorphism, so a letter and a
+partial trace cost int sums, shifts and negations, a run four int
+products per pair, and the final int is the value of the final
+polynomial, whatever the intermediate ones were.  That value is decoded
+once, as balanced base-2^B digits, the digit at place i + J b being the
+coefficient of z^i delta^b.
 The decoding is exact because the final polynomial is small: a letter at
 most doubles the sum of the absolute coefficients and raises the z-degree
 by at most 1, and removing strand m applies at most m - 2 letters, so the
 z-degree is at most B - 2 < J and every coefficient is at most 2^(B-2) in
-size, inside the digit range [-2^(B-1), 2^(B-1)).  A memo maps (B,
-permutation) to the packed partial trace, as the packing depends on B.
+size, inside the digit range [-2^(B-1), 2^(B-1)).  The bound is on the
+final polynomial alone, so it holds however that polynomial is reached:
+runs, the rotation and the grouped partial traces change only the order
+of ring operations.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import groupby
 from math import comb
 
 from .diagram import Diagram
@@ -136,60 +148,78 @@ def read_braid(d: Diagram):
     return tuple(word), s
 
 
-def hecke_homfly(word, strands, memo) -> LaurentPoly2:
+def hecke_homfly(word, strands) -> LaurentPoly2:
     """P of the closure of a braid word on strands strands (letters as in
-    family.braid_closure), by the Markov trace.  memo maps (B, permutation)
-    to packed partial traces; an engine keeps one for all its braids."""
+    family.braid_closure), by the Markov trace."""
     bits = len(word) + (strands - 1) * (strands - 2) // 2 + 2
-    state = {tuple(range(strands)): 1}
-    for letter in word:
-        state = _times(state, abs(letter) - 1, letter > 0, bits)
-    for _ in range(strands - 1):
-        out = defaultdict(int)
-        for w, c in state.items():
-            pt = memo.get((bits, w))
-            if pt is None:
-                pt = memo[bits, w] = _partial_trace(w, bits)
-            for u, k in pt:
-                out[u] += c * k
-        state = out
+    # a conjugate that starts where the letter changes, so no run of equal
+    # letters wraps around its end
+    r = next((i for i in range(len(word)) if word[i] != word[i - 1]), 0)
+    state = {sum(i << 3 * i for i in range(strands)): 1}
+    for letter, run in groupby(word[r:] + word[:r]):
+        m = sum(1 for _ in run)
+        state = _times(state, abs(letter) - 1, m if letter > 0 else -m, bits)
+    for n in range(strands, 1, -1):
+        state = _partial_trace(state, n, bits)
     writhe = sum(1 if letter > 0 else -1 for letter in word)
-    return _unpack(state.get((0,), 0), bits, writhe - strands + 1)
+    return _unpack(state.get(0, 0), bits, writhe - strands + 1)
 
 
-def _partial_trace(w, bits):
-    """The partial trace of g_w on len(w) strands: (u, packed coefficient)
-    pairs of a combination of g_u on one strand fewer, v^-1 left implied
-    wherever delta is absent."""
-    n = len(w)
-    k = w.index(n - 1)
-    if k == n - 1:
-        return [(w[:-1], 1 << bits * (bits - 1))]
-    state = {w[:k] + w[k + 1:]: 1}
-    for p in range(n - 3, k - 1, -1):
-        state = _times(state, p, True, bits)
-    return list(state.items())
+def _partial_trace(state, n, bits):
+    """The partial trace of a packed combination of g_w on n strands: a
+    combination of g_u on n - 1, v^-1 left implied wherever delta is
+    absent.  The terms are grouped by the position k of strand n - 1 in w:
+    the group k = n - 1 gives delta g_w', and each other group, with that
+    strand taken out, is multiplied out once by the generators at positions
+    n - 3 down to k."""
+    groups = [{} for _ in range(n)]
+    for w, c in state.items():
+        # strand n - 1 is digit k of w; drop that digit
+        k = 0
+        while w >> 3 * k & 7 != n - 1:
+            k += 1
+        groups[k][(w & (1 << 3 * k) - 1) | (w >> 3 * k + 3 << 3 * k)] = c
+    shift = bits * (bits - 1)
+    out = {u: c << shift for u, c in groups[n - 1].items()}
+    for k in range(n - 2, -1, -1):
+        group = groups[k]
+        for p in range(n - 3, k - 1, -1):
+            group = _times(group, p, 1, bits)
+        for u, c in group.items():
+            out[u] = out.get(u, 0) + c
+    return out
 
 
-def _times(state, p, positive, bits):
-    """A packed combination {w: nonzero coefficient} of g_w times g^(+-1),
+def _times(state, p, power, bits):
+    """A packed combination {w: nonzero coefficient} of g_w times g^power,
     the generator at positions p and p + 1 (0-based).  Each w and its swap
     form a pair lo, hi with lo(p) < lo(p + 1), and g_lo g = g_hi,
-    g_hi g = g_lo + z g_hi, g_lo g^-1 = g_hi - z g_lo, g_hi g^-1 = g_lo."""
+    g_hi g = g_lo + z g_hi, g_lo g^-1 = g_hi - z g_lo, g_hi g^-1 = g_lo.
+    A run of m > 1 letters is one pass: g^(+-m) = a + b g, so g_lo goes to
+    a g_lo + b g_hi and g_hi to b g_lo + (a + z b) g_hi."""
+    if power not in (1, -1):
+        a, b = 1, 0
+        for _ in range(abs(power)):
+            a, b = (b, a + (b << bits)) if power > 0 else (b - (a << bits), a)
+        d = a + (b << bits)
+    s = 3 * p
+    both = 9 << s
     out = {}
     for w, c in state.items():
-        a, b = w[p], w[p + 1]
-        ws = w[:p] + (b, a) + w[p + 2:]
-        if a < b:
+        x, y = w >> s & 7, w >> s + 3 & 7
+        ws = w ^ (x ^ y) * both
+        if x < y:
             lo, hi, c_lo, c_hi = w, ws, c, state.get(ws, 0)
         elif ws in state:
             continue
         else:
             lo, hi, c_lo, c_hi = ws, w, 0, c
-        if positive:
+        if power == 1:
             c_lo, c_hi = c_hi, c_lo + (c_hi << bits)
-        else:
+        elif power == -1:
             c_lo, c_hi = c_hi - (c_lo << bits), c_lo
+        else:
+            c_lo, c_hi = a * c_lo + b * c_hi, b * c_lo + d * c_hi
         if c_lo:
             out[lo] = c_lo
         if c_hi:

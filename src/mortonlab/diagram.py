@@ -587,18 +587,17 @@ def _tokenize(text):
         body = body[3:-1].strip()
     tuples = []
     loops = 0
-    pos = 0
-    while pos < len(body):
-        m = _TOKEN_RE.match(body, pos)
-        if m.group("x"):
-            tuples.append(tuple(int(v) for v in m.group("t").split(",")))
-        elif m.group("o"):
+    # every position of the stripped body starts a match, so the matches
+    # findall reports are contiguous and cover it
+    for x, t, o, fl, k, junk in _TOKEN_RE.findall(body):
+        if x:
+            tuples.append(tuple(int(v) for v in t.split(",")))
+        elif o:
             loops += 1
-        elif m.group("fl"):
-            loops += int(m.group("k"))
+        elif fl:
+            loops += int(k)
         else:
-            raise ParseError(f"unrecognized token {m.group('junk')!r}")
-        pos = m.end()
+            raise ParseError(f"unrecognized token {junk!r}")
     return tuples, loops
 
 

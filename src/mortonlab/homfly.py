@@ -234,8 +234,7 @@ class HomflyEngine:
     route (look up, Hecke trace of a root braid, split product, layered
     lift, skein step, store) and takes one frame per level of the
     resolution tree; a diagram too deep for the interpreter's recursion
-    limit raises TooLargeError.  The Hecke traces of permutations are
-    memoized per engine, so a new engine starts cold.
+    limit raises TooLargeError.
     """
 
     def __init__(self):
@@ -243,7 +242,6 @@ class HomflyEngine:
         self.expansions = 0
         self.braid_evaluations = 0
         self._filed = {}
-        self._traces = {}
 
     def homfly(self, d: Diagram) -> LaurentPoly2:
         return _guarded(d, lambda: self._eval(d.simplify(), d))
@@ -263,7 +261,7 @@ class HomflyEngine:
             return p
         if raw is not None and (braid := read_braid(raw) or raw is not d and read_braid(d)):
             self.braid_evaluations += 1
-            p = hecke_homfly(*braid, self._traces)
+            p = hecke_homfly(*braid)
         elif not d.is_connected():
             # a split raw has a split simplified form; d's pieces admit no move
             split_raw = raw is not None and not raw.is_connected()

@@ -1,6 +1,7 @@
 """The Hecke route for closed braids: the braid reader, the Markov trace
-against the skein route, the naive oracle and its own invariance under
-Markov moves, and the engine's use of both."""
+(runs of equal letters included) against the skein route, the naive
+oracle and its own invariance under Markov moves, and the engine's use of
+both."""
 
 import random
 from hashlib import sha256
@@ -66,7 +67,7 @@ class TestDifferential:
             braid = read_braid(d)
             if braid is not None:
                 read += 1
-                assert hecke_homfly(*braid, {}) == skein_homfly(HomflyEngine(), d)
+                assert hecke_homfly(*braid) == skein_homfly(HomflyEngine(), d)
         assert read
 
 
@@ -81,30 +82,86 @@ class TestTrace:
         for n in range(2, 65):
             switched, smoothed = _skein_terms(1, expected[n - 2], expected[n - 1])
             expected.append(switched + smoothed)
-        memo = {}
+        # each word is one run, so this is the run's one pass for every
+        # power up to 64
         for n, p in enumerate(expected):
-            assert hecke_homfly((1,) * n, 2, memo) == p, n
-            assert hecke_homfly((-1,) * n, 2, memo) == p.mirror(), n
+            assert hecke_homfly((1,) * n, 2) == p, n
+            assert hecke_homfly((-1,) * n, 2) == p.mirror(), n
 
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared-memo", "memo-per-word"])
-    def test_markov_moves_and_mirror(self, shared):
-        # seeded words of 24-48 letters on 5-7 strands; a shared memo holds
-        # the partial traces of words of many lengths side by side
+    def test_markov_moves_and_mirror(self):
+        # seeded words of 24-48 letters on 5-7 strands
         rng = random.Random(71)
-        memo = {}
         for strands in (5, 6, 7) * 3:
             word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
                     for _ in range(rng.randint(24, 48))]
-            if not shared:
-                memo = {}
-            p = hecke_homfly(word, strands, memo)
-            assert p, word
-            r = rng.randrange(1, len(word))
-            assert hecke_homfly(word[r:] + word[:r], strands, memo) == p, (word, r)
-            if strands < MAX_STRANDS:
-                for s in (strands, -strands):
-                    assert hecke_homfly(word + [s], strands + 1, memo) == p, (word, s)
-            assert hecke_homfly([-g for g in word], strands, memo) == p.mirror(), word
+            _check_identities(word, strands, rng)
+
+
+def _check_identities(word, strands, rng):
+    """The trace of a word is nonzero, unchanged by a rotation and by a
+    stabilization of either sign, and mirrored with the word; returns it."""
+    p = hecke_homfly(word, strands)
+    assert p, word
+    r = rng.randrange(1, len(word))
+    assert hecke_homfly(word[r:] + word[:r], strands) == p, (word, r)
+    if strands < MAX_STRANDS:
+        for s in (strands, -strands):
+            assert hecke_homfly(word + [s], strands + 1) == p, (word, s)
+    assert hecke_homfly([-g for g in word], strands) == p.mirror(), word
+    return p
+
+
+def _run_words(count, seed, letters):
+    """(word, strands) of seeded braids on 2-7 strands made of powers
+    sigma_i^(+-k), 1 <= k <= 8, about letters (a range) letters long.  A
+    word is rotated to start one letter into a run of 2 or more when it
+    has one, so that run is split across its end."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(2, MAX_STRANDS)
+        target = rng.randint(*letters)
+        word, runs = [], []
+        while len(word) < target:
+            g = rng.choice([1, -1]) * rng.randint(1, strands - 1)
+            k = rng.randint(1, 8)
+            if k > 1:
+                runs.append(len(word))
+            word += [g] * k
+        if runs:
+            r = rng.choice(runs) + 1
+            word = word[r:] + word[:r]
+        out.append((word, strands))
+    return out
+
+
+class TestRuns:
+    """Words with runs of equal letters, which the trace applies in one
+    pass each; random letters rarely repeat three times."""
+
+    def test_runs_match_skein_route(self):
+        words = _run_words(240, seed=73, letters=(8, 20))
+        assert sum(w[0] == w[-1] for w, _ in words) > 200
+        for word, strands in words:
+            d = braid_closure(word, strands)
+            assert hecke_homfly(word, strands) == skein_homfly(HomflyEngine(), d), (word, strands)
+
+    def test_long_runs_keep_markov_moves_mirror_and_broken_runs(self):
+        # beyond the skein route's reach: besides the identities, a
+        # cancelling pair of another generator between every two letters
+        # of each run leaves the braid, and its trace, alone while every
+        # letter is taken on its own
+        rng = random.Random(79)
+        for word, strands in _run_words(36, seed=79, letters=(24, 48)):
+            p = _check_identities(word, strands, rng)
+            if strands > 2:
+                broken = [word[0]]
+                for prev, g in zip(word, word[1:]):
+                    if g == prev:
+                        h = abs(g) % (strands - 1) + 1
+                        broken += [h, -h]
+                    broken.append(g)
+                assert hecke_homfly(broken, strands) == p, (word, strands)
 
 
 class TestReader:
@@ -118,7 +175,7 @@ class TestReader:
         assert sorted(name for name, b in read.items() if b is not None) == BRAID_TABLE_DIAGRAMS
         for e in small_knots:
             if read[e.name] is not None:
-                assert hecke_homfly(*read[e.name], {}) == naive_homfly(e.diagram), e.name
+                assert hecke_homfly(*read[e.name]) == naive_homfly(e.diagram), e.name
 
     def test_plat_and_band_verdicts_are_pinned(self, small_knots):
         # 4-plats C(a, b) and C(a, b, c) in each handedness of both kinds of
@@ -147,7 +204,7 @@ class TestReader:
         engine = HomflyEngine()
         for d, b in zip(diagrams, braids):
             if b is not None:
-                assert hecke_homfly(*b, {}) == skein_homfly(engine, d), d
+                assert hecke_homfly(*b) == skein_homfly(engine, d), d
 
     def test_reads_the_closure_it_was_built_from(self):
         # the circles fix the word up to rotation, commuting letters and
@@ -175,7 +232,7 @@ class TestReader:
         d = braid_closure([1, 2, 3, 4, 5, 6, 7] * 2, MAX_STRANDS + 1)
         assert read_braid(d) is None and d.simplify() is d
         engine = HomflyEngine()
-        assert engine.homfly(d) == hecke_homfly((1,) * 8, 2, {})
+        assert engine.homfly(d) == hecke_homfly((1,) * 8, 2)
         assert engine.expansions > 0 and engine.braid_evaluations == 0
         stabilized = braid_closure([1, 1, 1, 2, 3, 4, 5, 6], MAX_STRANDS)
         assert read_braid(stabilized) is not None
@@ -187,12 +244,6 @@ def _key_digest(engine):
 
 
 class TestEngineRoute:
-    def test_trace_memo_belongs_to_the_engine(self):
-        warm = HomflyEngine()
-        warm.homfly(braid_closure([1, 2, 3] * 5, 4))
-        assert warm._traces
-        assert HomflyEngine()._traces == {}
-
     def test_split_root_is_evaluated_piece_by_piece(self):
         # two braid pieces and a free strand: one entry for the root and one
         # for each piece

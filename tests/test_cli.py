@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -395,6 +396,17 @@ class TestCommands:
         obj = json.loads(capsys.readouterr().out)
         assert obj["c"] == 14 and obj["components"] == 1
         assert obj["genus"] <= obj["genus_bound_crossings_of_base"]
+
+    @pytest.mark.parametrize("twists", ["100000000000", "-10001", "1e3"])
+    def test_double_twists_out_of_range_exit2(self, twists, capsys):
+        # 2 |twists| crossings are built one at a time, so a huge count
+        # would run out of memory before it is rejected
+        start = time.process_time()
+        assert run_command(["double", "--pd", TREFOIL_PD, "--twists", twists]) == 2
+        assert time.process_time() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--twists: expected an integer from -10000 to 10000" in err
+        assert _build_parser().parse_args(["double", "--twists", "-10000"]).twists == -10000
 
     def test_oracle_check(self, tmp_path, capsys):
         p = tmp_path / "t.csv"

@@ -6,9 +6,9 @@ successor map, the PD slot pairing, the crossing switch, the R2-pair
 test and the polynomial term-map code written once, a diagram's label
 and planarity errors each raised in one function over that pairing,
 every engine route in one recursive method that splits and reads braids
-in one place each and looks each code up once, free loops built as no
-diagram and filed cache codes kept in one map, RecursionError caught in
-one function, a package namespace that does not shadow its modules, the
+in one place each and looks each code up once, a Hecke trace that keeps
+no state between calls, free loops built as no diagram and filed cache
+codes kept in one map, RecursionError caught in one function, a package namespace that does not shadow its modules, the
 attributes the benchmark's layer trace wraps, crossing strands stored as
 fields, PD slots read only in diagram.py, a braid reader and diagram
 pieces without union-find, and a cold evaluation that neither validates
@@ -19,6 +19,7 @@ scripts/: nothing imported from the test tree."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ import pytest
 import mortonlab
 from helpers import SPLIT_WHEN_SIMPLIFIED_PD, skein_homfly, trefoil_beside_its_double
 
+from mortonlab.braid import hecke_homfly
 from mortonlab.diagram import Crossing, Diagram, parse_pd
 from mortonlab.family import braid_closure, whitehead_double
 from mortonlab.homfly import HomflyEngine
@@ -306,6 +308,14 @@ def test_engine_recursion_is_one_method():
     for _ in methods:  # close over calls of calls
         reach = {name: r.union(*(reach[c] for c in r)) for name, r in reach.items()}
     assert [name for name, r in reach.items() if name in r] == ["_eval"]
+
+
+def test_trace_keeps_no_state_between_calls():
+    # the Hecke trace reads only its word and strand count, so it keeps
+    # nothing on the engine, which holds its cache, its two counters and
+    # its filed codes alone
+    assert list(inspect.signature(hecke_homfly).parameters) == ["word", "strands"]
+    assert vars(HomflyEngine()).keys() == {"cache", "expansions", "braid_evaluations", "_filed"}
 
 
 def test_free_loops_and_filed_codes_kept_in_one_form():
