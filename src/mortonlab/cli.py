@@ -52,9 +52,10 @@ from .seifert import seifert_circles
 __all__ = ["KnotTableEntry", "load_knot_table", "run_command", "export_report", "main"]
 
 CACHE_ENV = "MORTONLAB_CACHE"
-# a double gets 2 |twists| crossings, built one at a time: at this bound
-# `double` takes about 0.2 s and 43 MB
-MAX_TWISTS = 10_000
+# the bound of --twists either way and of each --ns count: a double gets
+# 2 |twists| crossings and L_n a band of n, built one at a time; at this
+# bound `double` takes about 0.2 s and 43 MB
+MAX_CHAIN = 10_000
 
 
 @dataclass
@@ -142,36 +143,24 @@ def export_report(payload, fmt) -> bytes:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _count(text):
-    """argparse type of an integer >= 0, such as a count or a crossing index."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+def _number(cast, low, high=None):
+    """argparse type of a number from low to high (no upper bound when high
+    is None) as cast reads it; NaN is in no range."""
+    kind = "an integer" if cast is int else "a number"
+    span = f">= {low}" if high is None else f"from {low} to {high}"
+
+    def read(text):
+        try:
+            value = cast(text)
+            if low <= value and (high is None or value <= high):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {kind} {span}, got {text!r}")
+    return read
 
 
-def _twists(text):
-    """argparse type of a twist count of at most MAX_TWISTS either way."""
-    try:
-        if abs(int(text)) <= MAX_TWISTS:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected an integer from -{MAX_TWISTS} to {MAX_TWISTS}, got {text!r}")
-
-
-def _seconds(text):
-    """argparse type of a number of seconds >= 0 (NaN is not one)."""
-    try:
-        if float(text) >= 0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
-
+_COUNT = _number(int, 0)
 
 _SHARED_OPTIONS = {
     "--pd": {"help": "PD text, e.g. \"X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]\""},
@@ -179,8 +168,8 @@ _SHARED_OPTIONS = {
     "--name": {"help": "entry name inside --table"},
     "--cache": {"help": f"polynomial cache file (or ${CACHE_ENV})"},
     "--out": {"help": "write primary output to this file instead of stdout"},
-    "--crossing": {"type": lambda text: text if text == "auto" else _count(text),
-                   "default": "auto"},
+    # every crossing of a diagram on the sphere joins two Seifert circles
+    "--crossing": {"type": lambda text: 0 if text == "auto" else _COUNT(text), "default": 0},
 }
 
 
@@ -215,32 +204,34 @@ def _build_parser():
 
     p = command("family", "emit parallel-band diagrams L_n",
                 "--pd --table --name --out --crossing", ("table", "json"))
-    p.add_argument("--ns", type=lambda text: [_count(v) for v in text.split(",") if v != ""],
-                   default="0,1,2,3", help="comma-separated band counts")
+    band = _number(int, 0, MAX_CHAIN)
+    p.add_argument("--ns", type=lambda text: [band(v) for v in text.split(",") if v != ""],
+                   default="0,1,2,3",
+                   help=f"comma-separated band counts, each at most {MAX_CHAIN:,}")
 
     p = command("verify", "audit M(L_n) < 2*gc - 1 + n over a family",
                 "--pd --table --name --cache --out --crossing", ("table", "json", "csv"),
                 ("auto", "off"))
-    p.add_argument("--gc", type=_count, required=True, help="knot-level canonical genus (given)")
-    p.add_argument("--nmax", type=_count, default=5)
-    p.add_argument("--budget", type=_seconds, default=None, help="seconds")
+    p.add_argument("--gc", type=_COUNT, required=True, help="knot-level canonical genus (given)")
+    p.add_argument("--nmax", type=_COUNT, default=5)
+    p.add_argument("--budget", type=_number(float, 0), default=None, help="seconds")
     p.add_argument("--expect", help="expected base polynomial as JSON term records")
 
     p = command("skein-tree", "materialize the resolution tree", "--pd --table --name --out",
                 ("dot", "json"))
-    p.add_argument("--trace-limit", type=_count, default=DEFAULT_TRACE_LIMIT,
+    p.add_argument("--trace-limit", type=_COUNT, default=DEFAULT_TRACE_LIMIT,
                    help="max crossings; bounds crossing count, not tree size (a tree of "
                         f"more than {TRACE_NODE_LIMIT:,} nodes exits 2 with TOO_LARGE)")
 
     p = command("double", "blackboard-framed Whitehead double", "--pd --table --name --out",
                 ("json", "csv"))
     p.add_argument("--clasp", type=int, default=1, choices=[1, -1])
-    p.add_argument("--twists", type=_twists, default=0,
-                   help=f"full twists of the band, at most {MAX_TWISTS:,} either way")
+    p.add_argument("--twists", type=_number(int, -MAX_CHAIN, MAX_CHAIN), default=0,
+                   help=f"full twists of the band, at most {MAX_CHAIN:,} either way")
 
     p = command("oracle-check", "homfly vs naive oracle over a table", "--table --cache --out",
                 ("json", "csv"))
-    p.add_argument("--limit", type=_count, default=DEFAULT_ORACLE_LIMIT,
+    p.add_argument("--limit", type=_COUNT, default=DEFAULT_ORACLE_LIMIT,
                    help="max crossings; bounds crossing count, not time (18 s CPU at 10 crossings)")
 
     return top
@@ -269,21 +260,10 @@ def _emit(data: bytes, args):
         sys.stdout.write(data.decode())
 
 
-def _auto_crossing(d):
-    """Crossing 0 of a connected diagram: on the sphere every crossing
-    joins two Seifert circles."""
-    if not d.is_connected():
-        raise DisconnectedError("parallel bands need a connected diagram")
-    if not d.crossings:
-        raise UsageError("no crossing to insert parallel bands at")
-    return 0
-
-
 def run_command(argv) -> int:
     """Dispatch a CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -384,8 +364,10 @@ def _seifert(args, d, name, engine, expected):
 
 
 def _family(args, d, name, engine, expected):
-    crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
-    members = [(n, insert_parallel_bands(d, crossing, n)) for n in args.ns]
+    # L_0 is built first, as verify_theorem_family builds it, so a bad
+    # --crossing is rejected even when --ns lists no member
+    l0 = insert_parallel_bands(d, args.crossing, 0)
+    members = [(n, insert_parallel_bands(d, args.crossing, n) if n else l0) for n in args.ns]
     if args.fmt == "table":
         return "".join(dn.serialize() + "\n" for _, dn in members).encode(), 0, []
     manifest = []
@@ -399,17 +381,15 @@ def _family(args, d, name, engine, expected):
             "components": dn.num_components(),
             "pd": dn.serialize(),
         })
-    return export_report({"base": name, "crossing": crossing, "members": manifest},
+    return export_report({"base": name, "crossing": args.crossing, "members": manifest},
                          args.fmt), 0, []
 
 
 def _verify(args, d, name, engine, expected):
-    crossing = _auto_crossing(d) if args.crossing == "auto" else args.crossing
     try:
         report = verify_theorem_family(
-            FamilySpec(d, crossing, []), gc_claimed=args.gc, n_max=args.nmax, engine=engine,
-            budget_seconds=args.budget, base_name=name,
-        )
+            FamilySpec(d, args.crossing, []), gc_claimed=args.gc, n_max=args.nmax, engine=engine,
+            budget_seconds=args.budget, base_name=name)
     except MFWViolationError as exc:
         return None, 1, [f"MFW_VIOLATION {name}: {exc}"]
     code = 0 if report.all_strict() else 1

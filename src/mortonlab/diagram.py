@@ -32,6 +32,7 @@ records the pieces of a diagram whose crossings form one piece.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import chain
 from typing import NamedTuple
 
@@ -196,8 +197,10 @@ class Diagram:
         return _reduce(self, (i,), moves=False)
 
     def _crossing(self, i):
-        if not isinstance(i, int) or not 0 <= i < len(self.crossings):
-            raise IndexError(f"crossing index {i} out of range (0..{len(self.crossings) - 1})")
+        n = len(self.crossings)
+        if not isinstance(i, int) or not 0 <= i < n:
+            raise IndexError(f"crossing index {i} out of range "
+                             + (f"(0..{n - 1})" if n else "(the diagram has no crossings)"))
         return self.crossings[i]
 
     def simplify(self):
@@ -589,15 +592,19 @@ def _tokenize(text):
     loops = 0
     # every position of the stripped body starts a match, so the matches
     # findall reports are contiguous and cover it
-    for x, t, o, fl, k, junk in _TOKEN_RE.findall(body):
-        if x:
-            tuples.append(tuple(int(v) for v in t.split(",")))
-        elif o:
-            loops += 1
-        elif fl:
-            loops += int(k)
-        else:
-            raise ParseError(f"unrecognized token {junk!r}")
+    try:
+        for x, t, o, fl, k, junk in _TOKEN_RE.findall(body):
+            if x:
+                tuples.append(tuple(int(v) for v in t.split(",")))
+            elif o:
+                loops += 1
+            elif fl:
+                loops += int(k)
+            else:
+                raise ParseError(f"unrecognized token {junk!r}")
+    except ValueError as exc:  # from int(), past its digit limit
+        raise ParseError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits") from exc
     return tuples, loops
 
 

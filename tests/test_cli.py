@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -29,6 +30,7 @@ from mortonlab.family import (
 from mortonlab.homfly import HomflyEngine, skein_trace
 from mortonlab.morton import verify_theorem_family
 from mortonlab.poly import LaurentPoly2
+from mortonlab.seifert import seifert_circles
 
 SMALL = os.path.join(DATA_DIR, "small_knots.csv")
 
@@ -181,18 +183,51 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("INDEX_OUT_OF_RANGE: ")
 
+    @pytest.mark.parametrize("pd, crossing, message", [
+        (TREFOIL_PD, ["--crossing", "7"], "crossing index 7 out of range (0..2)"),
+        ("O", [], "crossing index 0 out of range (the diagram has no crossings)"),
+        ("O", ["--crossing", "auto"],
+         "crossing index 0 out of range (the diagram has no crossings)"),
+    ], ids=["past-the-end", "crossingless", "crossingless-auto"])
+    def test_family_checks_crossing_before_members(self, pd, crossing, message, capsys):
+        # family builds L_0 first, as verify does, so an empty --ns is no
+        # way round the check, and both commands give the same message
+        for argv in (["family", "--pd", pd, *crossing, "--ns", "", "--format", "json"],
+                     ["family", "--pd", pd, *crossing],
+                     ["verify", "--pd", pd, *crossing, "--gc", "1"]):
+            assert run_command(argv) == 2
+            assert capsys.readouterr() == ("", f"INDEX_OUT_OF_RANGE: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ["homfly", "--pd", TREFOIL_PD, "--table", SMALL, "--name", "3_1"],
         ["homfly", "--table", SMALL],
         ["homfly", "--table", SMALL, "--name", "9_99"],
         ["oracle-check"],
-        ["verify", "--pd", "O", "--gc", "1"],
-    ], ids=["pd-and-table", "table-without-name", "unknown-name", "oracle-without-table",
-            "verify-crossingless"])
+    ], ids=["pd-and-table", "table-without-name", "unknown-name", "oracle-without-table"])
     def test_usage_errors_exit2(self, argv, capsys):
         assert run_command(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("pd", ["X[{n},1,1,2]", "free_loops={n}"], ids=["label", "loops"])
+    def test_overlong_pd_number_is_a_parse_error(self, pd, capsys):
+        # int() reads at most sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        assert run_command(["parse", "--pd", pd.format(n="9" * (limit + 1))]) == 2
+        assert capsys.readouterr() == ("", f"PARSE_ERROR: a number has more than {limit} "
+                                           "digits\n")
+        assert run_command(["parse", "--pd", f"X[{'9' * limit},1,1,2]"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("INVALID_PD: ")
+
+    def test_overlong_pd_number_skips_table_row(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        p = tmp_path / "t.csv"
+        p.write_text(f'name,pd\n3_1,"{TREFOIL_PD}"\nbig,"X[{"9" * (limit + 1)},1,1,2]"\n')
+        assert run_command(["seifert", "--table", str(p)]) == 0
+        assert capsys.readouterr() == (
+            "name,c,s,mu,genus\n3_1,3,2,1,1\n",
+            f"{p}:3: skipping 'big': a number has more than {limit} digits\n")
 
     def test_empty_wrapper_exit2(self, capsys):
         assert run_command(["parse", "--pd", "PD[ ]"]) == 2
@@ -387,6 +422,40 @@ class TestCommands:
         obj = json.loads(capsys.readouterr().out)
         assert [m["c"] for m in obj["members"]] == [3, 5]
 
+    def test_crossing_auto_is_crossing_zero(self, capsys):
+        # family (table, json) and verify --gc <diagram genus> --nmax 3
+        # (table, json, csv) on every row of the small table: exit codes
+        # and stdout are the same for auto, 0 and no --crossing, and the
+        # digest is the one recorded when auto was still resolved apart
+        # from the index
+        digests = set()
+        for crossing in ([], ["--crossing", "auto"], ["--crossing", "0"]):
+            h = hashlib.sha256()
+            for e in load_knot_table(SMALL):
+                source = ["--table", SMALL, "--name", e.name]
+                gc = str(seifert_circles(e.diagram).diagram_genus)
+                runs = [["family", *source, "--format", fmt] for fmt in ("table", "json")]
+                runs += [["verify", *source, "--gc", gc, "--nmax", "3", "--format", fmt]
+                         for fmt in ("table", "json", "csv")]
+                for argv in runs:
+                    code = run_command(argv + crossing)
+                    h.update(f"{code}\n{capsys.readouterr().out}".encode())
+            digests.add(h.hexdigest())
+        assert digests == {"67b221db4647f28a144300bccbe832d56e9188af10e73d44ae37cbc1d22f85f4"}
+        assert _build_parser().parse_args(["family", "--crossing", "auto"]).crossing == 0
+
+    def test_family_band_count_out_of_range_exit2(self, capsys):
+        # L_n has a band of n crossings, built one at a time, so a huge
+        # count would run out of memory before it is rejected
+        start = time.process_time()
+        assert run_command(["family", "--pd", TREFOIL_PD, "--ns", "1,100000000000"]) == 2
+        assert time.process_time() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--ns: expected an integer from 0 to 10000, got '100000000000'" in err
+        assert _build_parser().parse_args(["family", "--ns", "0,10000"]).ns == [0, 10000]
+        assert run_command(["family", "--help"]) == 0
+        assert "each at most 10,000" in " ".join(capsys.readouterr().out.split())
+
     def test_skein_tree_dot(self, capsys):
         assert run_command(["skein-tree", "--pd", "X[1,1,2,2]"]) == 0
         assert capsys.readouterr().out.startswith("digraph skein {")
@@ -540,17 +609,21 @@ class TestCommands:
         ["parse", "--pd", TREFOIL_PD, "--out", "{missing}"],
         ["family", "--pd", TREFOIL_PD, "--ns", "1,-1"],
         ["family", "--pd", TREFOIL_PD, "--ns", "1,a"],
+        ["family", "--pd", TREFOIL_PD, "--ns", "-1"],
+        ["family", "--pd", TREFOIL_PD, "--ns", "10001"],
         ["family", "--pd", TREFOIL_PD, "--crossing", "abc"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--crossing", "x"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--nmax", "-1"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "-2"],
+        ["verify", "--pd", TREFOIL_PD, "--gc", "1.5"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--budget", "nan"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--budget", "-1"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--budget", "x"],
         ["oracle-check", "--table", SMALL, "--limit", "-3"],
         ["skein-tree", "--pd", TREFOIL_PD, "--trace-limit", "-1"],
-    ], ids=["out-missing-dir", "ns-negative", "ns-not-int", "crossing-abc", "crossing-x",
-            "nmax-negative", "gc-negative", "budget-nan", "budget-negative", "budget-not-number",
+    ], ids=["out-missing-dir", "ns-negative", "ns-not-int", "ns-minus-one", "ns-over-bound",
+            "crossing-abc", "crossing-x", "nmax-negative", "gc-negative", "gc-not-int",
+            "budget-nan", "budget-negative", "budget-not-number",
             "limit-negative", "trace-limit-negative"])
     def test_bad_value_or_unwritable_out_exit2(self, argv, tmp_path, capsys):
         missing = tmp_path / "missing" / "x"
@@ -559,6 +632,8 @@ class TestCommands:
         assert cap.out == "" and not missing.exists()
         if "--out" in argv:
             assert cap.err.startswith("IO_ERROR: ")
+        else:  # rejected by the parser, before any work
+            assert ": error: argument --" in cap.err
 
     def test_seifert_has_no_format(self, capsys):
         # the report is always CSV; --format json used to print CSV anyway

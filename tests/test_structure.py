@@ -14,8 +14,10 @@ fields, PD slots read only in diagram.py, a braid reader and diagram
 pieces without union-find, and a cold evaluation that neither validates
 nor walks cycles again, builds one edge table, and walks pieces only
 where a diagram is parsed; the CLI's run sequence (diagram, --expect,
-engine and cache, output) written once, in cli._dispatch; and over
-scripts/: nothing imported from the test tree."""
+engine and cache, output) written once, in cli._dispatch; every CLI
+option value read by one argparse type, with no second path for
+--crossing auto; and over scripts/: nothing imported from the test
+tree."""
 
 import ast
 import importlib
@@ -362,6 +364,21 @@ def test_cli_run_sequence_written_once():
     once = ("_diagram_from_args", "from_json", "HomflyEngine", "load_cache", "flush_cache",
             "_emit")
     assert {name: callers.get(name) for name in once} == {name: ["_dispatch"] for name in once}
+
+
+def test_cli_option_values_read_by_one_type():
+    # argparse turns each option's text into its final value, through one
+    # bounded-number type; --crossing auto is crossing 0 there, so no
+    # command function resolves it again
+    tree = _tree(Path(mortonlab.__file__).parent / "cli.py")
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    typed = [f.name for f in functions
+             if any(isinstance(n, ast.Raise) and "ArgumentTypeError" in ast.unparse(n)
+                    for n in ast.walk(f))]
+    assert typed == ["_number"]
+    assert "_auto_crossing" not in {f.name for f in functions}
+    assert [f.name for f in functions for n in ast.walk(f)
+            if isinstance(n, ast.Compare) and "'auto'" in ast.unparse(n)] == []
 
 
 def test_homfly_module_not_shadowed():
