@@ -3,8 +3,10 @@
 Commands: parse, homfly, seifert, family, verify, skein-tree, double,
 oracle-check, each a function called by one run sequence that reads the
 diagram, --expect and the cache first and appends to the cache before it
-writes any output.  Exit codes: 0 success / all verifications passed,
-1 verification failure, 2 usage or input error.
+writes any output.  family serializes each member as it is built and
+takes its manifest row from family.band_bookkeeping, so it decomposes
+only the base and keeps no member diagram.  Exit codes: 0 success / all
+verifications passed, 1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     UnsupportedFormatError,
     UsageError,
 )
-from .family import FamilySpec, insert_parallel_bands, whitehead_double
+from .family import FamilySpec, band_bookkeeping, insert_parallel_bands, whitehead_double
 from .homfly import (
     DEFAULT_ORACLE_LIMIT,
     DEFAULT_TRACE_LIMIT,
@@ -52,9 +54,11 @@ from .seifert import seifert_circles
 __all__ = ["KnotTableEntry", "load_knot_table", "run_command", "export_report", "main"]
 
 CACHE_ENV = "MORTONLAB_CACHE"
-# the bound of --twists either way and of each --ns count: a double gets
-# 2 |twists| crossings and L_n a band of n, built one at a time; at this
-# bound `double` takes about 0.2 s and 43 MB
+# the bound of --twists either way, of each --ns count and of --nmax: a
+# double gets 2 |twists| crossings, L_n a band of n, built one at a time,
+# and the n-th audit row two polynomial terms that grow linearly in n; at
+# this bound `double` takes about 0.2 s and 43 MB, and `verify` on the
+# trefoil about 107 s of CPU and 70 MB
 MAX_CHAIN = 10_000
 
 
@@ -213,7 +217,8 @@ def _build_parser():
                 "--pd --table --name --cache --out --crossing", ("table", "json", "csv"),
                 ("auto", "off"))
     p.add_argument("--gc", type=_COUNT, required=True, help="knot-level canonical genus (given)")
-    p.add_argument("--nmax", type=_COUNT, default=5)
+    p.add_argument("--nmax", type=band, default=5,
+                   help=f"last band count n audited, at most {MAX_CHAIN:,}")
     p.add_argument("--budget", type=_number(float, 0), default=None, help="seconds")
     p.add_argument("--expect", help="expected base polynomial as JSON term records")
 
@@ -365,23 +370,18 @@ def _seifert(args, d, name, engine, expected):
 
 def _family(args, d, name, engine, expected):
     # L_0 is built first, as verify_theorem_family builds it, so a bad
-    # --crossing is rejected even when --ns lists no member
+    # --crossing is rejected even when --ns lists no member; each member
+    # is serialized as it is built and its row read off L_0 and the base
     l0 = insert_parallel_bands(d, args.crossing, 0)
-    members = [(n, insert_parallel_bands(d, args.crossing, n) if n else l0) for n in args.ns]
+    circles, sign = seifert_circles(d).num_circles, d.crossings[args.crossing].sign
+    members = []
+    for n in args.ns:
+        c, mu, _, s, genus = band_bookkeeping(l0, d, circles, sign, n)
+        pd = (insert_parallel_bands(d, args.crossing, n) if n else l0).serialize()
+        members.append({"n": n, "c": c, "s": s, "genus": genus, "components": mu, "pd": pd})
     if args.fmt == "table":
-        return "".join(dn.serialize() + "\n" for _, dn in members).encode(), 0, []
-    manifest = []
-    for n, dn in members:
-        dec = seifert_circles(dn) if dn.is_connected() else None
-        manifest.append({
-            "n": n,
-            "c": len(dn.crossings),
-            "s": dec.num_circles if dec else None,
-            "genus": dec.diagram_genus if dec else None,
-            "components": dn.num_components(),
-            "pd": dn.serialize(),
-        })
-    return export_report({"base": name, "crossing": args.crossing, "members": manifest},
+        return "".join(m["pd"] + "\n" for m in members).encode(), 0, []
+    return export_report({"base": name, "crossing": args.crossing, "members": members},
                          args.fmt), 0, []
 
 

@@ -1,13 +1,13 @@
 """Oriented link diagrams in PD notation.
 
 A diagram is a list of crossings plus a count of crossing-free unknotted
-circles.  Each crossing holds its two oriented strands and its sign: the
-under-strand a -> c passes under the over-strand over_in -> over_out.
-Edge labels are 1..2c, each appearing exactly twice, and the successor
-relation (a -> c and over_in -> over_out at every crossing) must
-partition the labels into closed oriented cycles.  The diagram lies on
-the sphere: its counterclockwise PD slots give c + 2 faces on each
-connected piece.
+circles, at most MAX_FREE_LOOPS of them.  Each crossing holds its two
+oriented strands and its sign: the under-strand a -> c passes under the
+over-strand over_in -> over_out.  Edge labels are 1..2c, each appearing
+exactly twice, and the successor relation (a -> c and over_in ->
+over_out at every crossing) must partition the labels into closed
+oriented cycles.  The diagram lies on the sphere: its counterclockwise
+PD slots give c + 2 faces on each connected piece.
 
 PD text X[a,b,c,d] lists the four edge labels counterclockwise from the
 incoming under-strand edge a, so c is outgoing under; the over-strand
@@ -39,6 +39,11 @@ from typing import NamedTuple
 from .errors import InvalidPDError, ParseError
 
 __all__ = ["Crossing", "Diagram", "parse_pd"]
+
+# the most free loops a diagram may hold: the polynomial of k free loops,
+# delta^(k-1), has about k^2/2 terms, so the engine's work and its output
+# grow quadratically in k
+MAX_FREE_LOOPS = 1_000
 
 
 class Crossing(NamedTuple):
@@ -83,8 +88,7 @@ class Diagram:
     # -- construction hidden helpers ----------------------------------
 
     def _validate(self):
-        if self.free_loops < 0:
-            raise InvalidPDError("free_loops must be nonnegative")
+        _check_free_loops(self.free_loops)
         if not self.crossings:
             if self.free_loops == 0:
                 raise InvalidPDError("empty link: no crossings and no free loops")
@@ -531,6 +535,14 @@ def _successors(crossings):
     return succ
 
 
+def _check_free_loops(k):
+    """Raise InvalidPDError unless 0 <= k <= MAX_FREE_LOOPS."""
+    if k < 0:
+        raise InvalidPDError("free_loops must be nonnegative")
+    if k > MAX_FREE_LOOPS:
+        raise InvalidPDError(f"free_loops must be at most {MAX_FREE_LOOPS:,}")
+
+
 def _slot_mates(quads):
     """For the 4-tuples of PD slots of c crossings: the list indexed by slot
     position 4 * crossing + slot of the position of the same label's other
@@ -612,6 +624,7 @@ def parse_pd(text: str) -> Diagram:
     """Parse PD text ("X[a,b,c,d] ..." with optional PD[...] wrapper, O
     tokens, and a free_loops=k suffix) into a validated Diagram."""
     tuples, loops = _tokenize(text)
+    _check_free_loops(loops)
     mate = _slot_mates(tuples)
     signs = _derive_signs(tuples, mate)
     xs = [Crossing(a, c, d, b, s) if s > 0 else Crossing(a, c, b, d, s)

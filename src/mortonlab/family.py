@@ -9,7 +9,10 @@ strands alternating over and under along the chain.  Smoothing all n
 chain crossings reconnects the four original ends exactly as smoothing
 the original crossing did, so the Seifert circles are untouched: every
 chain crossing is a band between the same two disks, the circle count
-is preserved, and the crossing count grows by n - 1.
+is preserved, and the crossing count grows by n - 1.  So each L_n's
+crossing count, components, writhe, circles and genus follow from L_0,
+L_1 and the circle count of L_1; band_bookkeeping is the one place that
+derives them.
 
 The double construction runs a reversed parallel copy alongside the
 diagram (offset on the left of travel), turning each crossing into four,
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .diagram import Crossing, Diagram, _renumber
 from .errors import DisconnectedError, NotAKnotError
-from .seifert import seifert_circles
+from .seifert import seifert_circles, surface_genus
 
 __all__ = [
     "braid_closure",
@@ -159,32 +162,38 @@ def insert_parallel_bands(d: Diagram, i: int, n: int) -> Diagram:
     return out
 
 
-def band_bookkeeping(l0: Diagram, l1: Diagram, sign: int, n: int):
-    """(c, mu, w) of L_n, read off L_0 and L_1 for a base crossing of the
-    given sign: each chain crossing adds one crossing of that sign, and the
+def band_bookkeeping(l0: Diagram, l1: Diagram, circles: int, sign: int, n: int):
+    """(c, mu, w, s, genus) of L_n, read off L_0 and L_1 (the base, with the
+    given number of Seifert circles) for a base crossing of the given
+    sign: each chain crossing adds one crossing of that sign, the
     component count (free loops included) is L_1's for odd n and L_0's for
-    even n.  Band insertion also keeps the Seifert circles of L_1."""
-    return (len(l1.crossings) + n - 1,
-            (l1 if n % 2 else l0).num_components(),
-            l1.writhe() + (n - 1) * sign)
+    even n, and band insertion keeps the Seifert circles of L_1, so s is
+    circles and the genus is surface_genus(c, s, mu).  A split L_0 has no
+    Seifert decomposition, so its s and genus are None."""
+    c = len(l1.crossings) + n - 1
+    mu = (l1 if n % 2 else l0).num_components()
+    w = l1.writhe() + (n - 1) * sign
+    if n == 0 and not l0.is_connected():
+        return c, mu, w, None, None
+    return c, mu, w, circles, surface_genus(c, circles, mu)
 
 
 def family_sequence(spec: FamilySpec):
-    """Diagrams L_n for each requested n, with bookkeeping checked on
-    generation (RuntimeError on a violation): the circle count is preserved
-    and the crossing count, component count and writhe are those that
-    band_bookkeeping gives."""
+    """Diagrams L_n for each requested n, each checked on generation
+    against band_bookkeeping (RuntimeError on a violation): its crossing
+    count, component count, writhe, and Seifert circle count and genus
+    where it is connected, measured on the diagram built."""
     base, i = spec.base, spec.crossing
-    s0 = seifert_circles(base).num_circles
-    l0, sign = base.smooth_crossing(i), base.crossings[i].sign
+    l0 = insert_parallel_bands(base, i, 0)
+    circles, sign = seifert_circles(base).num_circles, base.crossings[i].sign
     out = []
     for n in spec.ns:
-        d = insert_parallel_bands(base, i, n)
-        if n >= 1 and seifert_circles(d).num_circles != s0:
-            raise RuntimeError(f"L_{n} changed the Seifert circle count")
-        got = (len(d.crossings), d.num_components(), d.writhe())
-        if got != band_bookkeeping(l0, base, sign, n):
-            raise RuntimeError(f"L_{n} has (c, mu, w) = {got}")
+        d = insert_parallel_bands(base, i, n) if n else l0
+        dec = seifert_circles(d) if d.is_connected() else None
+        got = (len(d.crossings), d.num_components(), d.writhe(),
+               *((dec.num_circles, dec.diagram_genus) if dec else (None, None)))
+        if got != band_bookkeeping(l0, base, circles, sign, n):
+            raise RuntimeError(f"L_{n} has (c, mu, w, s, genus) = {got}")
         out.append((n, d))
     return out
 

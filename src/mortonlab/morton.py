@@ -22,13 +22,14 @@ L_(n-1), so the skein rule gives
 The engine therefore evaluates only L_0, L_1 and the switched base
 diagrams of the hypothesis certificates; every later row is two
 polynomial terms.  Only L_0 is built, as L_1 is the base: the crossing
-count, writhe, components and circles of every row follow from those two
-(family.band_bookkeeping), so a row costs no diagram, and the budget,
-checked before each row, bounds the audit.  Each row, and each switched
-base diagram the engine evaluates, with a Seifert decomposition is
-checked against the Morton-Franks-Williams v-degree bound
-w - s + 1 <= deg_v P <= w + s - 1, which holds at every size and so also
-checks the derived rows.
+count, writhe, components, circles and genus of every row follow from
+those two and the base's circle count (family.band_bookkeeping, the one
+place that derives a row), so a row costs no diagram, and the budget,
+checked before each row, bounds the audit.  Each polynomial the audit
+gets, row or switched base diagram, passes one check: it is not zero,
+and with a Seifert decomposition it meets the Morton-Franks-Williams
+v-degree bound w - s + 1 <= deg_v P <= w + s - 1, which holds at every
+size and so also checks the derived rows.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .family import (FamilySpec, band_bookkeeping, crossing_change_candidates,
                      insert_parallel_bands)
 from .homfly import HomflyEngine
 from .poly import LaurentPoly2, _skein_terms
-from .seifert import seifert_circles, surface_genus
+from .seifert import seifert_circles
 
 __all__ = [
     "FamilyRow",
@@ -187,37 +188,18 @@ class FamilyReport:
         return "\n".join(out) + "\n"
 
 
-def _hypothesis_certificates(base: Diagram, base_genus: int, engine: HomflyEngine,
-                             report: FamilyReport, over_budget):
-    """Append sufficient certificates that switching some crossing lowers
-    the canonical genus base_genus of base (or at least the degree chain
-    the bound needs) to the report.  A budget overrun before a candidate's
-    engine evaluation marks the report incomplete and keeps the
-    certificates found so far."""
-    certs = report.hypothesis_certificates
-    for i, switched in crossing_change_candidates(base):
-        dec = seifert_circles(switched) if switched.is_connected() else None
-        if dec is not None and dec.diagram_genus < base_genus:
-            certs.append({
-                "crossing": i, "kind": "genus_drop",
-                "switched_simplified_genus": dec.diagram_genus, "base_genus": base_genus,
-            })
-            continue
-        if over_budget():
-            report.incomplete = True
-            return
-        p = engine.homfly(switched)
-        m = p.maxdeg_z()
-        if m is None:
-            raise MFWViolationError(f"zero polynomial for certificate crossing {i}")
-        if dec is not None:
-            check_v_degree_bound(p, switched.writhe(), dec.num_circles,
-                                 f"certificate crossing {i}")
-        if m < 2 * base_genus:
-            certs.append({
-                "crossing": i, "kind": "morton_degree",
-                "switched_maxdeg_z": m, "base_genus": base_genus,
-            })
+def _checked_maxdeg_z(p: LaurentPoly2, w: int, s: int | None, what: str) -> int:
+    """maxdeg_z of p, the polynomial of `what` (of writhe w and s Seifert
+    circles, s None when it has no decomposition), after the checks the
+    audit makes of every polynomial: MFWViolationError naming `what` if p
+    is zero, or if s is known and p misses the Morton-Franks-Williams
+    v-degree bound."""
+    m = p.maxdeg_z()
+    if m is None:
+        raise MFWViolationError(f"zero polynomial for {what}")
+    if s is not None:
+        check_v_degree_bound(p, w, s, what)
+    return m
 
 
 def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
@@ -227,36 +209,54 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
     """Row-by-row audit M(L_n) < 2*gc - 1 + n for n = 0..n_max, in order of
     n over one engine cache.  Only L_0 is built, before the certificates,
     so that a bad crossing is rejected before any engine work; L_1 is the
-    base.  The engine evaluates both; each later row is
-    P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the sign s of the
-    base crossing.  Every row takes its crossing count, writhe and
-    components from band_bookkeeping, its circle count from the base (band
-    insertion keeps the circles; a split L_0 has none) and its genus from
-    those.  Every row, and every certificate candidate the engine
-    evaluates, with a Seifert decomposition must meet the
-    Morton-Franks-Williams v-degree bound, and none may be the zero
-    polynomial (MFWViolationError naming n or the crossing).  A budget
-    overrun, checked before each certificate candidate's evaluation and
-    before each row, marks the report incomplete and keeps the
+    base.
+
+    The certificates are sufficient ones that switching some base
+    crossing lowers the canonical genus of the base (or at least the
+    degree chain the bound needs): a switched, simplified candidate of
+    lower diagram genus, or else one whose z-degree the engine finds below
+    twice the base genus.  The engine evaluates L_0 and L_1; each later row
+    is P(L_n) = v^(2s) P(L_(n-2)) + s v^s z P(L_(n-1)) for the sign s of
+    the base crossing.  Every row takes its crossing count, writhe,
+    components, circle count and genus from band_bookkeeping.  Every row,
+    and every certificate candidate the engine evaluates, must pass
+    _checked_maxdeg_z (MFWViolationError naming n or the crossing).  A
+    budget overrun, checked before each certificate candidate's evaluation
+    and before each row, marks the report incomplete and keeps the
     certificates and rows finished so far.
     """
     engine = engine or HomflyEngine()
     t0 = time.monotonic()
-
-    def over_budget():
-        return budget_seconds is not None and time.monotonic() - t0 > budget_seconds
-
     base, i = spec.base, spec.crossing
     # built first, so that a bad crossing is rejected before any engine work
     l0 = insert_parallel_bands(base, i, 0)
-    sign = base.crossings[i].sign
-    dec = seifert_circles(base)
+    sign, dec = base.crossings[i].sign, seifert_circles(base)
     report = FamilyReport(base_name=base_name, crossing=i, gc_claimed=gc_claimed)
-    _hypothesis_certificates(base, dec.diagram_genus, engine, report, over_budget)
+
+    def over_budget():
+        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
+            report.incomplete = True
+        return report.incomplete
+
+    base_genus, certs = dec.diagram_genus, report.hypothesis_certificates
+    for j, switched in crossing_change_candidates(base):
+        sw = seifert_circles(switched) if switched.is_connected() else None
+        if sw is not None and sw.diagram_genus < base_genus:
+            certs.append({"crossing": j, "kind": "genus_drop",
+                          "switched_simplified_genus": sw.diagram_genus, "base_genus": base_genus})
+            continue
+        if over_budget():
+            break
+        m = _checked_maxdeg_z(engine.homfly(switched), switched.writhe(),
+                              None if sw is None else sw.num_circles,
+                              f"certificate crossing {j}")
+        if m < 2 * base_genus:
+            certs.append({"crossing": j, "kind": "morton_degree",
+                          "switched_maxdeg_z": m, "base_genus": base_genus})
     polys = []
+    # an overrun among the certificates stops the rows at once, as time only grows
     for n in range(n_max + 1):
         if over_budget():
-            report.incomplete = True
             break
         if n < 2:
             p = engine.homfly(base if n else l0)
@@ -264,18 +264,10 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
             p_sw, p_sm = _skein_terms(sign, *polys)
             p = p_sw + p_sm
         polys = [*polys[-1:], p]  # the recurrence reads only the last two rows
-        m = p.maxdeg_z()
-        if m is None:
-            raise MFWViolationError(f"zero polynomial for family row n={n}")
-        c, mu, w = band_bookkeeping(l0, base, sign, n)
-        s = dec.num_circles if n or l0.is_connected() else None
-        genus = None
-        if s is not None:
-            genus = surface_genus(c, s, mu)
-            check_v_degree_bound(p, w, s, f"family row n={n}")
+        c, _, w, s, genus = band_bookkeeping(l0, base, dec.num_circles, sign, n)
+        m = _checked_maxdeg_z(p, w, s, f"family row n={n}")
         bound = 2 * gc_claimed - 1 + n
-        report.rows.append(FamilyRow(n=n, c=c, s=s, genus=genus,
-                                     m=m, bound=bound, strict=m < bound))
+        report.rows.append(FamilyRow(n, c, s, genus, m, bound, m < bound))
         if n == 1:
             report.base_defect = knot_level_defect(gc_claimed, m)
     return report

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -422,6 +423,43 @@ class TestCommands:
         obj = json.loads(capsys.readouterr().out)
         assert [m["c"] for m in obj["members"]] == [3, 5]
 
+    def test_family_manifest_matches_members(self, capsys):
+        # each member's c, s, genus and components are read off L_0 and the
+        # base; they must be what its own PD text measures, at every crossing
+        # of each table knot, of W(3_1) and of a closure with a kink, whose
+        # L_0 at crossing 3 is split (s and genus null)
+        kinked = "X[1,5,2,4] X[5,3,6,2] X[3,7,4,6] X[8,8,1,7]"
+        bases = [e.diagram for e in load_knot_table(SMALL)]
+        bases += [whitehead_double(parse_pd(TREFOIL_PD), 1, 0), parse_pd(kinked)]
+        split = 0
+        for base in bases:
+            for i in range(len(base.crossings)):
+                assert run_command(["family", "--pd", base.serialize(), "--crossing", str(i),
+                                    "--ns", "0,1,2,5", "--format", "json"]) == 0
+                for member in json.loads(capsys.readouterr().out)["members"]:
+                    d = parse_pd(member["pd"])
+                    dec = seifert_circles(d) if d.is_connected() else None
+                    measured = (len(d.crossings), d.num_components(),
+                                *((dec.num_circles, dec.diagram_genus) if dec else (None, None)))
+                    assert measured == tuple(member[k] for k in ("c", "components", "s", "genus"))
+                    split += dec is None
+        assert split == 1
+
+    def test_family_keeps_no_member(self, capsys):
+        # each member is serialized as it is built and then dropped, so ten
+        # members of 2,000 bands peak at about the memory of one
+        def peak(ns):
+            tracemalloc.start()
+            try:
+                assert run_command(["family", "--pd", TREFOIL_PD, "--ns", ns]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        one = peak("2000")
+        assert peak(",".join(["2000"] * 10)) < 1.5 * one
+
     def test_crossing_auto_is_crossing_zero(self, capsys):
         # family (table, json) and verify --gc <diagram genus> --nmax 3
         # (table, json, csv) on every row of the small table: exit codes
@@ -455,6 +493,26 @@ class TestCommands:
         assert _build_parser().parse_args(["family", "--ns", "0,10000"]).ns == [0, 10000]
         assert run_command(["family", "--help"]) == 0
         assert "each at most 10,000" in " ".join(capsys.readouterr().out.split())
+
+    def test_verify_nmax_bounded_like_ns(self, capsys):
+        # a band family's n has one bound on family and verify
+        assert _build_parser().parse_args(["verify", "--gc", "1", "--nmax", "10000"]).nmax == 10000
+        assert run_command(["verify", "--help"]) == 0
+        assert "--nmax NMAX last band count n audited, at most 10,000" in " ".join(
+            capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("pd", ["free_loops=1001", "O " * 1001,
+                                    TREFOIL_PD + " O free_loops=1000"],
+                             ids=["suffix", "tokens", "both"])
+    def test_free_loops_over_bound_exit2(self, pd, capsys):
+        # the polynomial of k free loops has about k^2/2 terms, so more than
+        # 1,000 are rejected at parse, before any engine work
+        start = time.process_time()
+        assert run_command(["homfly", "--pd", pd]) == 2
+        assert time.process_time() - start < 0.1
+        assert capsys.readouterr() == ("", "INVALID_PD: free_loops must be at most 1,000\n")
+        assert run_command(["parse", "--pd", "free_loops=1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["free_loops"] == 1000
 
     def test_skein_tree_dot(self, capsys):
         assert run_command(["skein-tree", "--pd", "X[1,1,2,2]"]) == 0
@@ -614,6 +672,7 @@ class TestCommands:
         ["family", "--pd", TREFOIL_PD, "--crossing", "abc"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--crossing", "x"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--nmax", "-1"],
+        ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--nmax", "10001"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "-2"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1.5"],
         ["verify", "--pd", TREFOIL_PD, "--gc", "1", "--budget", "nan"],
@@ -622,8 +681,8 @@ class TestCommands:
         ["oracle-check", "--table", SMALL, "--limit", "-3"],
         ["skein-tree", "--pd", TREFOIL_PD, "--trace-limit", "-1"],
     ], ids=["out-missing-dir", "ns-negative", "ns-not-int", "ns-minus-one", "ns-over-bound",
-            "crossing-abc", "crossing-x", "nmax-negative", "gc-negative", "gc-not-int",
-            "budget-nan", "budget-negative", "budget-not-number",
+            "crossing-abc", "crossing-x", "nmax-negative", "nmax-over-bound", "gc-negative",
+            "gc-not-int", "budget-nan", "budget-negative", "budget-not-number",
             "limit-negative", "trace-limit-negative"])
     def test_bad_value_or_unwritable_out_exit2(self, argv, tmp_path, capsys):
         missing = tmp_path / "missing" / "x"

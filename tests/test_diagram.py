@@ -125,6 +125,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("crossings, free_loops, message", [
         ((), -1, "free_loops must be nonnegative"),
+        ((), 1001, "free_loops must be at most 1,000"),
         ((), 0, "empty link"),
         ((Crossing(1, 2, 2, 1, 0),), 0, "has sign 0"),
         ((Crossing(1, 2, 3, 4, 1), Crossing(1, 2, 3, 4, 1)), 0, "two heads"),

@@ -237,8 +237,9 @@ class TestFamilyRecurrence:
             assert [r.n for r in report.rows] == list(range(n_max + 1))
             assert [r.m for r in report.rows] == [p.maxdeg_z() for p in polys]
             assert [(r.c, r.s, r.genus) for r in report.rows] == [_measured(d) for d in built]
-            assert [band_bookkeeping(built[0], base, sign, n)[2] for n in range(n_max + 1)] \
-                == [d.writhe() for d in built]
+            circles = seifert_circles(base).num_circles
+            assert [band_bookkeeping(built[0], base, circles, sign, n)[2]
+                    for n in range(n_max + 1)] == [d.writhe() for d in built]
             # v^-1 P(L+) - v P(L-) = z P(L0) at a chain crossing of L_n
             for n in range(2, n_max + 1):
                 plus, minus = (polys[n], polys[n - 2]) if sign > 0 else (polys[n - 2], polys[n])

@@ -7,17 +7,20 @@ test and the polynomial term-map code written once, a diagram's label
 and planarity errors each raised in one function over that pairing,
 every engine route in one recursive method that splits and reads braids
 in one place each and looks each code up once, a Hecke trace that keeps
-no state between calls, free loops built as no diagram and filed cache
-codes kept in one map, RecursionError caught in one function, a package namespace that does not shadow its modules, the
-attributes the benchmark's layer trace wraps, crossing strands stored as
-fields, PD slots read only in diagram.py, a braid reader and diagram
+no state between calls, free loops built as no diagram and bounded in
+one function, filed cache codes kept in one map, RecursionError caught
+in one function, a package namespace that does not shadow its modules,
+the attributes the benchmark's layer trace wraps, crossing strands
+stored as fields, PD slots read only in diagram.py, a braid reader and diagram
 pieces without union-find, and a cold evaluation that neither validates
 nor walks cycles again, builds one edge table, and walks pieces only
 where a diagram is parsed; the CLI's run sequence (diagram, --expect,
 engine and cache, output) written once, in cli._dispatch; every CLI
 option value read by one argparse type, with no second path for
---crossing auto; and over scripts/: nothing imported from the test
-tree."""
+--crossing auto; every band-family row derived in family.band_bookkeeping
+alone, with no Seifert decomposition per family member, and each audit
+polynomial checked in one function; and over scripts/: nothing imported
+from the test tree."""
 
 import ast
 import importlib
@@ -223,6 +226,14 @@ def test_slot_pairing_written_once():
     assert pairing == ["diagram._slot_mates"]
 
 
+def _raisers(functions, message):
+    """Names of the functions with a raise whose string constants hold message."""
+    return sorted(name for name, f in functions.items() for n in ast.walk(f)
+                  if isinstance(n, ast.Raise) and message in "".join(
+                      c.value for c in ast.walk(n)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)))
+
+
 def test_entry_rules_checked_once():
     # a diagram's labels and planarity are each checked in one function,
     # over the one slot pairing that parse_pd and validation build: only
@@ -230,17 +241,8 @@ def test_entry_rules_checked_once():
     # and only _check_planar the planarity error
     tree = _tree(Path(mortonlab.__file__).parent / "diagram.py")
     functions = _functions(tree)
-    raisers = {"edge labels must be": [], "no diagram on the sphere": []}
-    for f in functions.values():
-        for n in ast.walk(f):
-            if isinstance(n, ast.Raise):
-                text = "".join(c.value for c in ast.walk(n)
-                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
-                for message, owners in raisers.items():
-                    if message in text:
-                        owners.append(f.name)
-    assert raisers == {"edge labels must be": ["_slot_mates"],
-                       "no diagram on the sphere": ["_check_planar"]}
+    assert _raisers(functions, "edge labels must be") == ["_slot_mates"]
+    assert _raisers(functions, "no diagram on the sphere") == ["_check_planar"]
     assert sorted(name for name, f in functions.items() if "_check_planar" in _called(f)) == \
         ["_validate", "parse_pd"]
     names = set(functions) | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
@@ -329,6 +331,11 @@ def test_free_loops_and_filed_codes_kept_in_one_form():
              and n.args and isinstance(n.args[0], (ast.Tuple, ast.List)) and not n.args[0].elts]
     assert built == []
     assert {"_undecoded", "_loaded_keys"} & vars(HomflyEngine()).keys() == set()
+    # PD text and Diagram(...) bound the count through one function
+    functions = _functions(_tree(Path(mortonlab.__file__).parent / "diagram.py"))
+    assert _raisers(functions, "free_loops must be") == ["_check_free_loops"] * 2
+    assert sorted(name for name, f in functions.items() if "_check_free_loops" in _called(f)) \
+        == ["_validate", "parse_pd"]
 
 
 def test_recursion_error_caught_once():
@@ -379,6 +386,27 @@ def test_cli_option_values_read_by_one_type():
     assert "_auto_crossing" not in {f.name for f in functions}
     assert [f.name for f in functions for n in ast.walk(f)
             if isinstance(n, ast.Compare) and "'auto'" in ast.unparse(n)] == []
+
+
+def test_band_rows_derived_once():
+    # each row's c, mu, w, s and genus follow from L_0 and the base, as band
+    # insertion keeps the Seifert circles: only band_bookkeeping (and
+    # seifert_circles, for a diagram it decomposes) works out a genus, and
+    # cli._family decomposes the base once, none of its members
+    src = Path(mortonlab.__file__).parent
+    assert sorted(f"{path.stem}.{name}" for path in SOURCES
+                  for name, f in _functions(_tree(path)).items()
+                  if "surface_genus" in _called(f)) == \
+        ["family.band_bookkeeping", "seifert.seifert_circles"]
+    family = _functions(_tree(src / "cli.py"))["_family"]
+    loops = [n for n in ast.walk(family) if isinstance(n, (ast.For, ast.While, ast.ListComp,
+                                                             ast.GeneratorExp, ast.DictComp))]
+    assert loops and [n.lineno for n in loops if "seifert_circles" in _called(n)] == []
+    # the audit checks every polynomial, row or certificate candidate, in
+    # one function, with the certificate search inside verify_theorem_family
+    morton = _functions(_tree(src / "morton.py"))
+    assert "_hypothesis_certificates" not in morton
+    assert len(_raisers(morton, "zero polynomial for")) == 1
 
 
 def test_homfly_module_not_shadowed():
