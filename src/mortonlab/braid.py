@@ -43,9 +43,10 @@ e is v^e times its product of g_i^s (s = +-1), and elements are
 combinations of g_w = v^-l(w) T_w, w in S_n.  Right multiplication by
 g_i^s takes g_w to g_(w s_i) and, when w(i) > w(i+1) for s = 1 or
 w(i) < w(i+1) for s = -1, adds s z g_w as well: the skein weights of a
-switch and a smoothing with v^(2s) and v^s divided out.  A run of m
-equal letters is one pass: g_i^(+-m) = a + b g_i with a, b in Z[z], so it
-takes g_w and g_(w s_i) to combinations of the two by one 2x2 matrix.
+switch and a smoothing in poly._skein_step with v^(2s) and v^s divided
+out.  A run of m equal letters is one pass: g_i^(+-m) = a + b g_i with
+a, b in Z[z], so it takes g_w and g_(w s_i) to combinations of the two by
+one 2x2 matrix.
 The closure is invariant under conjugation, so the word is first rotated
 to start where its letter changes, and no run wraps around its end.  With
 no writhe factor in this convention the closure is invariant under
@@ -148,9 +149,20 @@ def read_braid(d: Diagram):
     return tuple(word), s
 
 
+def _check_word(word, strands):
+    """Raise ValueError unless every letter of word is nonzero with
+    |w| < strands: the words family.braid_closure and hecke_homfly take."""
+    if any(w == 0 or abs(w) >= strands for w in word):
+        raise ValueError(f"word letters must be nonzero with |w| < {strands}")
+
+
 def hecke_homfly(word, strands) -> LaurentPoly2:
     """P of the closure of a braid word on strands strands (letters as in
-    family.braid_closure), by the Markov trace."""
+    family.braid_closure), by the Markov trace; ValueError unless strands
+    is from 1 to MAX_STRANDS and _check_word passes."""
+    if not 1 <= strands <= MAX_STRANDS:
+        raise ValueError(f"strands must be from 1 to {MAX_STRANDS}")
+    _check_word(word, strands)
     bits = len(word) + (strands - 1) * (strands - 2) // 2 + 2
     # a conjugate that starts where the letter changes, so no run of equal
     # letters wraps around its end

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .braid import _check_word
 from .diagram import Crossing, Diagram, _renumber
 from .errors import DisconnectedError, NotAKnotError
 from .seifert import seifert_circles, surface_genus
@@ -48,8 +49,7 @@ def braid_closure(word, strands) -> Diagram:
     left strand passing over, and -i is +i switched.  Unused strand
     positions close into free loops.
     """
-    if any(w == 0 or abs(w) >= strands for w in word):
-        raise ValueError(f"word letters must be nonzero with |w| < {strands}")
+    _check_word(word, strands)
     cur = [("init", j) for j in range(strands)]
     crossings = []
     for t, w in enumerate(word):

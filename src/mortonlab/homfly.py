@@ -8,6 +8,9 @@ step progress toward a descending diagram:
     positive crossing:  P(D) = v^2 P(switched) + v z P(smoothed)
     negative crossing:  P(D) = v^-2 P(switched) - v^-1 z P(smoothed)
 
+poly._skein_step is this rule: the engine's skein route, the oracle and
+the trace below each take P from it.
+
 A diagram that is descending with respect to some component order and
 basepoints (each component walked in turn from its basepoint, every
 crossing met first on its over-strand) is an unlink of k components with
@@ -62,7 +65,7 @@ from dataclasses import dataclass, field
 from .braid import hecke_homfly, read_braid
 from .diagram import Diagram, _r2_pair, _reduce
 from .errors import CacheIOError, ParseError, TooLargeError
-from .poly import LaurentPoly2, _skein_terms, delta_factor
+from .poly import LaurentPoly2, _skein_step, delta_factor
 
 __all__ = [
     "HomflyEngine",
@@ -278,10 +281,8 @@ class HomflyEngine:
             p = self._eval(_reduce(d, i, smooth=False))
         else:
             self.expansions += 1
-            switched = self._eval(d.switch_crossing(i).simplify())
-            smoothed = self._eval(_reduce(d, (i,)))
-            contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
-            p = contrib_sw + contrib_sm
+            p = _skein_step(d.crossings[i].sign, self._eval(d.switch_crossing(i).simplify()),
+                            self._eval(_reduce(d, (i,))))
         self.cache[code] = p
         return p
 
@@ -325,19 +326,20 @@ def _naive(d: Diagram) -> LaurentPoly2:
     i = _least_label_crossing(d)
     if i is None:
         return _descending_value(d)
-    switched = _naive(d.switch_crossing(i))
-    smoothed = _naive(d.smooth_crossing(i))
-    contrib_sw, contrib_sm = _skein_terms(d.crossings[i].sign, switched, smoothed)
-    return contrib_sw + contrib_sm
+    return _skein_step(d.crossings[i].sign, _naive(d.switch_crossing(i)),
+                       _naive(d.smooth_crossing(i)))
 
 
 def skein_trace(d: Diagram, limit=DEFAULT_TRACE_LIMIT) -> "SkeinTrace":
     """Materialized resolution tree (uncached, unsimplified), with the
-    polynomial and its z-degree recorded at every node; diagrams of more
-    than limit crossings, too deep for the recursion limit or with a tree
-    of more than TRACE_NODE_LIMIT nodes raise TooLargeError."""
+    polynomial and its z-degree M recorded at every node, and a node
+    flagged as a cancellation when its M is below max(M(switched),
+    M(smoothed) + 1); diagrams of more than limit crossings, too deep for
+    the recursion limit or with a tree of more than TRACE_NODE_LIMIT nodes
+    raise TooLargeError."""
     trace = SkeinTrace()
-    trace.root = _guarded(d, lambda: _trace(d, "ROOT", 0, trace), limit, "trace")
+    # nodes are appended in preorder, so the root is node 0
+    _guarded(d, lambda: _trace(d, "ROOT", 0, trace), limit, "trace")
     trace.stats = {
         "nodes": len(trace.nodes),
         "cancellations": sum(1 for n in trace.nodes if n.cancellation),
@@ -358,25 +360,15 @@ def _trace(d, role, depth, trace):
         return node_id
     node = SkeinNode(id=node_id, role=role, chosen_crossing=i, poly=None, depth=depth)
     trace.nodes.append(node)
-    sw = _trace(d.switch_crossing(i), "SWITCHED_CHILD", depth + 1, trace)
-    sm = _trace(d.smooth_crossing(i), "SMOOTHED_CHILD", depth + 1, trace)
-    node.switched_child = sw
-    node.smoothed_child = sm
+    node.switched_child = _trace(d.switch_crossing(i), "SWITCHED_CHILD", depth + 1, trace)
+    node.smoothed_child = _trace(d.smooth_crossing(i), "SMOOTHED_CHILD", depth + 1, trace)
     node.sign = d.crossings[i].sign
-    contrib_sw, contrib_sm = _skein_terms(node.sign, trace.nodes[sw].poly,
-                                          trace.nodes[sm].poly)
-    node.poly = contrib_sw + contrib_sm
-    node.cancellation = _leading_terms_cancelled(node.poly, contrib_sw, contrib_sm)
+    sw, sm = trace.nodes[node.switched_child], trace.nodes[node.smoothed_child]
+    node.poly = _skein_step(node.sign, sw.poly, sm.poly)
+    # the two contributions have top z-degrees M(switched) and M(smoothed) + 1;
+    # no M is None, since every link has P(v, v^-1 - v) = 1 and so a nonzero P
+    node.cancellation = node.m < max(sw.m, sm.m + 1)
     return node_id
-
-
-def _leading_terms_cancelled(total, contrib_a, contrib_b):
-    ma, mb = contrib_a.maxdeg_z(), contrib_b.maxdeg_z()
-    tops = [m for m in (ma, mb) if m is not None]
-    if not tops:
-        return False
-    mt = total.maxdeg_z()
-    return mt is None or mt < max(tops)
 
 
 @dataclass

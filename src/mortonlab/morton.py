@@ -42,7 +42,7 @@ from .errors import DisconnectedError, MFWViolationError
 from .family import (FamilySpec, band_bookkeeping, crossing_change_candidates,
                      insert_parallel_bands)
 from .homfly import HomflyEngine
-from .poly import LaurentPoly2, _skein_terms
+from .poly import LaurentPoly2, _skein_step
 from .seifert import seifert_circles
 
 __all__ = [
@@ -258,11 +258,7 @@ def verify_theorem_family(spec: FamilySpec, gc_claimed: int, n_max: int,
     for n in range(n_max + 1):
         if over_budget():
             break
-        if n < 2:
-            p = engine.homfly(base if n else l0)
-        else:
-            p_sw, p_sm = _skein_terms(sign, *polys)
-            p = p_sw + p_sm
+        p = engine.homfly(base if n else l0) if n < 2 else _skein_step(sign, *polys)
         polys = [*polys[-1:], p]  # the recurrence reads only the last two rows
         c, _, w, s, genus = band_bookkeeping(l0, base, dec.num_circles, sign, n)
         m = _checked_maxdeg_z(p, w, s, f"family row n={n}")

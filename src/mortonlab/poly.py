@@ -175,7 +175,10 @@ class LaurentPoly2(_TermMap):
 
     @classmethod
     def from_json_obj(cls, obj):
-        """Term records {"ev": int, "ez": int, "c": int or digit string}."""
+        """An array of term records {"ev": int, "ez": int, "c": int or digit
+        string}; [] is the zero polynomial."""
+        if not isinstance(obj, list):
+            raise ParseError("bad polynomial JSON: not an array of term records")
         try:
             return cls([((_json_int(t["ev"]), _json_int(t["ez"])), _json_int(t["c"], text=True))
                         for t in obj])
@@ -272,12 +275,12 @@ def delta_factor() -> LaurentPoly2:
     return LaurentPoly2({(-1, -1): 1, (1, -1): -1})
 
 
-def _skein_terms(sign, p_sw, p_sm):
-    """The two weighted children of a skein step at a crossing of this
-    sign: (v^(2s) P(switched), s v^s z P(smoothed)); their sum is P.  With
-    v^(2s) and v^s divided out they are the weights 1 and s z with which
-    the braid module multiplies by its Hecke generators g_i = v^-1 T_i."""
-    return p_sw.mono_mul(1, ev=2 * sign), p_sm.mono_mul(sign, ev=sign, ez=1)
+def _skein_step(sign, p_sw, p_sm):
+    """P at a crossing of this sign from its children's polynomials:
+    v^(2s) P(switched) + s v^s z P(smoothed).  With v^(2s) and v^s divided
+    out the two weights are 1 and s z, with which the braid module
+    multiplies by its Hecke generators g_i = v^-1 T_i."""
+    return p_sw.mono_mul(1, ev=2 * sign) + p_sm.mono_mul(sign, ev=sign, ez=1)
 
 
 def alexander_specialize(p: LaurentPoly2) -> LaurentPoly1:

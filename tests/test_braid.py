@@ -4,6 +4,7 @@ oracle and its own invariance under Markov moves, and the engine's use of
 both."""
 
 import random
+import re
 from hashlib import sha256
 
 import pytest
@@ -16,7 +17,7 @@ from mortonlab.diagram import parse_pd
 from mortonlab.errors import InvalidPDError
 from mortonlab.family import braid_closure, insert_parallel_bands, two_bridge_plat, whitehead_double
 from mortonlab.homfly import HomflyEngine, naive_homfly
-from mortonlab.poly import LaurentPoly2, _skein_terms, delta_factor
+from mortonlab.poly import LaurentPoly2, _skein_step, delta_factor
 from mortonlab.seifert import seifert_circles
 
 # the table diagrams of small_knots.csv that are closed braids as drawn
@@ -80,13 +81,30 @@ class TestTrace:
         # at n = 64 the packed digits are 66 bits wide
         expected = [delta_factor(), LaurentPoly2.one()]
         for n in range(2, 65):
-            switched, smoothed = _skein_terms(1, expected[n - 2], expected[n - 1])
-            expected.append(switched + smoothed)
+            expected.append(_skein_step(1, expected[n - 2], expected[n - 1]))
         # each word is one run, so this is the run's one pass for every
         # power up to 64
         for n, p in enumerate(expected):
             assert hecke_homfly((1,) * n, 2) == p, n
             assert hecke_homfly((-1,) * n, 2) == p.mirror(), n
+
+    @pytest.mark.parametrize("word, strands, message", [
+        ((5,), 3, "word letters must be nonzero with |w| < 3"),
+        ((0,), 3, "word letters must be nonzero with |w| < 3"),
+        ((1, -2), 2, "word letters must be nonzero with |w| < 2"),
+        ((), 0, "strands must be from 1 to 7"),
+        ((1, 2, 3, 4, 5, 6, 7, 8, -1, 2), 9, "strands must be from 1 to 7"),
+    ], ids=["letter-too-large", "letter-zero", "letter-too-small", "no-strands",
+            "over-max-strands"])
+    def test_rejects_words_it_cannot_evaluate(self, word, strands, message):
+        # unchecked, the packed trace gave 0 for the too-large letters and
+        # for the 9-strand word (whose closure is the unknot), raised an
+        # unrelated error for the zero letter and gave v for no strands
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hecke_homfly(word, strands)
+        if strands and "letters" in message:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                braid_closure(word, strands)
 
     def test_markov_moves_and_mirror(self):
         # seeded words of 24-48 letters on 5-7 strands

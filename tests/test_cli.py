@@ -328,7 +328,9 @@ class TestCommands:
         ("[{bad", "bad polynomial JSON: Expecting property name enclosed in double quotes: "
                   "line 1 column 3 (char 2)"),
         ('[{"ev":-2.5,"ez":2,"c":"1"}]', "bad polynomial record: not an integer: -2.5"),
-    ], ids=["not-json", "not-an-integer"])
+        ("{}", "bad polynomial JSON: not an array of term records"),
+        ('""', "bad polynomial JSON: not an array of term records"),
+    ], ids=["not-json", "not-an-integer", "object", "string"])
     @pytest.mark.parametrize("command", [["homfly"], ["verify", "--gc", "1"]])
     def test_malformed_expect_exits_before_engine_work(self, command, expect, err, tmp_path,
                                                        monkeypatch, capsys):

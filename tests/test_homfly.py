@@ -472,9 +472,13 @@ class TestTrace:
                    for n in internal)
 
     def test_trace_value_matches_engine(self, engine):
-        d = parse_pd(FIGURE8_PD)
-        t = skein_trace(d)
-        assert t.nodes[t.root].poly == engine.homfly(d)
+        # the trace and the oracle walk the same least-label tree through
+        # one skein step; the engine takes the Hecke route on these closures
+        # and its own skein route through that step
+        for d in [parse_pd(FIGURE8_PD), *random_braid_diagrams(12, seed=61)]:
+            p = engine.homfly(d)
+            assert skein_trace(d).nodes[0].poly == naive_homfly(d) == p
+            assert skein_homfly(HomflyEngine(), d) == p
 
     def test_simplified_trace_no_larger(self):
         d = braid_closure([1, 1, 1, -2, 2], 3)

@@ -139,6 +139,10 @@ class TestSerialization:
         '[{"ev": 1, "ez": 2, "c": "\\u0661"}]',
         '[{"ev": NaN, "ez": 2, "c": "1"}]',
         '[{"ev": %s, "ez": 2, "c": "1"}]' % ("1" * 5000),
+        # the polynomial is an array of records
+        "{}",
+        '""',
+        '{"ev": 1, "ez": 2, "c": "1"}',
     ], ids=lambda text: text if len(text) < 100 else "5000-digit ev")
     def test_bad_json(self, text):
         with pytest.raises(ParseError):
@@ -147,6 +151,7 @@ class TestSerialization:
     def test_json_integers_and_digit_strings(self):
         assert LaurentPoly2.from_json('[{"ev": -2, "ez": 0, "c": 3}, {"ev": 0, "ez": -0, '
                                       '"c": "-007"}]') == LaurentPoly2({(-2, 0): 3, (0, 0): -7})
+        assert LaurentPoly2.from_json("[]") == LaurentPoly2.zero()
 
     def test_pretty_groups_by_z_degree(self):
         txt = PAPER_15N100154.pretty()

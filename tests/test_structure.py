@@ -8,11 +8,12 @@ and planarity errors each raised in one function over that pairing,
 every engine route in one recursive method that splits and reads braids
 in one place each and looks each code up once, a Hecke trace that keeps
 no state between calls, free loops built as no diagram and bounded in
-one function, filed cache codes kept in one map, RecursionError caught
-in one function, a package namespace that does not shadow its modules,
-the attributes the benchmark's layer trace wraps, crossing strands
-stored as fields, PD slots read only in diagram.py, a braid reader and diagram
-pieces without union-find, and a cold evaluation that neither validates
+one function, braid words checked in one function, filed cache codes
+kept in one map, RecursionError caught in one function, a package
+namespace that does not shadow its modules, the attributes the
+benchmark's layer trace wraps, crossing strands stored as fields, PD
+slots read only in diagram.py, a braid reader and diagram pieces without
+union-find, and a cold evaluation that neither validates
 nor walks cycles again, builds one edge table, and walks pieces only
 where a diagram is parsed; the CLI's run sequence (diagram, --expect,
 engine and cache, output) written once, in cli._dispatch; every CLI
@@ -36,7 +37,7 @@ from mortonlab.braid import hecke_homfly
 from mortonlab.diagram import Crossing, Diagram, parse_pd
 from mortonlab.family import braid_closure, whitehead_double
 from mortonlab.homfly import HomflyEngine
-from mortonlab.poly import LaurentPoly1, LaurentPoly2, _skein_terms
+from mortonlab.poly import LaurentPoly1, LaurentPoly2, _skein_step
 
 SOURCES = sorted(Path(mortonlab.__file__).parent.glob("*.py"))
 
@@ -134,27 +135,28 @@ def _mono_mul_lines(tree):
 
 @pytest.mark.parametrize("module", ["morton", "homfly"])
 def test_skein_rule_written_once(module):
-    # the family recurrence takes its weights from poly._skein_terms, as
-    # the skein route does, so the skein rule stays written once
+    # the engine, the oracle, the trace and the family recurrence each take
+    # P from poly._skein_step, the only code that calls mono_mul, so the
+    # skein rule stays written once
+    callers = {path.stem: _mono_mul_lines(_tree(path)) for path in SOURCES}
+    assert [name for name, calls in callers.items() if calls] == ["poly"]
+    poly = _functions(_tree(Path(mortonlab.__file__).parent / "poly.py"))
+    assert [name for name, f in poly.items() if _mono_mul_lines(f)] == ["_skein_step"]
     tree = _tree(Path(mortonlab.__file__).parent / f"{module}.py")
-    if module != "homfly":
-        calls = _mono_mul_lines(tree)
-        assert not calls, f"{module}.py: mono_mul on lines {calls}"
     imported = [a.name for n in ast.walk(tree)
                 if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "poly"
                 for a in n.names]
-    assert "_skein_terms" in imported
+    assert "_skein_step" in imported
 
 
 def test_hecke_weights_are_the_skein_rule_without_its_writhe_factor():
     # the trace multiplies by g_i = v^-1 T_i, so its two weights (1 for the
     # switch, s z for the smoothing) are the skein rule's with v^(2s) and
-    # v^s divided out; braid.py applies no monomial of its own
+    # v^s divided out
+    zero = LaurentPoly2.zero()
     for s in (1, -1):
-        assert _skein_terms(s, LaurentPoly2({(-2 * s, 0): 1}), LaurentPoly2({(-s, 0): 1})) == (
-            LaurentPoly2.one(), LaurentPoly2({(0, 1): s}))
-    calls = _mono_mul_lines(_tree(Path(mortonlab.__file__).parent / "braid.py"))
-    assert not calls, f"braid.py: mono_mul on lines {calls}"
+        assert _skein_step(s, LaurentPoly2({(-2 * s, 0): 1}), zero) == LaurentPoly2.one()
+        assert _skein_step(s, zero, LaurentPoly2({(-s, 0): 1})) == LaurentPoly2({(0, 1): s})
 
 
 def _functions(tree):
@@ -232,6 +234,16 @@ def _raisers(functions, message):
                   if isinstance(n, ast.Raise) and message in "".join(
                       c.value for c in ast.walk(n)
                       if isinstance(c, ast.Constant) and isinstance(c.value, str)))
+
+
+def test_braid_words_checked_once():
+    # braid_closure and the Hecke trace take the same words, checked by one
+    # function in braid.py
+    functions = {f"{path.stem}.{name}": f for path in SOURCES
+                 for name, f in _functions(_tree(path)).items()}
+    assert _raisers(functions, "word letters must be") == ["braid._check_word"]
+    assert [name for name, f in functions.items() if "_check_word" in _called(f)] == [
+        "braid.hecke_homfly", "family.braid_closure"]
 
 
 def test_entry_rules_checked_once():
