@@ -81,12 +81,18 @@ size, inside the digit range [-2^(B-1), 2^(B-1)).  The bound is on the
 final polynomial alone, so it holds however that polynomial is reached:
 runs, the rotation and the grouped partial traces change only the order
 of ring operations.
+The digits are then regrouped by the z-exponent of P.  As delta^b v^b =
+(1 - v^2)^b z^-b, the coefficient of z^t in P is v^(e-n+1) times
+sum_b d(t + b, b) (1 - v^2)^b, where d(i, b) is the digit of z^i delta^b.
+That sum is taken as one int at v^2 = 2^K, K = B + n + 1, and read back as
+balanced base-2^K digits, the digit at place j being the coefficient of
+v^(e-n+1+2j) z^t.  This is exact too: b < n, each digit is at most
+2^(B-2) in size and each coefficient of (1 - v^2)^b at most 2^b <=
+2^(n-1), so every coefficient of the sum is at most n 2^(B-2) 2^(n-1) in
+size, which is below 2^(K-1) = 2^(B+n) for n <= 7 (n < 8).
 """
 
 from __future__ import annotations
-
-from itertools import groupby
-from math import comb
 
 from .diagram import Diagram
 from .poly import LaurentPoly2
@@ -104,7 +110,7 @@ def read_braid(d: Diagram):
     xs = d.crossings
     if not xs or not d.is_connected():
         return None
-    circles, circle_of = _seifert_cycles(xs)
+    circles, circle_of = _seifert_cycles(d)
     s = len(circles)
     if s > MAX_STRANDS:
         return None
@@ -164,17 +170,20 @@ def hecke_homfly(word, strands) -> LaurentPoly2:
         raise ValueError(f"strands must be from 1 to {MAX_STRANDS}")
     _check_word(word, strands)
     bits = len(word) + (strands - 1) * (strands - 2) // 2 + 2
-    # a conjugate that starts where the letter changes, so no run of equal
-    # letters wraps around its end
-    r = next((i for i in range(len(word)) if word[i] != word[i - 1]), 0)
+    # the runs of equal letters of the word read cyclically, found in one
+    # pass: the trace is that of the conjugate starting at the first run,
+    # so no run wraps around its end
+    starts = [i for i in range(len(word)) if word[i] != word[i - 1]]
+    if word and not starts:  # one letter throughout
+        starts = [0]
     state = {sum(i << 3 * i for i in range(strands)): 1}
-    for letter, run in groupby(word[r:] + word[:r]):
-        m = sum(1 for _ in run)
+    for start, end in zip(starts, starts[1:] + starts[:1]):
+        letter, m = word[start], (end - start) % len(word) or len(word)
         state = _times(state, abs(letter) - 1, m if letter > 0 else -m, bits)
     for n in range(strands, 1, -1):
         state = _partial_trace(state, n, bits)
     writhe = sum(1 if letter > 0 else -1 for letter in word)
-    return _unpack(state.get(0, 0), bits, writhe - strands + 1)
+    return _unpack(state.get(0, 0), bits, strands, writhe - strands + 1)
 
 
 def _partial_trace(state, n, bits):
@@ -239,9 +248,9 @@ def _times(state, p, power, bits):
     return out
 
 
-def _unpack(x, bits, ev0):
-    """The polynomial sum_b delta^b v^(ev0 + b) c_b(z) packed in x, with
-    delta^b v^b = (1 - v^2)^b z^-b."""
+def _digits(x, bits):
+    """The balanced base-2^bits digits of x, each in [-2^(bits-1),
+    2^(bits-1)), lowest first."""
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     digits = []
     while x:
@@ -251,10 +260,22 @@ def _unpack(x, bits, ev0):
             digit -= 1 << bits
             x += 1
         digits.append(digit)
-    terms = []
+    return digits
+
+
+def _unpack(x, bits, strands, ev0):
+    """The polynomial sum_b delta^b v^(ev0 + b) c_b(z) packed in x by a
+    trace on strands strands, with delta^b v^b = (1 - v^2)^b z^-b: the
+    coefficient of z^t, v^ev0 sum_b d(t + b, b) (1 - v^2)^b, is summed as
+    one int at v^2 = 2^K and read back by its balanced base-2^K digits."""
+    k = bits + strands + 1
+    one_minus = 1 - (1 << k)
+    by_ez = {}
+    digits = _digits(x, bits)
     for b, start in enumerate(range(0, len(digits), bits - 1)):
-        row = [(ev0 + 2 * j, (-1) ** j * comb(b, j)) for j in range(b + 1)]
-        terms.extend(((ev, ez - b), m * digit)
-                     for ez, digit in enumerate(digits[start:start + bits - 1]) if digit
-                     for ev, m in row)
-    return LaurentPoly2(terms)
+        weight = one_minus ** b
+        for i, digit in enumerate(digits[start:start + bits - 1]):
+            if digit:
+                by_ez[i - b] = by_ez.get(i - b, 0) + digit * weight
+    return LaurentPoly2._of({(ev0 + 2 * j, ez): c for ez, y in by_ez.items()
+                             for j, c in enumerate(_digits(y, k)) if c})

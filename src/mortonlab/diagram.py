@@ -26,7 +26,12 @@ connected pieces, which one strand walk over the edge table finds.
 parse_pd and validation walk the pieces for the planarity check, so a
 diagram that enters carries them; _renumber and switch_crossing hand
 their results cycles and a table, and the canonical code's first walk
-records the pieces of a diagram whose crossings form one piece.
+records the pieces of a diagram whose crossings form one piece.  The
+Seifert circles (seifert._seifert_cycles) are stored on the diagram too,
+and switch_crossing hands them on, as a switch keeps the smoothing's
+successor map.  A diagram is marked reduced when it admits no R1 or R2
+move: _reduce marks the result of its moves and simplify a diagram it
+finds at the fixpoint, and simplify returns a marked diagram with no scan.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class Diagram:
     """Immutable oriented link diagram."""
 
     __slots__ = ("crossings", "free_loops", "_cycles", "_comp", "_ins", "_pieces", "_split",
-                 "_code")
+                 "_code", "_seifert", "_reduced")
 
     def __init__(self, crossings, free_loops=0, _validated=False):
         self.crossings = tuple(crossings)
@@ -82,6 +87,8 @@ class Diagram:
         self._pieces = None
         self._split = None
         self._code = None
+        self._seifert = None
+        self._reduced = False
         if not _validated:
             self._validate()
 
@@ -190,6 +197,9 @@ class Diagram:
         # every strand and the projection are kept; the strands entering i
         # trade under for over
         out._cycles, out._comp, out._pieces = self._cycles, self._comp, self._pieces
+        # so is the Seifert successor map: under-in -> over-out and
+        # over-in -> under-out are the same two pairs at the switched i
+        out._seifert = self._seifert
         out._ins = ins = self._edge_table()[:]
         ins[x.a], ins[x.over_in] = (i, False), (i, True)
         return out
@@ -211,9 +221,14 @@ class Diagram:
         """Greedy crossing-reducing Reidemeister I and II moves to a fixpoint:
         the first R1 move by crossing order, otherwise the first R2 move by
         crossing order.  The result is renumbered once, and is this diagram
-        when no move applies."""
-        out = _reduce(self)
-        return self if out is None else out
+        when no move applies.  Either is marked reduced, and a diagram so
+        marked is returned with no scan."""
+        if not self._reduced:
+            out = _reduce(self)
+            if out is not None:
+                return out
+            self._reduced = True
+        return self
 
     # -- relabeling and canonical form ------------------------------------
 
@@ -384,7 +399,8 @@ def _reduce(d, cut=(), smooth=True, moves=True):
     take Reidemeister moves to a fixpoint if `moves`: each time the first R1
     by crossing order, else the first R2.  All of it works on one list in
     crossing order (None for a removed crossing) and a copy of d's edge
-    table; the result is renumbered once, or None when nothing changed."""
+    table; the result is renumbered once, and marked reduced after the
+    moves, or None when nothing changed."""
     xs = list(d.crossings)
     ins = d._edge_table()[:]
     loops = d.free_loops
@@ -394,7 +410,9 @@ def _reduce(d, cut=(), smooth=True, moves=True):
         loops += _stitch(xs, ins, found, False)
     if None not in xs:
         return None
-    return _renumber([x for x in xs if x is not None], loops, _validated=True)
+    out = _renumber([x for x in xs if x is not None], loops, _validated=True)
+    out._reduced = moves
+    return out
 
 
 def _first_move(xs, ins):

@@ -385,7 +385,9 @@ class SkeinNode:
 
     @property
     def m(self):
-        return self.poly.maxdeg_z() if self.poly is not None else None
+        """The top z-degree of poly, which a finished node holds: an int, as
+        no link has a zero polynomial."""
+        return self.poly.maxdeg_z()
 
 
 @dataclass
@@ -417,10 +419,8 @@ def trace_to_dot(trace: SkeinTrace) -> str:
     """DOT digraph of a resolution tree; cancellation nodes filled red."""
     lines = ["digraph skein {", '  node [shape=box];']
     for node in trace.nodes:
-        m = node.m
-        label = f"m={'-inf' if m is None else m}"
         extra = ' style=filled fillcolor=red' if node.cancellation else ""
-        lines.append(f'  n{node.id} [label="{label}"{extra}];')
+        lines.append(f'  n{node.id} [label="m={node.m}"{extra}];')
     for node in trace.nodes:
         if node.chosen_crossing is None:
             continue

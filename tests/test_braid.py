@@ -12,7 +12,7 @@ import pytest
 from helpers import (SPLIT_WHEN_SIMPLIFIED_PD, mirrored, random_relabeling, shuffled_crossings,
                      skein_homfly, trefoil_beside_its_double)
 
-from mortonlab.braid import MAX_STRANDS, hecke_homfly, read_braid
+from mortonlab.braid import MAX_STRANDS, _unpack, hecke_homfly, read_braid
 from mortonlab.diagram import parse_pd
 from mortonlab.errors import InvalidPDError
 from mortonlab.family import braid_closure, insert_parallel_bands, two_bridge_plat, whitehead_double
@@ -180,6 +180,29 @@ class TestRuns:
                         broken += [h, -h]
                     broken.append(g)
                 assert hecke_homfly(broken, strands) == p, (word, strands)
+
+
+class TestPacking:
+    @pytest.mark.parametrize("strands", range(1, MAX_STRANDS + 1))
+    def test_unpack_recovers_polynomials_at_the_decoding_bound(self, strands):
+        # the bound the braid module states: delta-degree below strands,
+        # z-degree at most B - 2 and coefficients at most 2^(B-2) in size
+        # for digits of B bits; coefficients all at the bound, of one sign,
+        # make the largest sums at every z-exponent
+        rng = random.Random(83 + strands)
+        one_minus_v2 = LaurentPoly2({(0, 0): 1, (2, 0): -1})
+        least = (strands - 1) * (strands - 2) // 2 + 2
+        for bits in (least, least + 1, least + 9, least + 40):
+            top = 1 << (bits - 2)
+            for fill in (lambda: top, lambda: -top, lambda: rng.choice((top, -top)),
+                         lambda: rng.randint(-top, top), lambda: rng.choice((0, 0, top, -1))):
+                coeffs = {(i, b): fill() for b in range(strands) for i in range(bits - 1)}
+                x = sum(c << bits * (i + (bits - 1) * b) for (i, b), c in coeffs.items())
+                ev0 = rng.randint(-9, 9)
+                expected = LaurentPoly2.zero()
+                for (i, b), c in coeffs.items():
+                    expected = expected + (one_minus_v2 ** b).mono_mul(c, ev0, i - b)
+                assert _unpack(x, bits, strands, ev0) == expected, (bits, strands)
 
 
 class TestReader:

@@ -1,6 +1,7 @@
 """PD parsing, validation, crossing moves, canonical codes, simplification."""
 
 import hashlib
+import os
 import random
 import re
 
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIGURE8_PD, TREFOIL_PD
+from conftest import DATA_DIR, FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams, random_relabeling, shuffled_crossings
 
+from mortonlab.cli import load_knot_table
 from mortonlab.diagram import (Crossing, Diagram, _entries, _first_move, _r2_pair, _reduce,
                                _renumber, parse_pd)
 from mortonlab.errors import InvalidPDError, ParseError
 from mortonlab.family import insert_parallel_bands, two_bridge_plat, whitehead_double
-from mortonlab.seifert import CrossingClass, classify_crossing, seifert_circles
+from mortonlab.seifert import CrossingClass, _seifert_cycles, classify_crossing, seifert_circles
 
 
 class TestParsing:
@@ -814,3 +816,67 @@ class TestAgainstReferences:
             x.canonical_code()
             fresh = Diagram(x.crossings, x.free_loops)
             assert x._pieces == fresh._crossing_graph_pieces() == _reference_pieces(fresh)
+
+
+# seeded closures of 2-6 strands and Whitehead doubles of table knots, in
+# both clasps, untwisted and with one twist
+_DERIVED_CORPUS = random_braid_diagrams(80, seed=41, max_strands=6, max_len=14,
+                                        max_crossings=14)
+_DERIVED_CORPUS += [whitehead_double(e.diagram, clasp, twists)
+                    for e in load_knot_table(os.path.join(DATA_DIR, "small_knots.csv"))[:6]
+                    for clasp, twists in ((1, 0), (-1, 1))]
+
+
+@st.composite
+def _derived(draw):
+    """A diagram of _DERIVED_CORPUS, or a descendant taken by up to three
+    switches (each maybe simplified), smoothings or reduced smoothings."""
+    d = draw(st.sampled_from(_DERIVED_CORPUS))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if not d.crossings:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(d.crossings) - 1))
+        step = draw(st.sampled_from(("switch", "switch-simplify", "smooth", "reduce")))
+        if step == "switch":
+            d = d.switch_crossing(i)
+        elif step == "switch-simplify":
+            d = d.switch_crossing(i).simplify()
+        else:
+            d = d.smooth_crossing(i) if step == "smooth" else _reduce(d, (i,))
+    return d
+
+
+class TestDerivedStructure:
+    """The Seifert circles a switch hands on and the reduced mark, over
+    seeded closures, table doubles and their switched or smoothed children."""
+
+    @given(_derived())
+    @example(whitehead_double(parse_pd(TREFOIL_PD), -1, 1))
+    @settings(max_examples=120, deadline=None)
+    def test_switched_diagrams_carry_their_seifert_cycles(self, d):
+        circles = _seifert_cycles(d)
+        for i in range(len(d.crossings)):
+            x = d.switch_crossing(i)
+            assert x._seifert is circles
+            assert _seifert_cycles(Diagram(x.crossings, x.free_loops)) == circles
+            # and so does a switch of a switch
+            assert _seifert_cycles(x.switch_crossing(len(d.crossings) - 1 - i)) == circles
+
+    @given(_derived())
+    @example(braid_closure([1, -1, 2, -2, 1, 3, -3], 4))
+    @settings(max_examples=120, deadline=None)
+    def test_diagrams_marked_reduced_admit_no_move(self, d):
+        n = len(d.crossings)
+        moved = [d.simplify(), *(_reduce(d, (i,)) for i in range(n)),
+                 *(d.switch_crossing(i).simplify() for i in range(n))]
+        assert all(x._reduced for x in moved)
+        # the mark comes only from a scan: switches and smoothings lack it
+        children = [*(d.switch_crossing(i) for i in range(n)),
+                    *(d.smooth_crossing(i) for i in range(n))]
+        assert not any(x._reduced for x in children)
+        for x in [d, *moved, *children]:
+            if x._reduced:
+                assert _first_move(list(x.crossings), x._edge_table()) is None
+                assert x.simplify() is x
+        # simplify marks a diagram it finds at the fixpoint
+        assert d._reduced == (d.simplify() is d)

@@ -5,12 +5,15 @@ import pytest
 from conftest import FIGURE8_PD, TREFOIL_PD
 from helpers import braid_closure, random_braid_diagrams
 
+from mortonlab import seifert
+from mortonlab.braid import read_braid
 from mortonlab.cli import run_command
 from mortonlab.diagram import Diagram, parse_pd
 from mortonlab.errors import DisconnectedError, InvalidPDError
 from mortonlab.family import whitehead_double
 from mortonlab.seifert import (
     CrossingClass,
+    SeifertDecomposition,
     classify_crossing,
     diagram_genus,
     seifert_circles,
@@ -71,6 +74,36 @@ class TestCircles:
             while flat.crossings:
                 flat = flat.smooth_crossing(0)
             assert flat.num_components() == s
+
+
+    def test_circles_computed_once_per_diagram(self, monkeypatch):
+        # seifert_circles stores the circles on the diagram; the braid
+        # reader and a switched diagram read them there
+        d = braid_closure([1, -2, 1, 3, -2, 3], 4)
+        dec = seifert_circles(d)
+        switched = d.switch_crossing(2)
+
+        def walk(*args):
+            raise AssertionError("Seifert circles walked again")
+
+        monkeypatch.setattr(seifert, "_permutation_cycles", walk)
+        assert read_braid(d) is not None
+        assert seifert_circles(d) == dec
+        assert seifert_circles(switched).num_circles == dec.num_circles == 4
+
+    def test_decomposition_equality_and_repr_are_over_its_three_values(self):
+        # as when all three were dataclass fields, the joins built on first read
+        dec = seifert_circles(parse_pd(TREFOIL_PD))
+        joins = ((0, 1), (0, 1), (0, 1))
+        assert repr(dec) == ("SeifertDecomposition(num_circles=2, diagram_genus=1, "
+                             f"crossing_joins={joins})")
+        same = seifert_circles(parse_pd(TREFOIL_PD))
+        assert same == SeifertDecomposition(2, 1, joins) == dec
+        assert hash(same) == hash(SeifertDecomposition(2, 1, joins)) == hash(dec)
+        assert same.crossing_joins == joins
+        assert dec != SeifertDecomposition(2, 1, joins[:2])
+        assert dec != SeifertDecomposition(3, 1, joins)
+        assert dec != (2, 1, joins)
 
 
 class TestGenus:

@@ -192,17 +192,20 @@ def test_permutation_cycle_walk_written_once():
 
 
 def test_seifert_successor_map_written_once():
-    # seifert_circles and the braid reader both read the circles off
-    # seifert._seifert_cycles, the one map under-in -> over-out,
-    # over-in -> under-out
-    src = Path(mortonlab.__file__).parent
-    seifert = _functions(_tree(src / "seifert.py"))
-    assert [name for name, f in seifert.items() if "_permutation_cycles" in _called(f)] == \
-        ["_seifert_cycles"]
-    braid = _tree(src / "braid.py")
-    assert "_permutation_cycles" not in {n.id for n in ast.walk(braid) if isinstance(n, ast.Name)}
-    assert "_seifert_cycles" in _called(seifert["seifert_circles"])
-    assert "_seifert_cycles" in _called(_functions(braid)["read_braid"])
+    # seifert._seifert_cycles alone walks the circles, off the one map
+    # under-in -> over-out, over-in -> under-out, and stores them on the
+    # diagram, where seifert_circles and the braid reader read them; only
+    # switch_crossing hands stored circles on
+    functions = {f"{path.stem}.{name}": f for path in SOURCES
+                 for name, f in _functions(_tree(path)).items()}
+    assert sorted(name for name, f in functions.items() if "_permutation_cycles" in _called(f)) == \
+        ["diagram.component_cycles", "seifert._seifert_cycles"]
+    stores = sorted(name for name, f in functions.items() for n in ast.walk(f)
+                    if isinstance(n, ast.Attribute) and n.attr == "_seifert"
+                    and isinstance(n.ctx, ast.Store))
+    assert stores == ["diagram.__init__", "diagram.switch_crossing", "seifert._seifert_cycles"]
+    assert "_seifert_cycles" in _called(functions["seifert.seifert_circles"])
+    assert "_seifert_cycles" in _called(functions["braid.read_braid"])
 
 
 def test_pd_slots_read_only_in_diagram():
