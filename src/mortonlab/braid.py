@@ -90,9 +90,40 @@ v^(e-n+1+2j) z^t.  This is exact too: b < n, each digit is at most
 2^(B-2) in size and each coefficient of (1 - v^2)^b at most 2^b <=
 2^(n-1), so every coefficient of the sum is at most n 2^(B-2) 2^(n-1) in
 size, which is below 2^(K-1) = 2^(B+n) for n <= 7 (n < 8).
+
+Two forms of the state.  The combination of g_w starts as a dict
+{packed w: packed coefficient} of its nonzero terms.  A letter rebuilds
+it term by term, looking up each term's swap, so it meets each pair from
+both ends and pays a hash lookup and bit extraction per term.  Before
+each run, once the dict holds at least n!/_DENSE_DIVISOR terms, it
+becomes a list of n! coefficients indexed by the rank of w in the
+lexicographic order of its values, and it stays a list to the end of the
+trace.  A run then passes once, in place, over the n!/2 rank pairs
+(lo, hi) of its generator by the same three rules, and a partial trace
+gathers each group k by a table of ranks and multiplies it out over the
+pairs of S_(n-1).  A pass over the list visits all n!/2 pairs whatever
+the state holds, each for less than a dict term costs, so it pays once
+the state holds a sizeable share of them.  Over seeded words of 4-7
+strands and 6-48 letters the switch at n!/12 was as fast as at n!/8 or
+faster, most on 4 strands; n!/16 and n!/32 lost on some 7-strand words.
+Lists from the first letter took 2-12 times as long on 6- and 12-letter
+words of 6 and 7 strands, and would build tables that such words never
+need (16-18 ms of CPU on 7 strands).  On 48-letter words of 5 and 6
+strands the switch halves the time the dict alone takes.
+The tables of a strand count (_tables) are tuples of ints, built once
+per process when a trace first needs them, and no call changes them.
+The form decides only where each coefficient is kept: packing, B, J, the
+rotation, the runs and the decoding are unchanged, and the decoding
+bound holds on the final polynomial however it is reached, so every
+polynomial is the same in either form.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import permutations
+from math import factorial
+from operator import add, lshift
 
 from .diagram import Diagram
 from .poly import LaurentPoly2
@@ -101,6 +132,10 @@ from .seifert import _seifert_cycles
 __all__ = ["MAX_STRANDS", "read_braid", "hecke_homfly"]
 
 MAX_STRANDS = 7
+
+# the state becomes a list once it holds at least n!/_DENSE_DIVISOR terms
+# on n strands (see "Two forms of the state")
+_DENSE_DIVISOR = 12
 
 
 def read_braid(d: Diagram):
@@ -176,14 +211,43 @@ def hecke_homfly(word, strands) -> LaurentPoly2:
     starts = [i for i in range(len(word)) if word[i] != word[i - 1]]
     if word and not starts:  # one letter throughout
         starts = [0]
-    state = {sum(i << 3 * i for i in range(strands)): 1}
+    state, pairs = {sum(i << 3 * i for i in range(strands)): 1}, None
+    fill = factorial(strands)
     for start, end in zip(starts, starts[1:] + starts[:1]):
+        if pairs is None and len(state) * _DENSE_DIVISOR >= fill:
+            perms, pairs, _ = _tables(strands)
+            state = [state.get(w, 0) for w in perms]
         letter, m = word[start], (end - start) % len(word) or len(word)
-        state = _times(state, abs(letter) - 1, m if letter > 0 else -m, bits)
+        power = m if letter > 0 else -m
+        if pairs is None:
+            state = _times(state, abs(letter) - 1, power, bits)
+        else:
+            _times_dense(state, pairs[abs(letter) - 1], power, bits)
+    partial_trace = _partial_trace if pairs is None else _partial_trace_dense
     for n in range(strands, 1, -1):
-        state = _partial_trace(state, n, bits)
+        state = partial_trace(state, n, bits)
     writhe = sum(1 if letter > 0 else -1 for letter in word)
-    return _unpack(state.get(0, 0), bits, strands, writhe - strands + 1)
+    return _unpack(state.get(0, 0) if pairs is None else state[0], bits, strands,
+                   writhe - strands + 1)
+
+
+@cache
+def _tables(n):
+    """The read-only tables of the dense state on n strands, whose
+    permutations are ranked in the lexicographic order of their values:
+    (perms, pairs, drops).  perms[r] is permutation r packed as in the
+    sparse state; pairs[p] holds the ranks (lo, hi) of each w and w s_p
+    with w(p) < w(p + 1); drops[k][u] is the rank of the permutation with
+    strand n - 1 at position k that is permutation u of S_(n-1) with that
+    strand taken out."""
+    perms = list(permutations(range(n)))
+    rank = {w: r for r, w in enumerate(perms)}
+    pairs = tuple(tuple((r, rank[w[:p] + (w[p + 1], w[p]) + w[p + 2:]])
+                        for r, w in enumerate(perms) if w[p] < w[p + 1])
+                  for p in range(n - 1))
+    drops = tuple(tuple(rank[u[:k] + (n - 1,) + u[k:]] for u in permutations(range(n - 1)))
+                  for k in range(n))
+    return tuple(sum(map(lshift, w, range(0, 3 * n, 3))) for w in perms), pairs, drops
 
 
 def _partial_trace(state, n, bits):
@@ -211,6 +275,30 @@ def _partial_trace(state, n, bits):
     return out
 
 
+def _partial_trace_dense(state, n, bits):
+    """_partial_trace on a dense state, giving a dense state on n - 1
+    strands: drops gathers each group, and each group is multiplied out
+    over the pairs of S_(n-1)."""
+    drops, pairs = _tables(n)[2], _tables(n - 1)[1]
+    shift = bits * (bits - 1)
+    out = [state[r] << shift for r in drops[n - 1]]
+    for k in range(n - 2, -1, -1):
+        group = list(map(state.__getitem__, drops[k]))
+        if any(group):
+            for p in range(n - 3, k - 1, -1):
+                _times_dense(group, pairs[p], 1, bits)
+            out = list(map(add, out, group))
+    return out
+
+
+def _run_matrix(power, bits):
+    """(a, b, a + z b), packed, for g^power = a + b g."""
+    a, b = 1, 0
+    for _ in range(abs(power)):
+        a, b = (b, a + (b << bits)) if power > 0 else (b - (a << bits), a)
+    return a, b, a + (b << bits)
+
+
 def _times(state, p, power, bits):
     """A packed combination {w: nonzero coefficient} of g_w times g^power,
     the generator at positions p and p + 1 (0-based).  Each w and its swap
@@ -219,10 +307,7 @@ def _times(state, p, power, bits):
     A run of m > 1 letters is one pass: g^(+-m) = a + b g, so g_lo goes to
     a g_lo + b g_hi and g_hi to b g_lo + (a + z b) g_hi."""
     if power not in (1, -1):
-        a, b = 1, 0
-        for _ in range(abs(power)):
-            a, b = (b, a + (b << bits)) if power > 0 else (b - (a << bits), a)
-        d = a + (b << bits)
+        a, b, d = _run_matrix(power, bits)
     s = 3 * p
     both = 9 << s
     out = {}
@@ -246,6 +331,32 @@ def _times(state, p, power, bits):
         if c_hi:
             out[hi] = c_hi
     return out
+
+
+def _times_dense(state, pairs, power, bits):
+    """_times in place on a dense state, over the (lo, hi) rank pairs of
+    the generator, by the same three rules; a zero coefficient costs no
+    shift or sum."""
+    if power == 1:
+        for lo, hi in pairs:
+            c_hi = state[hi]
+            if c_hi:
+                state[lo], state[hi] = c_hi, state[lo] + (c_hi << bits)
+            else:
+                state[lo], state[hi] = 0, state[lo]
+    elif power == -1:
+        for lo, hi in pairs:
+            c_lo = state[lo]
+            if c_lo:
+                state[lo], state[hi] = state[hi] - (c_lo << bits), c_lo
+            else:
+                state[lo], state[hi] = state[hi], 0
+    else:
+        a, b, d = _run_matrix(power, bits)
+        for lo, hi in pairs:
+            c_lo, c_hi = state[lo], state[hi]
+            if c_lo or c_hi:
+                state[lo], state[hi] = a * c_lo + b * c_hi, b * c_lo + d * c_hi
 
 
 def _digits(x, bits):

@@ -6,12 +6,14 @@ both."""
 import random
 import re
 from hashlib import sha256
+from math import factorial
 
 import pytest
 
 from helpers import (SPLIT_WHEN_SIMPLIFIED_PD, mirrored, random_relabeling, shuffled_crossings,
                      skein_homfly, trefoil_beside_its_double)
 
+from mortonlab import braid
 from mortonlab.braid import MAX_STRANDS, _unpack, hecke_homfly, read_braid
 from mortonlab.diagram import parse_pd
 from mortonlab.errors import InvalidPDError
@@ -180,6 +182,51 @@ class TestRuns:
                         broken += [h, -h]
                     broken.append(g)
                 assert hecke_homfly(broken, strands) == p, (word, strands)
+
+
+class TestStateForms:
+    """The trace's state starts sparse and turns dense once it fills; both
+    forms must give every polynomial the default switch gives."""
+
+    @staticmethod
+    def _traces(words, divisor, monkeypatch):
+        """The traces of words with the switch at n!/divisor terms, and
+        which letter functions ran on words with letters."""
+        ran, traces = set(), []
+        for name in ("_times", "_times_dense"):
+            f = getattr(braid, name)
+            monkeypatch.setattr(braid, name, lambda *a, f=f, name=name: ran.add(name) or f(*a))
+        monkeypatch.setattr(braid, "_DENSE_DIVISOR", divisor)
+        for word, strands in words:
+            before = set(ran)
+            traces.append(hecke_homfly(word, strands))
+            if not word:  # no letter: the partial traces stay sparse
+                ran &= before
+        monkeypatch.undo()
+        return traces, ran
+
+    def test_sparse_and_dense_forms_agree(self, monkeypatch):
+        # seeded words of 1-7 strands and 0-60 letters, words with runs of
+        # up to 8 equal letters, and T(n, n+1) for n <= 7
+        rng = random.Random(89)
+        words = []
+        for _ in range(120):
+            strands = rng.randint(1, MAX_STRANDS)
+            letters = rng.randint(0, 60) if strands > 1 else 0
+            words.append(([rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                           for _ in range(letters)], strands))
+        words += _run_words(40, seed=97, letters=(6, 60))
+        words += [(list(range(1, n)) * (n + 1), n) for n in range(1, MAX_STRANDS + 1)]
+        default, ran = self._traces(words, braid._DENSE_DIVISOR, monkeypatch)
+        # the default switches inside some traces
+        assert ran == {"_times", "_times_dense"}
+        # dense from the first letter (1 term times n! reaches n!), and never
+        dense, ran = self._traces(words, factorial(MAX_STRANDS), monkeypatch)
+        assert ran == {"_times_dense"}
+        assert dense == default
+        sparse, ran = self._traces(words, 0, monkeypatch)
+        assert ran == {"_times"}
+        assert sparse == default
 
 
 class TestPacking:

@@ -7,8 +7,9 @@ test and the polynomial term-map code written once, a diagram's label
 and planarity errors each raised in one function over that pairing,
 every engine route in one recursive method that splits and reads braids
 in one place each and looks each code up once, a Hecke trace that keeps
-no state between calls, free loops built as no diagram and bounded in
-one function, braid words checked in one function, filed cache codes
+no state between calls beyond its cached read-only tables, free loops
+built as no diagram and bounded in one function, braid words checked in
+one function, filed cache codes
 kept in one map, RecursionError caught in one function, a package
 namespace that does not shadow its modules, the attributes the
 benchmark's layer trace wraps, crossing strands stored as fields, PD
@@ -335,6 +336,22 @@ def test_trace_keeps_no_state_between_calls():
     # its filed codes alone
     assert list(inspect.signature(hecke_homfly).parameters) == ["word", "strands"]
     assert vars(HomflyEngine()).keys() == {"cache", "expansions", "braid_evaluations", "_filed"}
+    # all it reuses are the dense state's tables: one cached builder per
+    # strand count, whose tables are tuples of tuples and ints that no call
+    # can change, and no other module-level value of braid.py is mutable
+    tree = _tree(Path(mortonlab.__file__).parent / "braid.py")
+    cached = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and any(ast.unparse(dec) == "cache" for dec in f.decorator_list)]
+    assert cached == ["_tables"]
+
+    def read_only(x):
+        return isinstance(x, int) or isinstance(x, tuple) and all(map(read_only, x))
+
+    for n in range(1, mortonlab.braid.MAX_STRANDS + 1):
+        tables = mortonlab.braid._tables(n)
+        assert mortonlab.braid._tables(n) is tables and read_only(tables), n
+    assert not [name for name, v in vars(mortonlab.braid).items()
+                if not name.startswith("__") and isinstance(v, (list, dict, set, bytearray))]
 
 
 def test_free_loops_and_filed_codes_kept_in_one_form():
