@@ -73,9 +73,10 @@ def _table_rows(path, warn):
     """(name, pd, line number) for each row of a name,pd CSV (RFC-4180; the
     pd field carries commas and must be quoted), no PD parsed.  Blank rows
     are skipped and short rows reported and skipped; a repeated name, a
-    file not in UTF-8 and a field over csv's size limit are errors."""
+    file not in UTF-8 and a field over csv's size limit are errors.  A
+    leading byte-order mark, as spreadsheets write, is dropped."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             records = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TableError(f"cannot read table {path}: {exc}") from exc

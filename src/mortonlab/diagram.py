@@ -9,6 +9,12 @@ over_out at every crossing) must partition the labels into closed
 oriented cycles.  The diagram lies on the sphere: its counterclockwise
 PD slots give c + 2 faces on each connected piece.
 
+Every Diagram keeps its labels 1..2c.  Only the engine's working lists
+(_WorkingList: a child of a diagram switched, stitched and reduced on the
+parent's labels) carry labels below a bound instead; the canonical walk
+takes any such labels, so the engine reads a child's code off its working
+list and renumbers the child only when the code misses its cache.
+
 PD text X[a,b,c,d] lists the four edge labels counterclockwise from the
 incoming under-strand edge a, so c is outgoing under; the over-strand
 runs d -> b at a positive crossing and b -> d at a negative one.  Only
@@ -26,12 +32,14 @@ connected pieces, which one strand walk over the edge table finds.
 parse_pd and validation walk the pieces for the planarity check, so a
 diagram that enters carries them; _renumber and switch_crossing hand
 their results cycles and a table, and the canonical code's first walk
-records the pieces of a diagram whose crossings form one piece.  The
+records the pieces of a diagram whose crossings form one piece, as does
+a working list's code, which its renumbered diagram carries.  The
 Seifert circles (seifert._seifert_cycles) are stored on the diagram too,
 and switch_crossing hands them on, as a switch keeps the smoothing's
 successor map.  A diagram is marked reduced when it admits no R1 or R2
-move: _reduce marks the result of its moves and simplify a diagram it
-finds at the fixpoint, and simplify returns a marked diagram with no scan.
+move: _reduce and a working list mark the result of their moves and
+simplify a diagram it finds at the fixpoint, and simplify returns a marked
+diagram with no scan.
 """
 
 from __future__ import annotations
@@ -181,7 +189,8 @@ class Diagram:
             for idx in self._crossing_graph_pieces():
                 sub = [self.crossings[i] for i in idx]
                 key = min(min(x[:4]) for x in sub)
-                pieces.append((key, _renumber(sub, 0, _validated=True)))
+                pieces.append((key, _renumber(sub, 0, 2 * len(self.crossings) + 1,
+                                               _validated=True)))
             pieces.sort(key=lambda kv: kv[0])
             self._split = tuple(p for _, p in pieces)
         return self._split
@@ -206,7 +215,8 @@ class Diagram:
 
     def smooth_crossing(self, i):
         """Remove crossing i by the oriented smoothing and renumber, with no
-        Reidemeister moves (the engine reduces its smoothed child in _reduce)."""
+        Reidemeister moves (the engine reduces its smoothed child on its
+        working list)."""
         self._crossing(i)
         return _reduce(self, (i,), moves=False)
 
@@ -256,18 +266,20 @@ class Diagram:
         beside their crossings, combine the sorted codes of their connected
         pieces.
 
-        The walk reads flat per-edge lists indexed by label 1..2c: the next
-        edge on its cycle, its component, the crossing it enters, the
-        token's low bits (2 * under + negative) and the other strand's
-        outgoing edge there.  A start's first token is its low bits, so
-        only starts whose low bits are least can give the least code.
+        The walk reads flat per-edge lists indexed by label (_least_tokens,
+        which takes any labels below a bound, so that a working list's
+        code is read on its parent's labels): the next edge on its cycle,
+        its component, the crossing it enters, the token's low bits
+        (2 * under + negative) and the other strand's outgoing edge there.
+        A start's first token is its low bits, so only starts whose low
+        bits are least can give the least code.
 
         The first walk attaches every component of its piece, so it also
-        decides connectivity: it has 2c + (components with crossings)
-        tokens exactly when the crossings form one piece, which is then
-        recorded, and with free loops beside it that piece's code is this
-        walk's.  After a shorter walk, a diagram that does not carry its
-        pieces has them found by _crossing_graph_pieces.
+        decides connectivity: it has 2c passage tokens exactly when the
+        crossings form one piece, which is then recorded, and with free
+        loops beside it that piece's code is this walk's.  After a shorter
+        walk, a diagram that does not carry its pieces has them found by
+        _crossing_graph_pieces.
         """
         if self._code is None:
             self._code = self._compute_code()
@@ -275,27 +287,26 @@ class Diagram:
 
     def _compute_code(self):
         n = len(self.crossings)
-        if n == 0:
-            self._pieces = []
-            return b"U%d" % self.free_loops
-        ncomp = len(self.component_cycles())
-        best = _least_tokens(self.crossings, ncomp, self._comp)
-        if best is None:
+        code = _list_code(self.crossings, self.free_loops, 2 * n + 1,
+                          len(self.component_cycles()), self._comp)
+        if code is None:
             parts = sorted(p.canonical_code() for p in self.split_pieces())
             return b"S" + b";".join(parts) + b"|%d" % self.free_loops
-        self._pieces = [list(range(n))]
-        if n > 62:
-            body = b"".join(b"\xfe\xfe" if t == -1 else t.to_bytes(2, "big") for t in best)
-        else:
-            body = bytes(map(_TOKEN_BYTE.__getitem__, best))
-        code = body + b"|0"
-        if not self.free_loops:
-            return code
-        # the split form of one piece and free loops; the piece keeps its
-        # crossing order, so the walk above is its own
-        piece = self.split_pieces()[0]
-        piece._code, piece._pieces = code, self._pieces
-        return b"S" + code + b"|%d" % self.free_loops
+        return self._carry(code)
+
+    def _carry(self, code):
+        """Take a code that _list_code read off these crossings as one
+        piece and return it, recording that piece and, with free loops
+        beside it, the piece's own code: the piece keeps this crossing
+        order, so the walk is its own."""
+        self._code = code
+        n = len(self.crossings)
+        self._pieces = [list(range(n))] if n else []
+        if n and self.free_loops:
+            # code is b"S" + the piece's code + b"|" + the free-loop count
+            piece = self.split_pieces()[0]
+            piece._code, piece._pieces = code[1:code.rindex(b"|")], self._pieces
+        return code
 
     # -- serialization ------------------------------------------------------
 
@@ -322,20 +333,47 @@ class Diagram:
 _TOKEN_BYTE = bytes(range(255)) + b"\xfe"
 
 
-def _least_tokens(crossings, ncomp, comp):
-    """Least token list over the candidate starts of crossings labelled
-    1..2c on ncomp components, comp giving each label's component; -1 ends
-    each component.  None when the first walk misses a component: the
+def _list_code(crossings, free_loops, size, ncomp, comp):
+    """Canonical code (Diagram.canonical_code) of crossings on labels below
+    size beside free_loops free loops, or None when the crossings form more
+    than one piece; ncomp and comp as for _least_tokens."""
+    if not crossings:
+        return b"U%d" % free_loops
+    best = _least_tokens(crossings, size, ncomp, comp)
+    if best is None:
+        return None
+    if len(crossings) > 62:
+        body = b"".join(b"\xfe\xfe" if t == -1 else t.to_bytes(2, "big") for t in best)
+    else:
+        body = bytes(map(_TOKEN_BYTE.__getitem__, best))
+    code = body + b"|0"
+    return b"S" + code + b"|%d" % free_loops if free_loops else code
+
+
+def _least_tokens(crossings, size, ncomp, comp):
+    """Least token list over the candidate starts of crossings whose labels
+    lie below size, on at most ncomp components, comp giving each label's
+    component; without comp one pass over the strands finds both.  -1 ends
+    each component.  None when the first walk misses a crossing: the
     crossings form more than one piece."""
     n = len(crossings)
-    size = 2 * n + 1
-    nxt, cross, low, pout = [0] * size, [0] * size, [0] * size, [0] * size
+    # a label no crossing has keeps low bits 4, above every token's
+    nxt, cross, low, pout = [0] * size, [0] * size, [4] * size, [0] * size
     for i, (a, c, o_in, o_out, s) in enumerate(crossings):
         neg = 0 if s > 0 else 1
         nxt[a], nxt[o_in] = c, o_out
         cross[a] = cross[o_in] = i
         low[a], low[o_in] = 2 + neg, neg
         pout[a], pout[o_in] = o_out, c
+    if comp is None:
+        comp = [-1] * size
+        for a, _, o_in, _, _ in crossings:
+            for e in (a, o_in):
+                if comp[e] < 0:
+                    while comp[e] < 0:
+                        comp[e] = ncomp
+                        e = nxt[e]
+                    ncomp += 1
     multi = ncomp > 1
 
     def walk(start, best):
@@ -382,10 +420,11 @@ def _least_tokens(crossings, ncomp, comp):
                     break
         return None if tied else toks
 
-    first = min(low[1:])
-    start = low.index(first, 1)
+    first = min(low)
+    start = low.index(first)
     best = walk(start, None)
-    if len(best) < 2 * n + ncomp:
+    # each passage gives one token and each component walked one -1
+    if len(best) - best.count(-1) < 2 * n:
         return None
     for start in range(start + 1, size):
         if low[start] == first:
@@ -394,25 +433,76 @@ def _least_tokens(crossings, ncomp, comp):
 
 
 def _reduce(d, cut=(), smooth=True, moves=True):
-    """Stitch the crossings `cut` out of diagram d, by the oriented
-    smoothing if `smooth`, else running each strand straight through, then
-    take Reidemeister moves to a fixpoint if `moves`: each time the first R1
-    by crossing order, else the first R2.  All of it works on one list in
-    crossing order (None for a removed crossing) and a copy of d's edge
-    table; the result is renumbered once, and marked reduced after the
-    moves, or None when nothing changed."""
-    xs = list(d.crossings)
-    ins = d._edge_table()[:]
-    loops = d.free_loops
-    if cut:
-        loops += _stitch(xs, ins, cut, smooth)
-    while moves and (found := _first_move(xs, ins)):
-        loops += _stitch(xs, ins, found, False)
-    if None not in xs:
-        return None
-    out = _renumber([x for x in xs if x is not None], loops, _validated=True)
-    out._reduced = moves
-    return out
+    """_WorkingList(d, cut, smooth, moves) renumbered, or None when it
+    removed no crossing."""
+    work = _WorkingList(d, cut, smooth, moves)
+    return work.diagram() if work.changed else None
+
+
+class _WorkingList:
+    """Diagram d with crossing `switch` (if given) switched, the crossings
+    `cut` stitched out, by the oriented smoothing if `smooth`, else each
+    strand running straight through, and then Reidemeister moves taken to
+    a fixpoint if `moves`: each time the first R1 by crossing order, else
+    the first R2.  All of it works on one list in crossing order (None for
+    a removed crossing) and a copy of d's edge table, and the result is
+    kept on d's labels: the crossings left, in d's order, and the
+    free-loop count.  canonical_code reads the code off that list, so the
+    engine looks a child up before it renumbers it; diagram() renumbers
+    it once, handing on the code."""
+
+    __slots__ = ("parent", "switch", "moves", "crossings", "free_loops", "changed", "_keeps",
+                 "_code", "_out")
+
+    def __init__(self, d, cut=(), smooth=True, moves=True, switch=None):
+        xs = list(d.crossings)
+        ins = d._edge_table()[:]
+        if switch is not None:
+            x = xs[switch] = xs[switch].switched()
+            ins[x.a], ins[x.over_in] = (switch, True), (switch, False)
+        loops = d.free_loops
+        if cut:
+            loops += _stitch(xs, ins, cut, smooth)
+        while moves and (found := _first_move(xs, ins)):
+            loops += _stitch(xs, ins, found, False)
+        self.parent, self.switch, self.moves, self.free_loops = d, switch, moves, loops
+        self.changed = None in xs
+        self.crossings = [x for x in xs if x is not None] if self.changed else xs
+        # a switch, a deletion and the moves keep every strand, so each
+        # label left lies on the component it had in d
+        self._keeps = not (cut and smooth)
+        self._code = self._out = None
+
+    def canonical_code(self):
+        """The code of diagram(), read off the list when the crossings
+        form one piece; otherwise diagram() is made and computes it."""
+        d = self.parent
+        if self._keeps:
+            ncomp, comp = len(d.component_cycles()), d._comp
+        else:
+            ncomp, comp = 0, None
+        self._code = _list_code(self.crossings, self.free_loops, 2 * len(d.crossings) + 1,
+                                ncomp, comp)
+        if self._code is None:
+            return self.diagram().canonical_code()
+        return self._code
+
+    def diagram(self):
+        """The Diagram, made once: renumbered, or when nothing was removed
+        d.switch_crossing(switch) on d's labels, which decide later skein
+        choices.  It is marked reduced after the moves and carries the code
+        if canonical_code read one."""
+        if self._out is None:
+            if self.changed:
+                out = _renumber(self.crossings, self.free_loops, 2 * len(self.parent.crossings) + 1,
+                                _validated=True)
+            else:
+                out = self.parent.switch_crossing(self.switch)
+            out._reduced = self.moves
+            if self._code is not None:
+                out._carry(self._code)
+            self._out = out
+        return self._out
 
 
 def _first_move(xs, ins):
@@ -473,8 +563,9 @@ def _stitch(xs, ins, removed, smooth):
     return loops
 
 
-def _renumber(crossings, free_loops, _validated=False):
-    """Relabel arbitrary hashable edge labels to 1..2c by traversal order.
+def _renumber(crossings, free_loops, size, _validated=False):
+    """Relabel crossings on int labels below size to 1..2c by traversal
+    order.
 
     Components are taken in order of first appearance scanning the crossing
     list by PD slot; each is walked from its first-seen edge, so component
@@ -482,17 +573,18 @@ def _renumber(crossings, free_loops, _validated=False):
     records those runs as its component cycles instead of walking them
     again, and the edge table filled while its crossings are built.
     """
-    succ = _successors(crossings)
-    label = {}
+    succ, label = [0] * size, [0] * size
+    for a, c, o_in, o_out, _ in crossings:
+        succ[a], succ[o_in] = c, o_out
     nxt = 1
     starts = []
     for x in crossings:
         # slots a then b: c and d lie on the strands walked from a and b,
         # so this labels as a scan of all four slots does
         for e in (x.a, x.over_out if x.sign > 0 else x.over_in):
-            if e not in label:
+            if not label[e]:
                 starts.append(nxt)
-                while e not in label:
+                while not label[e]:
                     label[e] = nxt
                     nxt += 1
                     e = succ[e]
@@ -605,7 +697,7 @@ def _check_planar(mate, d):
 # a term, after whitespace and at most one comma that follows a term
 _TOKEN_RE = re.compile(
     r"""(?:(?<=\S)\s*,)?\s*(?:
-        (?P<x>X\[\s*(?P<t>\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+)\s*\])
+        X\[\s*(?P<a>\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]
       | (?P<o>O)
       | (?P<fl>free_loops=(?P<k>\d+))
       | (?P<junk>\S+)
@@ -623,9 +715,9 @@ def _tokenize(text):
     # every position of the stripped body starts a match, so the matches
     # findall reports are contiguous and cover it
     try:
-        for x, t, o, fl, k, junk in _TOKEN_RE.findall(body):
-            if x:
-                tuples.append(tuple(int(v) for v in t.split(",")))
+        for a, b, c, d, o, fl, k, junk in _TOKEN_RE.findall(body):
+            if a:
+                tuples.append((int(a), int(b), int(c), int(d)))
             elif o:
                 loops += 1
             elif fl:

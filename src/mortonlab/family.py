@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 
+def _built(crossings, free_loops) -> Diagram:
+    """The validated diagram of crossings on any hashable labels: each
+    label is interned as an int by first appearance, and _renumber, which
+    reads only the crossing order and the strands, relabels them 1..2c."""
+    ids = {}
+    xs = [Crossing(*(ids.setdefault(e, len(ids)) for e in x[:4]), x.sign) for x in crossings]
+    return _renumber(xs, free_loops, len(ids))
+
+
 def braid_closure(word, strands) -> Diagram:
     """Diagram of the closure of a braid word.
 
@@ -67,7 +76,7 @@ def braid_closure(word, strands) -> Diagram:
         else:
             rename[cur[j]] = ("init", j)
     fixed = [Crossing(*(rename.get(e, e) for e in x[:4]), x.sign) for x in crossings]
-    return _renumber(fixed, free)
+    return _built(fixed, free)
 
 
 def two_bridge_plat(parts, od_mid=0, od_side=1) -> Diagram:
@@ -116,7 +125,7 @@ def _orient(crossings) -> Diagram:
         u, o = (s if enters[(x, s)] else s + 2 for s in ((1, 0) if od == 0 else (0, 1)))
         sign = 1 if o == (u + 3) % 4 else -1
         out.append(Crossing(ends[u], ends[(u + 2) % 4], ends[o], ends[(o + 2) % 4], sign))
-    return _renumber(out, 0)
+    return _built(out, 0)
 
 
 @dataclass
@@ -156,7 +165,7 @@ def insert_parallel_bands(d: Diagram, i: int, n: int) -> Diagram:
         # the original under-strand goes under at odd j
         under, over = (xs, ys) if j % 2 else (ys, xs)
         new.append(Crossing(under[j - 1], under[j], over[j - 1], over[j], s))
-    out = _renumber(new, d.free_loops)
+    out = _built(new, d.free_loops)
     if len(out.crossings) != len(d.crossings) + n - 1:
         raise RuntimeError(f"band insertion lost crossings: {len(out.crossings)} for n={n}")
     return out
@@ -276,4 +285,4 @@ def whitehead_double(d: Diagram, clasp_sign: int = 1, twists: int = 0) -> Diagra
 
     c1, c2 = ("clasp", 1), ("clasp", 2)
     add_pair((((p_edge, c1), (c2, p_out)), ((m_in, c2), (c1, q_edge))), clasp_sign)
-    return _renumber(new, 0)
+    return _built(new, 0)

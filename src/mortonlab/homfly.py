@@ -36,15 +36,17 @@ the crossing count.
 The cached engine simplifies first, multiplies split unions by delta, and
 memoizes on canonical codes, which depend on neither the component
 order nor the basepoints.  One recursive method, HomflyEngine._eval,
-holds every route, and looks each code up once.  On a miss at the root
-it reads the root as given, then as simplified, since simplify can leave
-braid form (an R2 move across the closure) and can enter it (R1 moves
-that destabilize): a closed braid of at most braid.MAX_STRANDS (7)
-strands is evaluated by its Markov trace in the Hecke algebra (the braid
-module) and stored under the code of its simplified form, and a split
-root goes piece by piece the same way, times delta^(k-1) for k pieces
-with crossings and free loops in all.  Every other diagram takes the
-skein route.  The engine's expansions count skein steps only, and its
+holds every route, and looks each code up once.  A skein child's code is
+read off the working list that switched or stitched it, on its parent's
+labels, and the child is renumbered into a Diagram only when that code
+misses.  On a miss at the root it reads the root as given, then as
+simplified, since simplify can leave braid form (an R2 move across the
+closure) and can enter it (R1 moves that destabilize): a closed braid of
+at most braid.MAX_STRANDS (7) strands is evaluated by its Markov trace in
+the Hecke algebra (the braid module) and stored under the code of its
+simplified form, and a split root goes piece by piece the same way, times
+delta^(k-1) for k pieces with crossings and free loops in all.  Every
+other diagram takes the skein route.  The engine's expansions count skein steps only, and its
 braid_evaluations count Hecke traces.
 
 The naive oracle and skein traces take the components in least-label
@@ -63,7 +65,7 @@ import re
 from dataclasses import dataclass, field
 
 from .braid import hecke_homfly, read_braid
-from .diagram import Diagram, _r2_pair, _reduce
+from .diagram import Diagram, _r2_pair, _WorkingList
 from .errors import CacheIOError, ParseError, TooLargeError
 from .poly import LaurentPoly2, _skein_step, delta_factor
 
@@ -249,19 +251,24 @@ class HomflyEngine:
     def homfly(self, d: Diagram) -> LaurentPoly2:
         return _guarded(d, lambda: self._eval(d.simplify(), d))
 
-    def _eval(self, d: Diagram, raw: Diagram | None = None) -> LaurentPoly2:
+    def _eval(self, d: Diagram | _WorkingList, raw: Diagram | None = None) -> LaurentPoly2:
         """P of a diagram that admits no R1 or R2 move; so do the connected
-        pieces of a split one, as each move lies within one piece.  raw,
-        when given, is a caller's diagram of which d is the simplified
-        form: on a miss raw, then d, is read as a closed braid, and a
-        split d is split along raw's pieces and free loops when raw is
-        split, else its own, each piece taken the same way."""
+        pieces of a split one, as each move lies within one piece.  A skein
+        child comes as its working list on the parent's labels
+        (diagram._WorkingList), whose code is looked up before it is
+        renumbered, only on a miss.  raw, when given, is a caller's
+        diagram of which d is the simplified form: on a miss raw, then d,
+        is read as a closed braid, and a split d is split along raw's
+        pieces and free loops when raw is split, else its own, each piece
+        taken the same way."""
         code = d.canonical_code()
         p = self.cache.get(code)
         if p is None and (text := self._filed.get(code)) is not None:
             p = self.cache[code] = LaurentPoly2.from_json(text)
         if p is not None:
             return p
+        if isinstance(d, _WorkingList):
+            d = d.diagram()
         if raw is not None and (braid := read_braid(raw) or raw is not d and read_braid(d)):
             self.braid_evaluations += 1
             p = hecke_homfly(*braid)
@@ -278,11 +285,11 @@ class HomflyEngine:
             p = _descending_value(d)
         elif isinstance(i, tuple):
             # a layered component lifts off: the split branch gives delta
-            p = self._eval(_reduce(d, i, smooth=False))
+            p = self._eval(_WorkingList(d, i, smooth=False))
         else:
             self.expansions += 1
-            p = _skein_step(d.crossings[i].sign, self._eval(d.switch_crossing(i).simplify()),
-                            self._eval(_reduce(d, (i,))))
+            p = _skein_step(d.crossings[i].sign, self._eval(_WorkingList(d, switch=i)),
+                            self._eval(_WorkingList(d, (i,))))
         self.cache[code] = p
         return p
 

@@ -57,8 +57,6 @@ __all__ = [
     "match_expected_polynomial",
 ]
 
-_NEG_INF = float("-inf")
-
 
 def morton_bound_diagram(d: Diagram) -> int:
     """c - s + 1 for a connected diagram (= 2*genus + mu - 1)."""
@@ -100,17 +98,14 @@ def knot_level_defect(gc_claimed: int, m: int) -> int:
     return 2 * gc_claimed - m
 
 
-def _mdeg(p: LaurentPoly2):
-    m = p.maxdeg_z()
-    return _NEG_INF if m is None else m
-
-
 def verify_skein_degree_inequalities(d: Diagram, i: int,
                                      engine: HomflyEngine | None = None) -> bool:
     """Check the three skein degree inequalities at crossing i.
 
     These are theorems (the degree of a sum is at most the max of the
-    degrees), so False signals an engine bug, not a property of d.
+    degrees), so False signals an engine bug, not a property of d.  Each
+    degree is taken by _checked_maxdeg_z, so a zero polynomial, which no
+    link has, raises MFWViolationError naming the diagram.
     """
     engine = engine or HomflyEngine()
     x = d.crossings[i]
@@ -119,9 +114,9 @@ def verify_skein_degree_inequalities(d: Diagram, i: int,
     else:
         d_plus, d_minus = d.switch_crossing(i), d
     d_zero = d.smooth_crossing(i)
-    m_plus = _mdeg(engine.homfly(d_plus))
-    m_minus = _mdeg(engine.homfly(d_minus))
-    m_zero = _mdeg(engine.homfly(d_zero))
+    m_plus, m_minus, m_zero = (
+        _checked_maxdeg_z(engine.homfly(child), child.writhe(), None, f"{name} at crossing {i}")
+        for name, child in (("D+", d_plus), ("D-", d_minus), ("D0", d_zero)))
     return (
         m_zero <= max(m_plus, m_minus) - 1
         and m_plus <= max(m_minus, m_zero + 1)

@@ -112,6 +112,15 @@ class TestTable:
         with pytest.raises(TableError):
             load_knot_table(p)
 
+    def test_table_with_byte_order_mark(self, tmp_path, capsys):
+        # spreadsheets save "CSV UTF-8" with a leading byte-order mark,
+        # which is not part of the header
+        p = tmp_path / "t.csv"
+        p.write_bytes(b'\xef\xbb\xbfname,pd\ntrefoil,"' + TREFOIL_PD.encode() + b'"\n')
+        assert [e.name for e in load_knot_table(p)] == ["trefoil"]
+        assert run_command(["homfly", "--table", str(p), "--name", "trefoil"]) == 0
+        assert json.loads(capsys.readouterr().out)["maxdeg_z"] == 2
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfename,pd\n",
         b'name,pd\nbig,"' + b" ".join(b"X[1,1,2,2]" for _ in range(20000)) + b'"\n',

@@ -14,7 +14,7 @@ from helpers import braid_closure, random_braid_diagrams, random_relabeling, shu
 
 from mortonlab.cli import load_knot_table
 from mortonlab.diagram import (Crossing, Diagram, _entries, _first_move, _r2_pair, _reduce,
-                               _renumber, parse_pd)
+                               _renumber, _WorkingList, parse_pd)
 from mortonlab.errors import InvalidPDError, ParseError
 from mortonlab.family import insert_parallel_bands, two_bridge_plat, whitehead_double
 from mortonlab.seifert import CrossingClass, _seifert_cycles, classify_crossing, seifert_circles
@@ -728,7 +728,7 @@ def _reference_simplify(d):
         found = (i,) if i is not None else _find_r2(d)
         if found is None:
             return d
-        d = _renumber(*_remove(d, dict.fromkeys(found, _DELETE)))
+        d = _renumber(*_remove(d, dict.fromkeys(found, _DELETE)), 2 * len(d.crossings) + 1)
 
 
 _words = st.integers(min_value=2, max_value=5).flatmap(
@@ -781,7 +781,7 @@ class TestAgainstReferences:
     def test_reduced_smoothing_matches_smooth_then_simplify(self, d):
         for i in range(len(d.crossings)):
             smoothed = d.smooth_crossing(i)
-            ref = _renumber(*_remove(d, {i: _SMOOTH}))
+            ref = _renumber(*_remove(d, {i: _SMOOTH}), 2 * len(d.crossings) + 1)
             assert (smoothed.crossings, smoothed.free_loops) == (ref.crossings, ref.free_loops)
             s, r = _reduce(d, (i,)), smoothed.simplify()
             assert (s.crossings, s.free_loops) == (r.crossings, r.free_loops)
@@ -880,3 +880,76 @@ class TestDerivedStructure:
                 assert x.simplify() is x
         # simplify marks a diagram it finds at the fixpoint
         assert d._reduced == (d.simplify() is d)
+
+
+def _working_lists(d):
+    """The engine's children of d as working lists, each beside the
+    diagram that the renumbering path makes of it: every crossing switched
+    and simplified, every crossing smoothed and reduced, and for every
+    component the crossings it shares with the others deleted (a layered
+    component lifted off, whether or not it is layered)."""
+    n = len(d.crossings)
+    d.component_cycles()
+    comp = d._comp
+    cuts = {tuple(i for i, x in enumerate(d.crossings) if (comp[x.a] == k) != (comp[x.over_in] == k))
+            for k in range(len(d.component_cycles()))} - {()}
+    return ([(_WorkingList(d, switch=i), d.switch_crossing(i).simplify()) for i in range(n)]
+            + [(_WorkingList(d, (i,)), _reduce(d, (i,))) for i in range(n)]
+            + [(_WorkingList(d, cut, smooth=False), _reduce(d, cut, smooth=False))
+               for cut in sorted(cuts)])
+
+
+class TestWorkingListCodes:
+    """A child's code read off its working list, on its parent's labels, is
+    the renumbered child's; a split child falls back to the renumbered
+    path, and the diagram made on a miss carries the code and its piece."""
+
+    def check(self, d):
+        for work, made in _working_lists(d):
+            # validated, nothing carried: one for the references, one for
+            # the library's own code
+            ref = Diagram(made.crossings, made.free_loops)
+            split = len(_reference_pieces(ref)) > 1
+            fresh = Diagram(made.crossings, made.free_loops)
+            code = work.canonical_code()
+            assert code == _reference_code(ref) == fresh.canonical_code()
+            assert (work._code is None) == split
+            out = work.diagram()
+            assert (out.crossings, out.free_loops, out._reduced) == \
+                (made.crossings, made.free_loops, True)
+            assert out.canonical_code() == code and out._comp == fresh._comp
+            assert out._pieces == fresh._crossing_graph_pieces()
+            if out.crossings and out.free_loops and not split:
+                piece = out.split_pieces()[0]
+                assert piece._code == Diagram(piece.crossings).canonical_code()
+
+    @given(_diagrams())
+    @example(braid_closure([1, 2, 3] * 22, 4))  # children of 65 and 66 crossings
+    @example(braid_closure([1, 1, 3, 3, 3], 5))  # split, with a free loop
+    @example(braid_closure([1, -2, 1, -2, 3, 3], 5).smooth_crossing(4))
+    @example(braid_closure([1, -1, 2, -2, 1, 3, -3], 4))  # switches that open moves
+    # a switch leaves a chain of four circles beside a Hopf link: a split
+    # child whose first piece has as many components as the other passages
+    @example(braid_closure([1, 1, 2, 2, 3, 3, 5, 5, 5, 5], 6))
+    @settings(max_examples=100, deadline=None)
+    def test_closures(self, d):
+        self.check(d)
+
+    @given(_derived())
+    @example(whitehead_double(parse_pd(TREFOIL_PD), -1, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_doubles_corpus(self, d):
+        self.check(d)
+
+    def test_corpus_reaches_every_kind_of_child(self):
+        # two-byte tokens, free loops beside crossings, split children and
+        # switches kept on the parent's labels all occur
+        works = [work for d in _DERIVED_CORPUS[-12:] + [braid_closure([1, 2, 3] * 22, 4),
+                                                         braid_closure([1, 1, 3, 3, 3], 5)]
+                 for work, _ in _working_lists(d)]
+        for work in works:
+            work.canonical_code()
+        assert any(len(w.crossings) > 62 for w in works)
+        assert any(w._code is not None and w.crossings and w.free_loops for w in works)
+        assert any(w._code is None for w in works)
+        assert any(not w.changed for w in works)

@@ -13,7 +13,7 @@ from helpers import braid_closure, random_braid_diagrams
 from mortonlab import morton
 from mortonlab.cli import export_report
 from mortonlab.diagram import parse_pd
-from mortonlab.errors import DisconnectedError
+from mortonlab.errors import DisconnectedError, MFWViolationError
 from mortonlab.family import (
     FamilySpec,
     band_bookkeeping,
@@ -100,6 +100,16 @@ class TestSkeinInequalities:
         d = parse_pd(TREFOIL_PD)
         for i in range(3):
             assert verify_skein_degree_inequalities(d, i, engine)
+
+    def test_zero_polynomial_raises(self):
+        # as in verify: no link has P = 0, so a zero from the engine is a
+        # violation, not a degree of minus infinity
+        class ZeroEngine:
+            def homfly(self, d):
+                return LaurentPoly2.zero()
+
+        with pytest.raises(MFWViolationError, match="zero polynomial for D\\+ at crossing 0"):
+            verify_skein_degree_inequalities(parse_pd(TREFOIL_PD), 0, ZeroEngine())
 
     def test_random_pairs(self, session_engine):
         rng = random.Random(73)

@@ -161,7 +161,14 @@ def test_hecke_weights_are_the_skein_rule_without_its_writhe_factor():
 
 
 def _functions(tree):
-    return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    """Function definitions by name; a later definition of a name already
+    taken, such as a second class's __init__, is keyed Enclosing.name."""
+    out = {}
+    for node in ast.walk(tree):
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, ast.FunctionDef):
+                out[f"{node.name}.{n.name}" if n.name in out else n.name] = n
+    return out
 
 
 def _called(f):
@@ -589,7 +596,8 @@ def test_engine_builds_one_edge_table_and_walks_pieces_only_at_parse(monkeypatch
     # tables, and the first canonical walk records a diagram's pieces when
     # its crossings form one, so a cold evaluation builds a table only for
     # the parsed root and walks the pieces of no diagram whose code it
-    # computed
+    # computed, a child's working list included: a child renumbered after
+    # its list's code missed carries the code and its one piece
     module = importlib.import_module("mortonlab.diagram")
     text = braid_closure([1, 2, 3] * 5, 4).serialize()
     tables, walks, coded = [], [], []
@@ -607,10 +615,16 @@ def test_engine_builds_one_edge_table_and_walks_pieces_only_at_parse(monkeypatch
         coded.append(self)
         return code(self)
 
+    def counted_list_code(self):
+        coded.append(self)
+        return list_code(self)
+
     entries, pieces, code = module._entries, Diagram._crossing_graph_pieces, Diagram._compute_code
+    list_code = module._WorkingList.canonical_code
     monkeypatch.setattr(module, "_entries", counted_entries)
     monkeypatch.setattr(Diagram, "_crossing_graph_pieces", counted_pieces)
     monkeypatch.setattr(Diagram, "_compute_code", counted_code)
+    monkeypatch.setattr(module._WorkingList, "canonical_code", counted_list_code)
     d = parse_pd(text)
     assert tables == [d.crossings] and [id(x) for x in walks] == [id(d)] and coded == []
     walks.clear()
@@ -620,7 +634,9 @@ def test_engine_builds_one_edge_table_and_walks_pieces_only_at_parse(monkeypatch
     assert engine.expansions > 0 and len(coded) > engine.expansions
     assert any(x.crossings and x.free_loops for x in coded)  # free loops beside crossings
     assert tables == [d.crossings]
-    assert {id(x) for x in walks} & {id(x) for x in coded} == set()
+    renumbered = [x._out for x in coded if isinstance(x, module._WorkingList) and x._out]
+    assert renumbered and all(x._code is not None for x in renumbered)
+    assert {id(x) for x in walks} & {id(x) for x in coded + renumbered} == set()
     # the public route, from a fresh parse: the reader uses the root's
     # table and pieces, both from parse_pd
     for seen in (tables, walks, coded):
@@ -631,3 +647,35 @@ def test_engine_builds_one_edge_table_and_walks_pieces_only_at_parse(monkeypatch
     assert (public.expansions, public.braid_evaluations) == (0, 1)
     assert tables == [d.crossings]
     assert [id(x) for x in coded] == [id(d)] and [id(x) for x in walks] == [id(d)]
+
+
+@pytest.mark.parametrize("make", [lambda: whitehead_double(parse_pd(TREFOIL), -1, 1),
+                                  lambda: whitehead_double(braid_closure([1, -2, 1, -2], 3)),
+                                  trefoil_beside_its_double],
+                         ids=["W(3_1,-1,1)", "W(4_1)", "braid-beside-double"])
+def test_engine_renumbers_only_the_children_that_miss(monkeypatch, make):
+    # a skein child's code is read off its working list and looked up
+    # first: _renumber runs for a child whose code missed, unless nothing
+    # was removed (a switch that opens no move keeps its parent's labels),
+    # and for a split child, whose code comes from the renumbered path
+    module = importlib.import_module("mortonlab.diagram")
+    engine = HomflyEngine()
+    looked_up, renumbered = [], {}  # the lists renumbered, kept so no id is reused
+
+    def counted_code(self):
+        code = list_code(self)
+        looked_up.append((self, code in engine.cache))
+        return code
+
+    def counted_renumber(crossings, *args, **kwargs):
+        renumbered[id(crossings)] = crossings
+        return renumber(crossings, *args, **kwargs)
+
+    list_code, renumber = module._WorkingList.canonical_code, module._renumber
+    monkeypatch.setattr(module._WorkingList, "canonical_code", counted_code)
+    monkeypatch.setattr(module, "_renumber", counted_renumber)
+    engine.homfly(make())
+    assert {hit for _, hit in looked_up} == {False, True}
+    assert [(id(w.crossings) in renumbered) == (w.changed and (not hit or w._code is None))
+            for w, hit in looked_up] == [True] * len(looked_up)
+    assert [w for w, hit in looked_up if hit and w._out is not None and w._code] == []
